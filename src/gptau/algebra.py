@@ -698,14 +698,3 @@ def example_loop_flag_algebra(field: FieldSpec = QQ) -> Algebra:
 def trivial_algebra(field: FieldSpec = QQ) -> Algebra:
     """The ground field as an algebra."""
     return linear_a_n(1, field)
-
-
-def battery_builders():
-    """Named constructors for the standard test battery."""
-    return {
-        "linear_a_n": linear_a_n,
-        "loop_algebra": loop_algebra,
-        "cyclic_nakayama": cyclic_nakayama,
-        "loop_flag": example_loop_flag_algebra,
-        "trivial": trivial_algebra,
-    }

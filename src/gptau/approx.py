@@ -20,6 +20,9 @@ from .module import (
     direct_sum,
     end_basis,
     hom,
+    hom_coords,
+    hom_dim,
+    hom_map_surjective,
     is_isomorphic,
     is_right_minimal,
     projective_modules,
@@ -71,41 +74,6 @@ def in_add(x: Module, e: GeneratorData) -> bool:
         if e.class_of(part) is None:
             return False
     return True
-
-
-def _hom_stack(source: Module, target: Module):
-    """(hom basis, flattened column stack) cached on the source."""
-    key = ("hom_stack", id(target))
-    if key not in source._cache:
-        hs = hom(source, target)
-        cols = [[x for row in h.matrix.data for x in row] for h in hs]
-        source._cache[key] = (
-            hs,
-            Matrix.from_cols(source.field, cols,
-                             nrows=target.dim * source.dim),
-        )
-    return source._cache[key]
-
-
-def hom_map_surjective(f: ModuleMap, m: Module) -> bool:
-    """Is Hom(f, m): Hom(target, m) -> Hom(source, m) surjective?"""
-    src_homs, stack = _hom_stack(f.source, m)
-    if not src_homs:
-        return True
-    tgt_homs = hom(f.target, m)
-    fld = m.field
-    img = []
-    for g in tgt_homs:
-        comp = g.matrix @ f.matrix
-        coords = stack.solve([x for row in comp.data for x in row])
-        if coords is None:
-            raise ModuleError("composite escaped the Hom basis")
-        img.append(coords)
-    if not img:
-        return False
-    return Matrix.from_cols(fld, img, nrows=len(src_homs)).rank() == len(
-        src_homs
-    )
 
 
 def _assemble_approx(x: Module, e: GeneratorData, picks):
@@ -168,24 +136,11 @@ def minimal_right_approx(x: Module, e: GeneratorData) -> ModuleMap:
 
 def _is_approximation(f: ModuleMap, x: Module, e: GeneratorData) -> bool:
     """Every map E_j -> x factors through f, for every basic summand."""
-    for b in e.basic:
-        homs, stack = _hom_stack(b, x)
-        if not homs:
-            continue
-        dom_homs = hom(b, f.source)
-        img = []
-        for g in dom_homs:
-            comp = f.matrix @ g.matrix
-            coords = stack.solve([v for row in comp.data for v in row])
-            if coords is None:
-                raise ModuleError("composite escaped the Hom basis")
-            img.append(coords)
-        need = len(homs)
-        if not img:
-            return False
-        if Matrix.from_cols(x.field, img, nrows=need).rank() != need:
-            return False
-    return True
+    return all(
+        hom_coords(b, x, [f.matrix @ g.matrix for g in hom(b, f.source)])
+        .rank() == hom_dim(b, x)
+        for b in e.basic
+    )
 
 
 def minimal_addE_presentation(m: Module, e: GeneratorData) -> Presentation:
@@ -246,49 +201,33 @@ def gamma(e: GeneratorData) -> GammaData:
             offsets[(i, j)] = dim
             dim += len(hb)
 
-    def coords_of(mat: Matrix, i, j):
-        """Coordinates of a map E_i -> E_j in the (i, j) block basis."""
-        hb = hom_bases[(i, j)]
-        cols = [[x for row in h.matrix.data for x in row] for h in hb]
-        stack = Matrix.from_cols(f, cols,
-                                 nrows=basic[j].dim * basic[i].dim)
-        sol = stack.solve([x for row in mat.data for x in row])
-        if sol is None:
-            raise ModuleError("composition escaped the hom basis")
-        return sol
-
     zero_vec = [f.zero()] * dim
+
+    def embed(coords, i, j):
+        """Gamma vector with the given coordinates in the (i, j) block."""
+        vec = zero_vec[:]
+        off = offsets[(i, j)]
+        vec[off:off + len(coords)] = coords
+        return vec
+
     mult = [[zero_vec[:] for _ in range(dim)] for _ in range(dim)]
-    flat = []
-    for i in range(n):
-        for j in range(n):
-            for h in hom_bases[(i, j)]:
-                flat.append((i, j, h))
-    for a_idx, (i1, j1, h1) in enumerate(flat):
-        for b_idx, (i2, j2, h2) in enumerate(flat):
-            # Gamma product: h1 * h2 = h2 o h1 (opposite composition)
-            if j1 != i2:
-                continue
-            comp = h2.matrix @ h1.matrix
-            if comp.is_zero():
-                continue
-            sol = coords_of(comp, i1, j2)
-            vec = zero_vec[:]
-            off = offsets[(i1, j2)]
-            for k, c in enumerate(sol):
-                vec[off + k] = c
-            mult[a_idx][b_idx] = vec
+    for (i1, j1), hb1 in hom_bases.items():
+        for k1, h1 in enumerate(hb1):
+            row = mult[offsets[(i1, j1)] + k1]
+            for j2 in range(n):
+                # Gamma product: h1 * h2 = h2 o h1 (opposite composition)
+                x = hom_coords(basic[i1], basic[j2],
+                               [h2.matrix @ h1.matrix
+                                for h2 in hom_bases[(j1, j2)]])
+                for k2 in range(x.cols):
+                    row[offsets[(j1, j2)] + k2] = embed(x.col(k2), i1, j2)
     idem = []
     idem_of_class = []
     unit = zero_vec[:]
     for i in range(n):
         ident = Matrix.identity(f, basic[i].dim)
-        sol = coords_of(ident, i, i)
-        vec = zero_vec[:]
-        off = offsets[(i, i)]
-        for k, c in enumerate(sol):
-            vec[off + k] = c
-            unit[off + k] = unit[off + k] + c
+        vec = embed(hom_coords(basic[i], basic[i], [ident]).col(0), i, i)
+        unit = [u + c for u, c in zip(unit, vec)]
         idem.append(vec)
         idem_of_class.append(i)
     radical = []
@@ -321,39 +260,24 @@ def hom_E(m: Module, g: GammaData) -> Module:
     """Hom(E, m) as a left Gamma-module: underlying space is the union
     of the hom(E_i, m) bases; the action of a map gamma: E_i -> E_j
     sends f in hom(E_j, m) to f o gamma in hom(E_i, m)."""
-    e = g.e
-    basic = e.basic
-    n = len(basic)
-    fld = m.field
+    basic = g.e.basic
     blocks = [hom(b, m) for b in basic]
-    stacks = []
-    for i, hb in enumerate(blocks):
-        cols = [[x for row in h.matrix.data for x in row] for h in hb]
-        stacks.append(
-            Matrix.from_cols(fld, cols, nrows=m.dim * basic[i].dim)
-        )
-    offs = []
-    total = 0
+    offs = [0]
     for hb in blocks:
-        offs.append(total)
-        total += len(hb)
+        offs.append(offs[-1] + len(hb))
+    total = offs[-1]
     if total == 0:
         return zero_module(g.algebra)
     acts = []
-    for i in range(n):
-        for j in range(n):
-            for gmap in g.hom_bases[(i, j)]:
-                big = Matrix(fld, total, total)
-                for c, f_j in enumerate(blocks[j]):
-                    comp = f_j.matrix @ gmap.matrix  # E_i -> m
-                    sol = stacks[i].solve(
-                        [x for row in comp.data for x in row]
-                    )
-                    if sol is None:
-                        raise ModuleError("action escaped the hom basis")
-                    for r, v in enumerate(sol):
-                        big.data[offs[i] + r][offs[j] + c] = v
-                acts.append(big)
+    for (i, j), hb in g.hom_bases.items():
+        for gmap in hb:
+            # column c: f_c o gamma (E_i -> m) in the hom(E_i, m) basis
+            x = hom_coords(basic[i], m,
+                           [f_c.matrix @ gmap.matrix for f_c in blocks[j]])
+            big = Matrix(m.field, total, total)
+            for r, row in enumerate(x.data):
+                big.data[offs[i] + r][offs[j]:offs[j + 1]] = row
+            acts.append(big)
     return Module(g.algebra, acts, validate=False)
 
 
@@ -361,37 +285,16 @@ def hom_E_map(f: ModuleMap, g: GammaData) -> ModuleMap:
     """Functorial action of Hom(E, -) on a map."""
     src = hom_E(f.source, g)
     tgt = hom_E(f.target, g)
-    e = g.e
-    fld = f.source.field
-    blocks_s = [hom(b, f.source) for b in e.basic]
-    blocks_t = [hom(b, f.target) for b in e.basic]
-    stacks_t = []
-    for i, hb in enumerate(blocks_t):
-        cols = [[x for row in h.matrix.data for x in row] for h in hb]
-        stacks_t.append(
-            Matrix.from_cols(fld, cols,
-                             nrows=f.target.dim * e.basic[i].dim)
-        )
-    mat = Matrix(fld, tgt.dim, src.dim)
-    roff = 0
-    coff = 0
-    col_offs = []
-    for hb in blocks_s:
-        col_offs.append(coff)
-        coff += len(hb)
-    row_offs = []
-    for hb in blocks_t:
-        row_offs.append(roff)
-        roff += len(hb)
-    raw = Matrix(fld, tgt.dim, src.dim)
-    for i in range(len(e.basic)):
-        for c, gmap in enumerate(blocks_s[i]):
-            comp = f.matrix @ gmap.matrix
-            sol = stacks_t[i].solve([x for row in comp.data for x in row])
-            if sol is None:
-                raise ModuleError("image escaped the hom basis")
-            for r, v in enumerate(sol):
-                raw.data[row_offs[i] + r][col_offs[i] + c] = v
+    raw = Matrix(f.source.field, tgt.dim, src.dim)
+    ro = co = 0
+    for b in g.e.basic:
+        # one diagonal block: h -> f o h, hom(E_i, source) -> hom(E_i, target)
+        x = hom_coords(b, f.target,
+                       [f.matrix @ h.matrix for h in hom(b, f.source)])
+        for r, row in enumerate(x.data):
+            raw.data[ro + r][co:co + x.cols] = row
+        ro += x.rows
+        co += x.cols
     mat = tgt.from_raw_matrix() @ raw @ src.to_raw()
     return ModuleMap(src, tgt, mat)
 
@@ -519,35 +422,15 @@ def e_gp_resolution_probe(m: Module, e: GeneratorData,
     seen = []
     for step in range(bound):
         f0 = minimal_right_approx(cur, e)
-        for s in e.basic:
-            # Hom(E0, E_s) -> Hom(ker, E_s) must be onto the restrictions
-            ker, inc = f0.kernel()
-            if ker.dim == 0:
-                break
-            homs_ker = hom(ker, s)
-            if not homs_ker:
-                continue
-            cols = [[x for row in h.matrix.data for x in row]
-                    for h in homs_ker]
-            stack = Matrix.from_cols(m.field, cols,
-                                     nrows=s.dim * ker.dim)
-            img = []
-            for gmap in hom(f0.source, s):
-                comp = gmap.matrix @ inc.matrix
-                sol = stack.solve([x for row in comp.data for x in row])
-                if sol is None:
-                    raise ModuleError("restriction escaped the hom basis")
-                img.append(sol)
-            rk = Matrix.from_cols(m.field, img,
-                                  nrows=len(homs_ker)).rank() if img else 0
-            if rk != len(homs_ker):
-                return no(
-                    "Hom(-, E summand) loses exactness at degree %d"
-                    % (step + 1), bound=bound, witness=step + 1,
-                )
-        ker, _ = f0.kernel()
+        ker, inc = f0.kernel()
         if ker.dim == 0:
             return yes("resolution terminates inside add E", bound=bound)
+        # Hom(E0, E_s) -> Hom(ker, E_s) must be onto the restrictions
+        if not all(hom_map_surjective(inc, s) for s in e.basic):
+            return no(
+                "Hom(-, E summand) loses exactness at degree %d"
+                % (step + 1), bound=bound, witness=step + 1,
+            )
         for j, old in enumerate(seen):
             if is_isomorphic(ker, old):
                 return yes("kernels periodic (degree %d matches %d)"

@@ -11,7 +11,7 @@ for exceeding the bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .linalg import Matrix
 from .module import (
@@ -19,6 +19,7 @@ from .module import (
     ModuleError,
     direct_sum,
     hom,
+    hom_map_surjective,
     injective_modules,
     is_isomorphic,
     is_projective,
@@ -288,7 +289,7 @@ def tau_rigid_test(m: Module) -> bool:
     t = tau(m)
     crit_hom = t.dim == 0 or len(hom(m, t)) == 0
     pres = minimal_projective_presentation(m)
-    crit_surj = _hom_map_surjective(pres.f1, m)
+    crit_surj = hom_map_surjective(pres.f1, m)
     if crit_hom != crit_surj:
         raise CriteriaDisagreement(
             "tau-rigidity criteria disagree on a module with dimension "
@@ -296,32 +297,6 @@ def tau_rigid_test(m: Module) -> bool:
             % (m.dim_vector(), crit_hom, crit_surj)
         )
     return crit_hom
-
-
-def _hom_map_surjective(f1, m: Module) -> bool:
-    """Is Hom(f1, m): Hom(target, m) -> Hom(source, m) surjective?"""
-    src_homs = hom(f1.source, m)
-    if not src_homs:
-        return True
-    tgt_homs = hom(f1.target, m)
-    fld = m.field
-    basis_cols = [
-        [x for row in h.matrix.data for x in row] for h in src_homs
-    ]
-    stack = Matrix.from_cols(fld, basis_cols,
-                             nrows=f1.source.dim * m.dim)
-    img = []
-    for g in tgt_homs:
-        comp = g.matrix @ f1.matrix
-        coords = stack.solve([x for row in comp.data for x in row])
-        if coords is None:
-            raise ModuleError("composite escaped the Hom basis")
-        img.append(coords)
-    if not img:
-        return False
-    return Matrix.from_cols(fld, img, nrows=len(src_homs)).rank() == len(
-        src_homs
-    )
 
 
 def tau_inverse_rigid_test(m: Module) -> bool:

@@ -95,6 +95,19 @@ def _scalars(f: FieldSpec, toks, path, lineno):
     return out
 
 
+def _naturals(rest, path, lineno, one=False):
+    """The nonnegative integers on a line (exactly one of them when one
+    is set), or a FormatError at lineno."""
+    what = "one nonnegative integer" if one else "nonnegative integers"
+    try:
+        vals = [int(t) for t in rest.split()]
+    except ValueError:
+        vals = None
+    if vals is None or any(v < 0 for v in vals) or (one and len(vals) != 1):
+        raise FormatError(path, lineno, "expected %s, got %r" % (what, rest))
+    return vals
+
+
 def _parse_matrix(f: FieldSpec, rest, path, lineno):
     """Rows separated by ';', entries whitespace-separated."""
     rows = [r.split() for r in rest.split(";")]
@@ -184,7 +197,7 @@ def parse_algebra_file(path) -> Algebra:
         elif kw == "relation":
             relations.append((_parse_relation(rest, path, lineno), lineno))
         elif kw == "nilpotency":
-            nilpotency = int(rest)
+            nilpotency = _naturals(rest, path, lineno, one=True)[0]
         elif kw == "basis":
             basis = rest.split()
         elif kw == "unit":
@@ -322,9 +335,9 @@ def parse_module_file(path, algebra: Algebra) -> Module:
                 )
             kind = rest
         elif kw == "dims":
-            dims = [int(t) for t in rest.split()]
+            dims = _naturals(rest, path, lineno)
         elif kw == "dim":
-            dim = int(rest)
+            dim = _naturals(rest, path, lineno, one=True)[0]
         elif kw == "arrow":
             name, _, body = rest.partition(":")
             arrow_mats[(name.strip(), lineno)] = _parse_matrix(f, body, path, lineno)

@@ -16,6 +16,7 @@ from .module import (
     direct_sum,
     dual_D,
     hom,
+    hom_coords,
     is_faithful,
     is_projective,
     regular_module,
@@ -71,27 +72,16 @@ def evaluation_is_isomorphism(m: Module) -> bool:
     gs = hom(mstar, opreg)
     if len(gs) != m.dim:
         return False
-    gs_stack = Matrix.from_cols(
-        f, [[x for row in g.matrix.data for x in row] for g in gs],
-        nrows=opreg.dim * mstar.dim,
-    )
     reg_to_raw = reg.to_raw()
     opreg_from_raw = opreg.from_raw_matrix()
     mstar_to_raw = mstar.to_raw()
-    cols = []
+    evals = []
     for c in range(m.dim):
         # map m* -> opreg in raw coordinates: column j is phi_j(x_c)
-        w_cols = []
-        for h in hs:
-            w_cols.append(reg_to_raw.mul_vec(h.matrix.col(c)))
+        w_cols = [reg_to_raw.mul_vec(h.matrix.col(c)) for h in hs]
         w = Matrix.from_cols(f, w_cols, nrows=a.dim)
-        adapted = opreg_from_raw @ w @ mstar_to_raw
-        coords = gs_stack.solve([x for row in adapted.data for x in row])
-        if coords is None:
-            raise ModuleError("evaluation image is not a module map")
-        cols.append(coords)
-    ev = Matrix.from_cols(f, cols, nrows=m.dim)
-    return ev.is_invertible()
+        evals.append(opreg_from_raw @ w @ mstar_to_raw)
+    return hom_coords(mstar, opreg, evals).is_invertible()
 
 
 def gorenstein_projective(m: Module, bound: int | None = None) -> TriState:

@@ -16,6 +16,7 @@ from .module import (
     direct_sum,
     dual_D,
     hom,
+    hom_coords,
     is_isomorphic,
     is_projective,
     projective_cover,
@@ -117,43 +118,20 @@ def ext_dim(m: Module, n: Module, i: int) -> int:
     res = minimal_projective_resolution(m, i + 1)
     if len(res) <= i:
         return 0
-    f = m.field
-    p_i = res[i][0]
-    d_i = res[i][1]  # P_i -> P_{i-1}
+    p_i, d_i = res[i]  # d_i: P_i -> P_{i-1}
     homs_i = hom(p_i, n)
     if not homs_i:
         return 0
     # Hom(d_i): Hom(P_{i-1}, N) -> Hom(P_i, N), g -> g o d_i
-    homs_prev = hom(res[i - 1][0], n)
-    img_cols = [
-        [x for row in (g.matrix @ d_i.matrix).data for x in row]
-        for g in homs_prev
-    ]
-    basis_cols = [[x for row in h.matrix.data for x in row] for h in homs_i]
-    stack = Matrix.from_cols(f, basis_cols, nrows=p_i.dim * n.dim)
-    img_coords = []
-    for c in img_cols:
-        x = stack.solve(c)
-        if x is None:
-            raise ModuleError("Hom complex image escaped the Hom basis")
-        img_coords.append(x)
+    img = hom_coords(p_i, n, [g.matrix @ d_i.matrix
+                              for g in hom(res[i - 1][0], n)])
+    ker_dim = len(homs_i)
     if len(res) > i + 1:
-        d_next = res[i + 1][1].matrix
-        rows = []
-        for h in homs_i:
-            rows.append([x for row in (h.matrix @ d_next).data for x in row])
-        # kernel of h -> h o d_{i+1}, as coefficient vectors over homs_i
-        sysm = Matrix.from_cols(f, rows, nrows=len(rows[0]) if rows else 0)
-        ker = sysm.kernel_basis()
-        ker_dim = ker.cols
-    else:
-        ker_dim = len(homs_i)
-    img_rank = (
-        Matrix.from_cols(f, img_coords, nrows=len(homs_i)).rank()
-        if img_coords
-        else 0
-    )
-    return ker_dim - img_rank
+        # kernel of Hom(d_{i+1}): h -> h o d_{i+1}
+        p_next, d_next = res[i + 1]
+        ker_dim -= hom_coords(p_next, n, [h.matrix @ d_next.matrix
+                                          for h in homs_i]).rank()
+    return ker_dim - img.rank()
 
 
 ext = ext_dim
@@ -231,28 +209,15 @@ def star_module(m: Module) -> Module:
     op = a.opposite()
     reg = regular_module(a)
     hs = hom(m, reg)
-    f = m.field
-    k = len(hs)
-    if k == 0:
+    if not hs:
         return zero_module(op)
     to_raw = reg.to_raw()
     from_raw = reg.from_raw_matrix()
-    stack = Matrix.from_cols(
-        f, [[x for row in h.matrix.data for x in row] for h in hs],
-        nrows=reg.dim * m.dim,
-    )
     acts = []
     for i in range(a.dim):
         # phi -> (x -> phi(x) b_i): right multiplication after phi
         rm = from_raw @ a.right_mult_matrix(a._basis_vec(i)) @ to_raw
-        cols = []
-        for h in hs:
-            newmat = rm @ h.matrix
-            x = stack.solve([x for row in newmat.data for x in row])
-            if x is None:
-                raise ModuleError("right action escapes the Hom basis")
-            cols.append(x)
-        acts.append(Matrix.from_cols(f, cols, nrows=k))
+        acts.append(hom_coords(m, reg, [rm @ h.matrix for h in hs]))
     return Module(op, acts, validate=False)
 
 

@@ -10,7 +10,7 @@ are deterministic.
 
 from __future__ import annotations
 
-from .field import FieldSpec, QQ
+from .field import FieldSpec
 
 
 class Matrix:
@@ -30,10 +30,6 @@ class Matrix:
         self._rref = None
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zeros(field, rows, cols):
-        return Matrix(field, rows, cols)
 
     @staticmethod
     def identity(field, n):
@@ -195,10 +191,6 @@ class Matrix:
     def is_zero(self):
         return all(not a for row in self.data for a in row)
 
-    def entries(self):
-        for row in self.data:
-            yield from row
-
     # -- elimination --------------------------------------------------
 
     def rref(self):
@@ -297,43 +289,3 @@ class Matrix:
 
 def rank(m: Matrix) -> int:
     return m.rank()
-
-
-def kronecker(a: Matrix, b: Matrix) -> Matrix:
-    return a.kron(b)
-
-
-def solve_kernel_image(m: Matrix):
-    """(kernel basis, image basis, solver).  The solver returns a
-    particular solution for a target vector, or None when the target is
-    outside the image."""
-    return m.kernel_basis(), m.image_basis(), m.solve
-
-
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_scale(c, v):
-    return [c * a for a in v]
-
-
-def vec_is_zero(v):
-    return all(not a for a in v)
-
-
-def span_contains(basis: Matrix, v) -> bool:
-    """Is v in the column span of basis?"""
-    return basis.solve(v) is not None
-
-
-def intersect_colspaces(a: Matrix, b: Matrix) -> Matrix:
-    """Basis of the intersection of two column spaces (same ambient dim)."""
-    if a.rows != b.rows:
-        raise ValueError("ambient dimension mismatch")
-    k = a.hstack(b).kernel_basis()
-    cols = []
-    for j in range(k.cols):
-        coeffs = k.col(j)[: a.cols]
-        cols.append(a.mul_vec(coeffs))
-    return Matrix.from_cols(a.field, cols, nrows=a.rows).image_basis()

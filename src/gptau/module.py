@@ -6,7 +6,8 @@ A Module stores one action matrix per algebra basis element, in a basis
 adapted to the idempotent grading (coordinates grouped block by block,
 with each idempotent acting as the coordinate projector of its block).
 Hom computations then only constrain the diagonal blocks against the
-radical generators, which keeps the linear systems small.
+radical generators, which keeps the linear systems small.  Every
+coordinate solve against a Hom basis goes through hom_coords.
 
 Modules and maps are immutable; expensive invariants are cached on the
 object.
@@ -290,14 +291,6 @@ def quotient_module(m: Module, basis: Matrix):
     return Q, ModuleMap(m, Q, Q.from_raw_matrix() @ proj_raw)
 
 
-def base_change(m: Module, u: Matrix) -> Module:
-    """Same module in a new basis (u invertible, new = u^-1 . old)."""
-    uinv = u.inverse()
-    if uinv is None:
-        raise ModuleError("base change matrix is singular")
-    return Module(m.algebra, [uinv @ a @ u for a in m.actions], validate=False)
-
-
 # -- quiver-presented conversion -----------------------------------------
 
 
@@ -456,21 +449,40 @@ def end_basis(m: Module):
     return m._cache["end_basis"]
 
 
-def _end_stack(m: Module):
-    """Flattened endomorphism basis as columns, with cached RREF."""
-    if "end_stack" not in m._cache:
-        ends = end_basis(m)
-        cols = [[x for row in e.matrix.data for x in row] for e in ends]
-        m._cache["end_stack"] = Matrix.from_cols(
-            m.field, cols, nrows=m.dim * m.dim
-        )
-    return m._cache["end_stack"]
+def _flat(mat: Matrix):
+    return [x for row in mat.data for x in row]
 
 
-def end_coords(m: Module, mat: Matrix):
-    """Coordinates of an endomorphism matrix in the End(m) basis."""
-    flat = [x for row in mat.data for x in row]
-    return _end_stack(m).solve(flat)
+def hom_coords(m: Module, n: Module, mats) -> Matrix:
+    """Coordinates of the m -> n matrices mats in the hom(m, n) basis,
+    one column per map, from one solve against the stacked basis.
+    Raises ModuleError when a matrix is not in Hom(m, n)."""
+    f = m.field
+    hs = hom(m, n)
+    size = n.dim * m.dim
+    # cached as in hom: the entry holds n, since an id alone can be reused
+    key = ("hom_coords", id(n))
+    hit = m._cache.get(key)
+    if hit is not None and hit[0] is n:
+        stack = hit[1]
+    else:
+        stack = Matrix.from_cols(f, [_flat(h.matrix) for h in hs], nrows=size)
+        m._cache[key] = (n, stack)
+    if any(a.rows != n.dim or a.cols != m.dim for a in mats):
+        raise ModuleError("map matrix has the wrong shape")
+    x = stack.solve_matrix(
+        Matrix.from_cols(f, [_flat(a) for a in mats], nrows=size)
+    )
+    if x is None:
+        raise ModuleError("matrix is not in Hom of the given modules")
+    return x
+
+
+def hom_map_surjective(f: ModuleMap, m: Module) -> bool:
+    """Is Hom(f, m): Hom(target, m) -> Hom(source, m) surjective?"""
+    img = hom_coords(f.source, m,
+                     [g.matrix @ f.matrix for g in hom(f.target, m)])
+    return img.rank() == img.rows
 
 
 def rad_end(m: Module):
@@ -505,9 +517,7 @@ def rad_end(m: Module):
 
 def end_rad_membership(m: Module, mat: Matrix):
     """Is the endomorphism mat in rad End(m)?"""
-    coords = end_coords(m, mat)
-    if coords is None:
-        raise ModuleError("matrix is not an endomorphism of the module")
+    coords = hom_coords(m, m, [mat]).col(0)
     rad_coeffs, _ = rad_end(m)
     if not rad_coeffs:
         return all(not c for c in coords)
@@ -538,11 +548,9 @@ def _min_poly(mat: Matrix):
     d = mat.rows
     powers = [Matrix.identity(f, d)]
     while True:
-        cols = [[x for row in p.data for x in row] for p in powers]
-        stack = Matrix.from_cols(f, cols, nrows=d * d)
+        stack = Matrix.from_cols(f, [_flat(p) for p in powers], nrows=d * d)
         nxt = powers[-1] @ mat
-        flat = [x for row in nxt.data for x in row]
-        sol = stack.solve(flat)
+        sol = stack.solve(_flat(nxt))
         if sol is not None:
             return [-c for c in sol] + [f.one()]
         powers.append(nxt)
@@ -667,7 +675,7 @@ def decompose(m: Module, seed=DEFAULT_SEED):
     groups = []
     for p in pieces:
         for g in groups:
-            if _iso_quick_or_indec(g[0], p):
+            if _iso_indecomposable(g[0], p):
                 g[1] += 1
                 break
         else:
@@ -675,11 +683,6 @@ def decompose(m: Module, seed=DEFAULT_SEED):
     result = [(g[0], g[1]) for g in groups]
     m._cache[key] = result
     return result
-
-
-def summand_count(m: Module) -> int:
-    """Number of pairwise non-isomorphic indecomposable summands."""
-    return len(decompose(m))
 
 
 def is_indecomposable(m: Module):
@@ -710,11 +713,6 @@ def _iso_indecomposable(m: Module, n: Module) -> bool:
             if not end_rad_membership(m, g.matrix @ h.matrix):
                 return True
     return False
-
-
-def _iso_quick_or_indec(m: Module, n: Module) -> bool:
-    # callers guarantee both indecomposable
-    return _iso_indecomposable(m, n)
 
 
 def is_isomorphic(m: Module, n: Module, seed=DEFAULT_SEED) -> bool:
@@ -852,7 +850,6 @@ def projective_cover(m: Module):
     rad, inc = radical_submodule(m)
     T, pi = quotient_module(m, inc.matrix)
     projs = projective_modules(a)
-    reg = regular_module(a)
     pieces = []
     piece_idx = []
     piece_cols = []
@@ -909,14 +906,6 @@ def _proj_embedding(algebra: Algebra, i: int) -> Matrix:
         inc = adapted @ p.to_raw()
         algebra._cache[key] = reg.to_raw() @ inc
     return algebra._cache[key]
-
-
-def top_radical_projcover(m: Module):
-    """(top, radical submodule, projective cover map)."""
-    rad, inc = radical_submodule(m)
-    T, _ = quotient_module(m, inc.matrix)
-    P, fmap, _ = projective_cover(m)
-    return T, rad, fmap
 
 
 def is_projective(m: Module) -> bool:
@@ -1057,7 +1046,7 @@ def is_right_minimal(f: ModuleMap) -> bool:
     ends = end_basis(src)
     ff = f.matrix
     field = src.field
-    cols = [[x for row in (ff @ e.matrix).data for x in row] for e in ends]
+    cols = [_flat(ff @ e.matrix) for e in ends]
     sysm = Matrix.from_cols(field, cols, nrows=ff.rows * ff.cols)
     ker = sysm.kernel_basis()
     for j in range(ker.cols):
@@ -1073,10 +1062,6 @@ def is_right_minimal(f: ModuleMap) -> bool:
 
 def is_faithful(m: Module) -> bool:
     """No nonzero algebra element annihilates the module."""
-    a = m.algebra
-    f = m.field
-    cols = []
-    for i in range(a.dim):
-        cols.append([x for row in m.actions[i].data for x in row])
-    rep = Matrix.from_cols(f, cols, nrows=m.dim * m.dim)
+    rep = Matrix.from_cols(m.field, [_flat(x) for x in m.actions],
+                           nrows=m.dim * m.dim)
     return rep.kernel_basis().cols == 0

@@ -18,12 +18,17 @@ from gptau.approx import (
     eg_classes,
     generator_data,
     hom_E,
+    hom_map_surjective,
     in_add,
     minimal_addE_presentation,
     minimal_right_approx,
 )
+from gptau.algebra import linear_a_n
 from gptau.homalg import ext_dim, is_tau_rigid
+from gptau.linalg import Matrix
 from gptau.module import (
+    Module,
+    ModuleMap,
     direct_sum,
     hom_dim,
     injective_modules,
@@ -31,6 +36,7 @@ from gptau.module import (
     projective_modules,
     regular_module,
     simple_modules,
+    zero_module,
 )
 
 
@@ -141,3 +147,19 @@ def test_eg_classes_of_regular_generator(loop_flag):
     # (Omega S1 is GP but not rigid)
     assert not any_unknown
     assert sorted(m.dim_vector() for m in members) == [(0, 1), (2, 2)]
+
+
+def test_hom_map_surjective_not_fooled_by_a_reused_id():
+    # f: S1 -> 0.  Hom(f, S2) is onto Hom(S1, S2) = 0, while Hom(f, S1)
+    # misses Hom(S1, S1) = k.  Fresh copies are built and dropped so that
+    # CPython hands a dead copy's id to a new module; an answer cached
+    # under the id alone would then be returned for the wrong target.
+    a = linear_a_n(3)
+    S = simple_modules(a)
+    f = ModuleMap(S[0], zero_module(a), Matrix(a.field, 0, 1))
+    for _ in range(200):
+        x = Module(a, [m.copy() for m in S[1].actions], validate=False)
+        hom_map_surjective(f, x)
+        del x
+        y = Module(a, [m.copy() for m in S[0].actions], validate=False)
+        assert hom_map_surjective(f, y) is False

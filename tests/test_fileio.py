@@ -133,6 +133,28 @@ def test_shape_mismatch_reported(tmp_path):
         parse_module_file(str(p), a3)
 
 
+@pytest.mark.parametrize("fixture, line, bad", [
+    ("a3.alg", "nilpotency 4", "nilpotency x"),
+    ("i2.mod", "dims 1 1 0", "dims 1 x"),
+    ("i2.mod", "dims 1 1 0", "dims -1 1 0"),
+    ("i2.mod", "dims 1 1 0", "dim x"),
+])
+def test_malformed_integer_reported_at_its_line(tmp_path, fixture, line, bad):
+    with open(fx(fixture)) as fh:
+        lines = fh.read().splitlines()
+    lineno = lines.index(line) + 1
+    lines[lineno - 1] = bad
+    p = tmp_path / fixture
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as exc:
+        if fixture.endswith(".alg"):
+            parse_algebra_file(str(p))
+        else:
+            parse_module_file(str(p), parse_algebra_file(fx("a3.alg")))
+    assert exc.value.lineno == lineno
+    assert "nonnegative integer" in str(exc.value)
+
+
 def test_dot_export_stable():
     labels = ["(A | 0)", "(B | P1)"]
     dot = support_quiver_dot(labels, [(0, 1)])

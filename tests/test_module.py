@@ -4,15 +4,27 @@ simples/projectives/injectives, duality, triples.
 Oracles: dimension formulas dim Hom(P_i, M) = dim e_i M for projectives,
 hand-known dimension vectors, and structural identities."""
 
+import random
+
 import pytest
 
-from gptau.algebra import t2
+from gptau.algebra import (
+    cyclic_nakayama,
+    example_loop_flag_algebra,
+    linear_a_n,
+    loop_algebra,
+    t2,
+    trivial_algebra,
+)
+from gptau.field import GF
 from gptau.module import (
     Module,
     ModuleError,
     decompose,
     direct_sum,
     dual_D,
+    hom,
+    hom_coords,
     hom_dim,
     injective_modules,
     is_indecomposable,
@@ -177,3 +189,57 @@ def test_is_projective(battery):
         for s in S:
             cover, _, _ = projective_cover(s)
             assert is_projective(s) == (cover.dim == s.dim)
+
+
+def _flat(mat):
+    return [x for row in mat.data for x in row]
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_hom_coords_matches_per_vector_solve(battery, p):
+    """hom_coords against the flattened-basis solve written out here:
+    column j is the solution of (row-major Hom basis) x = (map j)."""
+    if p is None:
+        algebras = battery.values()
+    else:
+        fld = GF(p)
+        algebras = [linear_a_n(3, fld), example_loop_flag_algebra(fld),
+                    loop_algebra(3, fld), cyclic_nakayama(2, 2, fld),
+                    trivial_algebra(fld)]
+    rng = random.Random(20240915)
+    rejected = 0
+    for a in algebras:
+        f = a.field
+        mods = (projective_modules(a) + simple_modules(a)
+                + [regular_module(a)])
+        for m in mods:
+            for n in mods:
+                hs = hom(m, n)
+                basis = Matrix.from_cols(f, [_flat(h.matrix) for h in hs],
+                                         nrows=n.dim * m.dim)
+                coeffs = [[rng.randint(-3, 3) for _ in hs] for _ in range(3)]
+                mats = []
+                for cs in coeffs:
+                    mat = Matrix(f, n.dim, m.dim)
+                    for c, h in zip(cs, hs):
+                        mat = mat + h.matrix.scale(c)
+                    mats.append(mat)
+                x = hom_coords(m, n, mats)
+                assert (x.rows, x.cols) == (len(hs), len(mats))
+                for j, mat in enumerate(mats):
+                    assert x.col(j) == basis.solve(_flat(mat))
+                    assert x.col(j) == [f.of(c) for c in coeffs[j]]
+                empty = hom_coords(m, n, [])
+                assert (empty.rows, empty.cols) == (len(hs), 0)
+                with pytest.raises(ModuleError):
+                    hom_coords(m, n, [Matrix(f, n.dim + 1, m.dim)])
+                # a matrix unit outside the Hom space is no module map
+                for r in range(n.dim):
+                    for c in range(m.dim):
+                        unit = Matrix(f, n.dim, m.dim)
+                        unit.data[r][c] = f.one()
+                        if basis.solve(_flat(unit)) is None:
+                            with pytest.raises(ModuleError):
+                                hom_coords(m, n, [unit])
+                            rejected += 1
+    assert rejected
