@@ -81,9 +81,9 @@ class FieldSpec:
     """Ground field: the rationals, or GF(p) for a prime p.
 
     Prime fields with small p can misreport radicals of endomorphism
-    algebras computed through the trace form; p > algebra dimension is
-    the documented safe regime.  The rationals are the default
-    everywhere.
+    algebras computed through the trace form; p > module dimension is
+    the documented safe regime (module.rad_end).  The rationals are the
+    default everywhere.
     """
 
     def __init__(self, kind: str, p: int | None = None):
@@ -94,12 +94,17 @@ class FieldSpec:
                 raise ValueError("prime field needs a prime order, got %r" % p)
         self.kind = kind
         self.p = p
+        # built once: scalars are immutable, so every caller can share them
+        if kind == "rationals":
+            self._zero, self._one = _RAT(0), _RAT(1)
+        else:
+            self._zero, self._one = Fp(0, p), Fp(1, p)
 
     def zero(self):
-        return _RAT(0) if self.kind == "rationals" else Fp(0, self.p)
+        return self._zero
 
     def one(self):
-        return _RAT(1) if self.kind == "rationals" else Fp(1, self.p)
+        return self._one
 
     def of(self, x):
         """Coerce an int, Fraction, Fp or 'p/q' string into this field."""

@@ -485,28 +485,47 @@ def hom_map_surjective(f: ModuleMap, m: Module) -> bool:
     return img.rank() == img.rows
 
 
+def _trace_form_exact(m: Module) -> bool:
+    """Is the trace-form radical of End(m) exact?  Over the rationals, or
+    over GF(p) with p > dim m: there tr(x^k) = 0 for k <= dim m forces x
+    to be nilpotent."""
+    f = m.field
+    return f.kind == "rationals" or f.p > m.dim
+
+
 def rad_end(m: Module):
     """(radical coefficient vectors over the End basis, dim End/rad).
 
-    Computed through the trace form of the module action; exact over the
-    rationals, reliable over GF(p) for p > dim."""
+    The radical is the kernel of the trace form (a, b) -> tr(ab) of the
+    action on m.  That is exact over the rationals and over GF(p) with
+    p > dim m.  For p <= dim m the kernel can be larger than the radical
+    (a summand whose dimension p divides loses its idempotent), so
+    dim End/rad can read too small; a warning says so."""
     if "rad_end" in m._cache:
         return m._cache["rad_end"]
     ends = end_basis(m)
     k = len(ends)
     f = m.field
-    if f.kind == "prime" and f.p <= m.dim:
+    if not _trace_form_exact(m):
         warnings.warn(
             "radical via trace form over GF(%d) with module dimension %d "
             "may be unreliable" % (f.p, m.dim)
         )
+    # tr(AB) = sum of A[r][c] * B[c][r], over the nonzero entries of A
+    nonzero = [
+        [(r, c, x) for r, row in enumerate(e.matrix.data)
+         for c, x in enumerate(row) if x]
+        for e in ends
+    ]
     gram = Matrix(f, k, k)
     for i in range(k):
         for j in range(i, k):
-            p = ends[i].matrix @ ends[j].matrix
+            b = ends[j].matrix.data
             t = f.zero()
-            for r in range(p.rows):
-                t = t + p.data[r][r]
+            for r, c, x in nonzero[i]:
+                y = b[c][r]
+                if y:
+                    t = t + x * y
             gram.data[i][j] = t
             gram.data[j][i] = t
     ker = gram.kernel_basis()
@@ -594,26 +613,39 @@ def _min_poly_split_candidate(m: Module, s: Matrix):
     return _fitting_split(m, g)
 
 
-def _split_once(m: Module, seed=DEFAULT_SEED):
-    """One nontrivial direct-sum split of m, or None if certified
-    indecomposable (with a warning when End/rad has dimension > 1)."""
-    ends = end_basis(m)
-    if len(ends) <= 1:
-        return None
-    idm = Matrix.identity(m.field, m.dim)
-    candidates = [e.matrix for e in ends]
-    candidates += [
-        ends[i].matrix + ends[j].matrix
-        for i in range(len(ends))
-        for j in range(i + 1, len(ends))
-    ]
+def _split_candidates(m: Module, ends, seed):
+    """Endomorphisms to try a Fitting split on, built one at a time: the
+    End basis, its pairwise sums, then 24 seeded random combinations."""
+    for e in ends:
+        yield e.matrix
+    for i in range(len(ends)):
+        for j in range(i + 1, len(ends)):
+            yield ends[i].matrix + ends[j].matrix
     rng = random.Random(seed)
     for _ in range(24):
         mat = Matrix(m.field, m.dim, m.dim)
         for e in ends:
             mat = mat + e.matrix.scale(rng.randint(-3, 3))
-        candidates.append(mat)
-    for s in candidates:
+        yield mat
+
+
+def _split_once(m: Module, seed=DEFAULT_SEED):
+    """One nontrivial direct-sum split of m, or None if m is taken to be
+    indecomposable.
+
+    Where the trace form is exact (over the rationals, or over GF(p) with
+    p > dim m), dim End/rad = 1 certifies m indecomposable before any
+    candidate is built.  For p <= dim m that reading can be too small, so
+    the Fitting candidates come first and rad_end only afterwards.  None
+    comes with a warning when End/rad has dimension > 1 and no split is
+    found."""
+    ends = end_basis(m)
+    if len(ends) <= 1:
+        return None
+    if _trace_form_exact(m) and rad_end(m)[1] == 1:
+        return None
+    idm = Matrix.identity(m.field, m.dim)
+    for s in _split_candidates(m, ends, seed):
         if s.is_zero() or (s - idm.scale(s.data[0][0])).is_zero():
             continue
         split = _fitting_split(m, s)
@@ -686,7 +718,12 @@ def decompose(m: Module, seed=DEFAULT_SEED):
 
 
 def is_indecomposable(m: Module):
-    """(bool, dim End/rad)."""
+    """(bool, dim End/rad).
+
+    dim End/rad is read from the trace form (rad_end): exact over the
+    rationals and over GF(p) with p > dim m.  For p <= dim m it can read
+    below the true value, and the bool rests on the Fitting candidates
+    that _split_once tries before it reads rad_end."""
     if m.dim == 0:
         return False, 0
     parts = split_indecomposables(m)

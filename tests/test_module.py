@@ -5,6 +5,7 @@ Oracles: dimension formulas dim Hom(P_i, M) = dim e_i M for projectives,
 hand-known dimension vectors, and structural identities."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from gptau.algebra import (
     t2,
     trivial_algebra,
 )
+from gptau.classify import enumerate_indecomposables
 from gptau.field import GF
 from gptau.module import (
     Module,
@@ -35,9 +37,11 @@ from gptau.module import (
     module_to_triple,
     projective_cover,
     projective_modules,
+    rad_end,
     radical_submodule,
     regular_module,
     simple_modules,
+    split_indecomposables,
     strip_projectives,
     top_of,
     zero_module,
@@ -243,3 +247,101 @@ def test_hom_coords_matches_per_vector_solve(battery, p):
                                 hom_coords(m, n, [unit])
                             rejected += 1
     assert rejected
+
+
+TRACE_FORM_WARNING = r"ignore:radical via trace form:UserWarning"
+
+
+def _battery_over(battery, p):
+    """The battery algebras over QQ (p None) or over GF(p)."""
+    if p is None:
+        return list(battery.values())
+    fld = GF(p)
+    return [linear_a_n(3, fld), example_loop_flag_algebra(fld),
+            loop_algebra(3, fld), cyclic_nakayama(2, 2, fld),
+            trivial_algebra(fld)]
+
+
+def _in_random_basis(m, rng):
+    """m with its actions conjugated by a random invertible matrix."""
+    f = m.field
+    while True:
+        P = Matrix(f, m.dim, m.dim, [[rng.randint(-2, 2) for _ in range(m.dim)]
+                                     for _ in range(m.dim)])
+        if P.is_invertible():
+            break
+    Pinv = P.inverse()
+    return Module(m.algebra, [Pinv @ act @ P for act in m.actions])
+
+
+@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
+@pytest.mark.parametrize("p", [2, 3])
+def test_split_survives_trace_form_blind_spot(p):
+    """Over GF(p) with p <= dim the trace form can lose the idempotent of
+    a summand whose dimension p divides, so dim End/rad reads 1 on a
+    decomposable sum; that reading must not stop the split."""
+    a = linear_a_n(3, GF(p))
+    P, S = projective_modules(a), simple_modules(a)
+    pairs = {"P%d+P%d" % (i, j): (P[i], P[j])
+             for i in range(3) for j in range(i + 1, 3)}
+    pairs.update({"P%d+S%d" % (i, j): (P[i], S[j])
+                  for i in range(3) for j in range(3)})
+    reads_one = set()
+    for name, (x, y) in pairs.items():
+        m, _, _ = direct_sum(a, [x, y])
+        if rad_end(m)[1] == 1:
+            reads_one.add(name)
+        pieces = split_indecomposables(m)
+        assert sorted(q.dim for q in pieces) == sorted([x.dim, y.dim]), name
+    named = {2: {"P1+S2", "P0+P1"}, 3: {"P0+S0", "P0+S1", "P0+S2"}}[p]
+    assert named <= reads_one
+
+
+@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
+@pytest.mark.parametrize("p", [None, 7])
+def test_decomposition_recovers_random_basis_sums(battery, p):
+    """Sums of 1-3 indecomposables in a random basis split back into
+    pieces of the summands' dimension vectors, each with End/rad of
+    dimension 1, and decompose counts each summand's class."""
+    rng = random.Random(20241018)
+    for a in _battery_over(battery, p):
+        reps = enumerate_indecomposables(a, 4).representatives
+        for _ in range(6):
+            idx = [rng.randrange(len(reps)) for _ in range(rng.randint(1, 3))]
+            summands = [reps[i] for i in idx]
+            m, _, _ = direct_sum(a, summands)
+            m = _in_random_basis(m, rng)
+            pieces = split_indecomposables(m)
+            assert (Counter((q.dim, q.dim_vector()) for q in pieces)
+                    == Counter((s.dim, s.dim_vector()) for s in summands))
+            assert all(rad_end(q)[1] == 1 for q in pieces)
+            got = Counter()
+            for piece, k in decompose(m):
+                (i,) = [i for i in set(idx) if is_isomorphic(piece, reps[i])]
+                got[i] += k
+            assert got == Counter(idx)
+
+
+@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
+@pytest.mark.parametrize("p", [None, 7])
+def test_rad_end_matches_trace_form_of_products(battery, p):
+    """rad_end against the trace form built here from full products:
+    the kernel of (tr(e_i e_j)) gives the same vectors and dim End/rad."""
+    for a in _battery_over(battery, p):
+        f = a.field
+        for m in (projective_modules(a) + simple_modules(a)
+                  + [regular_module(a)]):
+            ends = hom(m, m)
+            k = len(ends)
+            gram = Matrix(f, k, k)
+            for i in range(k):
+                for j in range(k):
+                    prod = ends[i].matrix @ ends[j].matrix
+                    t = f.zero()
+                    for r in range(m.dim):
+                        t = t + prod.data[r][r]
+                    gram.data[i][j] = t
+            ker = gram.kernel_basis()
+            rad_coeffs, sdim = rad_end(m)
+            assert rad_coeffs == [ker.col(j) for j in range(ker.cols)]
+            assert sdim == k - ker.cols
