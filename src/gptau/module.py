@@ -5,9 +5,14 @@ triple form of modules over triangular matrix algebras.
 A Module stores one action matrix per algebra basis element, in a basis
 adapted to the idempotent grading (coordinates grouped block by block,
 with each idempotent acting as the coordinate projector of its block).
-Hom computations then only constrain the diagonal blocks against the
-radical generators, which keeps the linear systems small.  Every
-coordinate solve against a Hom basis goes through hom_coords.
+When every idempotent already acts as a diagonal 0/1 matrix (direct
+sums, quiver representations, duals), that basis is a reordering of the
+given coordinates.  Hom computations then only constrain the diagonal
+blocks against the radical generators, which keeps the linear systems
+small.  Every coordinate solve against a Hom basis goes through
+hom_coords.  The algebras are basic (dim A/rad is the number of
+idempotents), so the top of a module counts its projective cover's
+summands and is_projective is a dimension count.
 
 Modules and maps are immutable; expensive invariants are cached on the
 object.
@@ -49,23 +54,34 @@ class Module:
         if unit_act != Matrix.identity(f, d):
             raise ModuleError("unit does not act as the identity")
         # adapted basis: group coordinates by idempotent blocks
-        cols = []
-        blocks = []
-        off = 0
-        for e in algebra.idempotents:
-            pe = _combine(f, d, actions, e)
-            img = pe.image_basis()
-            blocks.append((off, img.cols))
-            off += img.cols
-            for j in range(img.cols):
-                cols.append(img.col(j))
-        if off != d:
-            raise ModuleError("idempotent images do not decompose the module")
-        U = Matrix.from_cols(f, cols, nrows=d)
-        if U == Matrix.identity(f, d):
-            self.actions = actions
-            self._from_raw = None
+        idem_acts = [_combine(f, d, actions, e) for e in algebra.idempotents]
+        diagonal = _diagonal_blocks(idem_acts, d)
+        if diagonal is not None:
+            # each idempotent is a diagonal 0/1 matrix, so the adapted
+            # basis is a reordering of the coordinates: U is a permutation
+            perm, blocks = diagonal
+            if perm == list(range(d)):
+                self.actions = actions
+                self._from_raw = None
+            else:
+                self.actions = [_permuted(f, a, perm) for a in actions]
+                self._from_raw = Matrix(f, d, d)
+                one = f.one()
+                for i, p in enumerate(perm):
+                    self._from_raw.data[i][p] = one
         else:
+            cols = []
+            blocks = []
+            off = 0
+            for pe in idem_acts:
+                img = pe.image_basis()
+                blocks.append((off, img.cols))
+                off += img.cols
+                for j in range(img.cols):
+                    cols.append(img.col(j))
+            if off != d:
+                raise ModuleError("idempotent images do not decompose the module")
+            U = Matrix.from_cols(f, cols, nrows=d)
             Uinv = U.inverse()
             if Uinv is None:
                 raise ModuleError("idempotent images do not decompose the module")
@@ -120,12 +136,6 @@ class Module:
                         "(%s, %s)" % (a.basis_labels[i], a.basis_labels[j])
                     )
 
-    def block_of_coord(self, k):
-        for i, (off, d) in enumerate(self.blocks):
-            if off <= k < off + d:
-                return i
-        raise IndexError(k)
-
     def __repr__(self):
         return "Module(dim=%d, dv=%s over %r)" % (
             self.dim,
@@ -147,6 +157,34 @@ def _combine(f, d, actions, vec):
                 if a:
                     t = a if unit else c * a
                     orow[j] = orow[j] + t if orow[j] else t
+    return out
+
+
+def _diagonal_blocks(idem_acts, d):
+    """(perm, blocks) when every idempotent acts as a diagonal 0/1 matrix
+    and their supports partition the coordinates: perm lists the
+    coordinates block by block, each block in increasing order, which is
+    the basis image_basis would pick.  None otherwise."""
+    perm = []
+    blocks = []
+    for pe in idem_acts:
+        start = len(perm)
+        for r, row in enumerate(pe.data):
+            for c, x in enumerate(row):
+                if x and (c != r or x != 1):
+                    return None
+            if row[r]:
+                perm.append(r)
+        blocks.append((start, len(perm) - start))
+    if sorted(perm) != list(range(d)):
+        return None
+    return perm, blocks
+
+
+def _permuted(f, a: Matrix, perm):
+    """P^-1 a P for the permutation matrix P with columns e_perm[i]."""
+    out = Matrix(f, a.rows, a.cols)
+    out.data = [[row[p] for p in perm] for row in (a.data[q] for q in perm)]
     return out
 
 
@@ -379,61 +417,67 @@ def hom(m: Module, n: Module):
     if hit is not None and hit[0] is n:
         return hit[1]
     f = m.field
-    # unknowns: diagonal blocks f_i : e_i m -> e_i n
+    mb = m.blocks
+    nb = n.blocks
+    # unknowns: diagonal blocks F_i : e_i m -> e_i n, row-major, at offsets[i]
     offsets = []
     u = 0
-    for (mo, md), (no, nd) in zip(m.blocks, n.blocks):
+    for (_, md), (_, nd) in zip(mb, nb):
         offsets.append(u)
         u += md * nd
     if u == 0:
         return []
-
-    def uidx(i, r, c):
-        return offsets[i] + r * m.blocks[i][1] + c
-
-    rows = []
+    # idempotent block of each coordinate
+    mblock = [i for i, (_, d) in enumerate(mb) for _ in range(d)]
+    nblock = [i for i, (_, d) in enumerate(nb) for _ in range(d)]
+    # Per generator, one equation (F gm - gn F)[r, c] = 0 per pair (r, c)
+    # that a nonzero entry reaches.  The idempotent generators come first
+    # and act as coordinate projectors, so their equations vanish.
     zero = f.zero()
-    mb = m.blocks
-    nb = n.blocks
-    nblocks = len(mb)
-    for gm, gn in zip(m.generator_actions(), n.generator_actions()):
-        for r in range(n.dim):
-            ib = n.block_of_coord(r)
-            for c in range(m.dim):
-                jb = m.block_of_coord(c)
-                row = [zero] * u
-                nonzero = False
-                # sum_k F[r,k] gm[k,c]  with k in block ib of m
-                ko, kd = mb[ib]
-                for k in range(ko, ko + kd):
-                    v = gm.data[k][c]
-                    if v:
-                        row[uidx(ib, r - nb[ib][0], k - ko)] = (
-                            row[uidx(ib, r - nb[ib][0], k - ko)] + v
-                        )
-                        nonzero = True
-                # - sum_k gn[r,k] F[k,c]  with k in block jb of n
-                ko2, kd2 = nb[jb]
-                for k in range(ko2, ko2 + kd2):
-                    v = gn.data[r][k]
-                    if v:
-                        idx = uidx(jb, k - ko2, c - mb[jb][0])
-                        row[idx] = row[idx] - v
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-    sys = Matrix.from_rows(f, rows) if rows else Matrix(f, 0, u)
+    rows = []
+    k0 = m.algebra.n_idempotents
+    for gm, gn in zip(m.generator_actions()[k0:], n.generator_actions()[k0:]):
+        eqs = {}
+        # + F[r, k] gm[k, c] for r in block i of n, k in block i of m
+        for k, grow in enumerate(gm.data):
+            i = mblock[k]
+            (mo, md), (no, nd) = mb[i], nb[i]
+            base = offsets[i] + k - mo
+            for c, v in enumerate(grow):
+                if v:
+                    for r in range(nd):
+                        row = eqs.get((no + r, c))
+                        if row is None:
+                            row = eqs[(no + r, c)] = [zero] * u
+                        idx = base + r * md
+                        row[idx] = row[idx] + v if row[idx] else v
+        # - gn[r, k] F[k, c] for k in block j of n, c in block j of m
+        for r, grow in enumerate(gn.data):
+            for k, v in enumerate(grow):
+                if v:
+                    j = nblock[k]
+                    (mo, md), (no, nd) = mb[j], nb[j]
+                    base = offsets[j] + (k - no) * md
+                    for c in range(md):
+                        row = eqs.get((r, mo + c))
+                        if row is None:
+                            row = eqs[(r, mo + c)] = [zero] * u
+                        x = row[base + c]
+                        row[base + c] = x - v if x else -v
+        rows.extend(row for row in eqs.values() if any(row))
+    # rows are already field elements; the RREF of their span is canonical,
+    # so neither their order nor the rows that cancelled to 0 matter
+    sys = Matrix(f, len(rows), u)
+    sys.data = rows
     ker = sys.kernel_basis()
     out = []
     for j in range(ker.cols):
         x = ker.col(j)
         mat = Matrix(f, n.dim, m.dim)
-        for i in range(nblocks):
-            mo, md = mb[i]
-            no, nd = nb[i]
+        for i, ((mo, md), (no, nd)) in enumerate(zip(mb, nb)):
             for r in range(nd):
-                for c in range(md):
-                    mat.data[no + r][mo + c] = x[uidx(i, r, c)]
+                mat.data[no + r][mo:mo + md] = x[offsets[i] + r * md:
+                                                 offsets[i] + (r + 1) * md]
         out.append(ModuleMap(m, n, mat))
     m._cache[key] = (n, out)
     return out
@@ -636,9 +680,10 @@ def _split_once(m: Module, seed=DEFAULT_SEED):
     Where the trace form is exact (over the rationals, or over GF(p) with
     p > dim m), dim End/rad = 1 certifies m indecomposable before any
     candidate is built.  For p <= dim m that reading can be too small, so
-    the Fitting candidates come first and rad_end only afterwards.  None
-    comes with a warning when End/rad has dimension > 1 and no split is
-    found."""
+    the Fitting candidates come first and rad_end only afterwards.  When
+    no split is found past a reading of 1, None comes with a warning:
+    that End/rad has dimension > 1 where the trace form is exact, and
+    that the reading is unreliable where it is not."""
     ends = end_basis(m)
     if len(ends) <= 1:
         return None
@@ -676,11 +721,18 @@ def _split_once(m: Module, seed=DEFAULT_SEED):
         split = _min_poly_split_candidate(m, s)
         if split:
             return split
-    warnings.warn(
-        "End/rad has dimension %d > 1 with no splitting found over %r; "
-        "treating the module as indecomposable (it may split over a "
-        "field extension)" % (sdim, m.field)
-    )
+    if _trace_form_exact(m):
+        warnings.warn(
+            "End/rad has dimension %d > 1 with no splitting found over %r; "
+            "treating the module as indecomposable (it may split over a "
+            "field extension)" % (sdim, m.field)
+        )
+    else:
+        warnings.warn(
+            "no splitting found over %r for a module of dimension %d >= p, "
+            "where the trace form reading dim End/rad = %d is unreliable; "
+            "treating the module as indecomposable" % (m.field, m.dim, sdim)
+        )
     return None
 
 
@@ -946,10 +998,27 @@ def _proj_embedding(algebra: Algebra, i: int) -> Matrix:
 
 
 def is_projective(m: Module) -> bool:
+    """m is projective iff dim m = sum_i dim(e_i top m) * dim P_i.
+
+    The algebra is basic: dim A/rad is the number of idempotents, so each
+    simple S_i is one-dimensional (Algebra.validate rejects a smaller
+    quotient and warns on a larger one).  The projective cover of m is
+    then the sum of dim(e_i top m) copies of each P_i, and it maps onto
+    m, so it is an isomorphism iff the dimensions agree.  dim e_i rad m
+    is the rank of block i's rows of the radical basis' actions, placed
+    side by side, because each e_i acts as the projector onto block i."""
     if m.dim == 0:
         return True
-    _, fmap, _ = projective_cover(m)
-    return fmap.matrix.kernel_basis().cols == 0
+    f = m.field
+    rad_acts = [m.action_of(r) for r in m.algebra.radical]
+    total = 0
+    for (off, d), p in zip(m.blocks, projective_modules(m.algebra)):
+        rows = [[x for a in rad_acts for x in a.data[r]]
+                for r in range(off, off + d)]
+        rad_rows = Matrix(f, d, m.dim * len(rad_acts))
+        rad_rows.data = rows
+        total += (d - rad_rows.rank()) * p.dim
+    return total == m.dim
 
 
 def is_injective(m: Module) -> bool:

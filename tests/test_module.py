@@ -5,16 +5,19 @@ Oracles: dimension formulas dim Hom(P_i, M) = dim e_i M for projectives,
 hand-known dimension vectors, and structural identities."""
 
 import random
+import warnings
 from collections import Counter
 
 import pytest
 
 from gptau.algebra import (
+    Algebra,
     cyclic_nakayama,
     example_loop_flag_algebra,
     linear_a_n,
     loop_algebra,
     t2,
+    tensor,
     trivial_algebra,
 )
 from gptau.classify import enumerate_indecomposables
@@ -30,9 +33,11 @@ from gptau.module import (
     hom_dim,
     injective_modules,
     is_indecomposable,
+    is_injective,
     is_isomorphic,
     is_projective,
     module_from_dimvector,
+    module_to_dimvector,
     module_from_triple,
     module_to_triple,
     projective_cover,
@@ -250,6 +255,7 @@ def test_hom_coords_matches_per_vector_solve(battery, p):
 
 
 TRACE_FORM_WARNING = r"ignore:radical via trace form:UserWarning"
+SMALL_PRIME_SPLIT_WARNING = r"ignore:no splitting found over GF:UserWarning"
 
 
 def _battery_over(battery, p):
@@ -262,8 +268,8 @@ def _battery_over(battery, p):
             trivial_algebra(fld)]
 
 
-def _in_random_basis(m, rng):
-    """m with its actions conjugated by a random invertible matrix."""
+def _random_basis_actions(m, rng):
+    """The actions of m conjugated by a random invertible matrix."""
     f = m.field
     while True:
         P = Matrix(f, m.dim, m.dim, [[rng.randint(-2, 2) for _ in range(m.dim)]
@@ -271,7 +277,12 @@ def _in_random_basis(m, rng):
         if P.is_invertible():
             break
     Pinv = P.inverse()
-    return Module(m.algebra, [Pinv @ act @ P for act in m.actions])
+    return [Pinv @ act @ P for act in m.actions]
+
+
+def _in_random_basis(m, rng):
+    """m with its actions conjugated by a random invertible matrix."""
+    return Module(m.algebra, _random_basis_actions(m, rng))
 
 
 @pytest.mark.filterwarnings(TRACE_FORM_WARNING)
@@ -345,3 +356,244 @@ def test_rad_end_matches_trace_form_of_products(battery, p):
             rad_coeffs, sdim = rad_end(m)
             assert rad_coeffs == [ker.col(j) for j in range(ker.cols)]
             assert sdim == k - ker.cols
+
+
+def _table_a2(f):
+    """Linear A2 given by structure constants in the basis (1, e, x), with
+    e x = 0 and x e = x: the idempotents e and 1 - e are no basis vectors,
+    so they act on the regular module by non-diagonal matrices."""
+    z, e, x = [0, 0, 0], [0, 1, 0], [0, 0, 1]
+    mult = [[[1, 0, 0], e, x],  # 1 * (1, e, x)
+            [e, e, z],          # e * (1, e, x)
+            [x, x, z]]          # x * (1, e, x)
+    return Algebra(f, ["1", "e", "x"], mult, [1, 0, 0], [e, [1, -1, 0]],
+                   [x], "table")
+
+
+def _algebras_over(battery, p):
+    """The battery algebras, T2(linear A2), the table-form A2 and
+    k[x, y]/(x^2, y^2) (two radical generators on one vertex), over QQ
+    (p None) or over GF(p)."""
+    algebras = _battery_over(battery, p)
+    f = algebras[0].field
+    return algebras + [t2(linear_a_n(2, f)), _table_a2(f),
+                       tensor(loop_algebra(2, f), loop_algebra(2, f))]
+
+
+def _test_modules(a, rng):
+    """Projectives, simples, injectives, the regular module and two
+    seeded sums of two of them of dimension <= 3 in a random basis (the
+    intertwiner systems of larger ones cost seconds over QQ)."""
+    base = (projective_modules(a) + simple_modules(a) + injective_modules(a)
+            + [regular_module(a)])
+    small = [x for x in base if x.dim <= 3]
+    sums = []
+    for _ in range(2):
+        summands = [rng.choice(small) for _ in range(2)]
+        sums.append(_in_random_basis(direct_sum(a, summands)[0], rng))
+    return base + sums
+
+
+def _intertwiner_kernel(m, n):
+    """Columns span {F : F rho_m(b) = rho_n(b) F for every basis element b},
+    over all d_n x d_m matrices F flattened row-major."""
+    f = m.field
+    dm, dn = m.dim, n.dim
+    rows = []
+    for A, B in zip(m.actions, n.actions):
+        for r in range(dn):
+            for c in range(dm):
+                row = [f.zero()] * (dn * dm)
+                for k in range(dm):  # (F A)[r, c]
+                    row[r * dm + k] = row[r * dm + k] + A.data[k][c]
+                for k in range(dn):  # - (B F)[r, c]
+                    row[k * dm + c] = row[k * dm + c] - B.data[r][k]
+                rows.append(row)
+    return Matrix(f, len(rows), dn * dm, rows).kernel_basis()
+
+
+@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
+@pytest.mark.filterwarnings(SMALL_PRIME_SPLIT_WARNING)
+@pytest.mark.parametrize("p", [None, 7, 2])
+def test_hom_spans_the_full_intertwiner_kernel(battery, p):
+    """hom(m, n) against the intertwiner system over all matrices F and
+    every algebra basis element: same dimension, same span."""
+    rng = random.Random(20241101)
+    for a in _algebras_over(battery, p):
+        f = a.field
+        mods = _test_modules(a, rng)
+        for m in mods:
+            for n in mods:
+                ker = _intertwiner_kernel(m, n)
+                hs = hom(m, n)
+                assert len(hs) == ker.cols
+                if hs:
+                    span = Matrix.from_cols(f, [_flat(h.matrix) for h in hs],
+                                            nrows=n.dim * m.dim)
+                    assert span.rank() == len(hs)
+                    assert ker.hstack(span).rank() == ker.cols
+
+
+def _covered_injectively(m):
+    return projective_cover(m)[1].matrix.kernel_basis().cols == 0
+
+
+@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
+@pytest.mark.filterwarnings(SMALL_PRIME_SPLIT_WARNING)
+@pytest.mark.parametrize("p", [None, 7, 2])
+def test_is_projective_and_injective_match_the_cover_kernel(battery, p):
+    """is_projective(m) iff the projective cover of m has zero kernel, and
+    is_injective(m) iff that holds for the dual of m; on the battery, the
+    zero module and seeded sums with and without projective summands."""
+    rng = random.Random(20241102)
+    seen = set()
+    for a in _algebras_over(battery, p):
+        projs = projective_modules(a)
+        rest = (simple_modules(a) + injective_modules(a)
+                + [radical_submodule(q)[0] for q in projs])
+        rest = [x for x in rest if x.dim and not _covered_injectively(x)]
+        mods = [zero_module(a), regular_module(a)] + projs + rest
+        for _ in range(3):
+            with_p = [rng.choice(projs), rng.choice(projs + rest)]
+            mods.append(_in_random_basis(direct_sum(a, with_p)[0], rng))
+            if rest:
+                without = [rng.choice(rest) for _ in range(2)]
+                mods.append(_in_random_basis(direct_sum(a, without)[0], rng))
+        for m in mods:
+            verdict = is_projective(m)
+            assert verdict == _covered_injectively(m)
+            assert is_injective(m) == _covered_injectively(dual_D(m))
+            seen.add(verdict)
+    assert seen == {True, False}
+
+
+def _combination(actions, vec):
+    f = actions[0].field
+    out = Matrix(f, actions[0].rows, actions[0].cols)
+    for c, act in zip(vec, actions):
+        out = out + act.scale(c)
+    return out
+
+
+def _assert_adapted(m, raw):
+    """m is Module(m.algebra, raw) re-based as written out here: U has
+    the image bases of the idempotents as columns, the actions are
+    U^-1 a U and from_raw_matrix() is U^-1."""
+    images = [_combination(raw, e).image_basis() for e in m.algebra.idempotents]
+    U = images[0]
+    for img in images[1:]:
+        U = U.hstack(img)
+    Uinv = U.inverse()
+    assert m.actions == [Uinv @ act @ U for act in raw]
+    assert m.from_raw_matrix() == Uinv
+    offsets = [0]
+    for img in images:
+        offsets.append(offsets[-1] + img.cols)
+    assert m.blocks == [(offsets[i], img.cols) for i, img in enumerate(images)]
+
+
+def _is_diagonal(mat):
+    return all(not x for r, row in enumerate(mat.data)
+               for c, x in enumerate(row) if r != c)
+
+
+def _is_permutation(mat):
+    return all(sum(1 for x in row if x) == 1 and 1 in row for row in mat.data)
+
+
+def _block_diagonal(f, mats):
+    total = sum(x.rows for x in mats)
+    out = Matrix(f, total, total)
+    off = 0
+    for x in mats:
+        for r in range(x.rows):
+            out.data[off + r][off:off + x.cols] = x.data[r]
+        off += x.rows
+    return out
+
+
+def _quiver_raw(a, dims, arrow_mats):
+    """Action of each path basis element on the representation, vertex
+    blocks in vertex order."""
+    q = a.quiver_data["quiver"]
+    f = a.field
+    total = sum(dims)
+    offs = [sum(dims[:i]) for i in range(len(dims))]
+
+    def arrow(ai):
+        name, s, t = q.arrows[ai]
+        si, ti = q.vertex_index(s), q.vertex_index(t)
+        out = Matrix(f, total, total)
+        mat = arrow_mats[name]
+        for r in range(dims[ti]):
+            out.data[offs[ti] + r][offs[si]:offs[si] + dims[si]] = mat.data[r]
+        return out
+
+    raw = []
+    for s, arrows in a.quiver_data["paths"]:
+        act = Matrix(f, total, total)
+        if not arrows:
+            for r in range(offs[s], offs[s] + dims[s]):
+                act.data[r][r] = f.one()
+        else:
+            act = arrow(arrows[0])
+            for ai in arrows[1:]:
+                act = act @ arrow(ai)
+        raw.append(act)
+    return raw
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_rebasing_matches_the_conjugation_by_the_adapted_basis(battery, p):
+    """direct_sum, module_from_dimvector and dual_D outputs (diagonal
+    idempotents) and modules in a non-diagonal basis all carry the
+    actions, blocks and from_raw_matrix() of the conjugation written out
+    in _assert_adapted; where some idempotent acts non-diagonally, the
+    from_raw_matrix() is no permutation."""
+    rng = random.Random(20241103)
+    permuted = general = 0
+    for a in _algebras_over(battery, p):
+        f = a.field
+        pool = (projective_modules(a) + simple_modules(a)
+                + injective_modules(a))
+        for _ in range(4):
+            parts = [rng.choice(pool) for _ in range(rng.randint(2, 3))]
+            m = direct_sum(a, parts)[0]
+            _assert_adapted(m, [_block_diagonal(f, [x.actions[i] for x in parts])
+                                for i in range(a.dim)])
+            permuted += not m.from_raw_matrix() == Matrix.identity(f, m.dim)
+            d = dual_D(m)
+            _assert_adapted(d, [act.transpose() for act in m.actions])
+            raw = _random_basis_actions(m, rng)
+            conj = Module(a, raw)
+            _assert_adapted(conj, raw)
+            if not all(_is_diagonal(_combination(raw, e))
+                       for e in a.idempotents):
+                assert not _is_permutation(conj.from_raw_matrix())
+                general += 1
+        if a.quiver_data is not None:
+            for x in pool:
+                dims, mats = module_to_dimvector(x)
+                m = module_from_dimvector(a, dims, mats)
+                _assert_adapted(m, _quiver_raw(a, dims, mats))
+    assert permuted and general
+    table = _table_a2(f)
+    raw = [table.left_mult_matrix(table._basis_vec(i)) for i in range(3)]
+    _assert_adapted(regular_module(table), raw)
+    assert not _is_permutation(regular_module(table).from_raw_matrix())
+
+
+def test_split_warning_calls_a_small_prime_trace_form_unreliable():
+    """rad P_0 = k[x]/(x^2) over k[x]/(x^3), k = GF(2), is uniserial but
+    its trace form reads dim End/rad = 0: no split is found, and the
+    warning says that reading is unreliable instead of calling it > 1."""
+    a = loop_algebra(3, GF(2))
+    r, _ = radical_submodule(projective_modules(a)[0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert split_indecomposables(r) == [r]
+    messages = [str(w.message) for w in caught]
+    assert ("no splitting found over GF(2) for a module of dimension 2 >= p, "
+            "where the trace form reading dim End/rad = 0 is unreliable; "
+            "treating the module as indecomposable") in messages
+    assert not any("> 1" in msg for msg in messages)
