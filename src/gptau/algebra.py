@@ -12,7 +12,6 @@ of arrows a: 1->2 and b: 2->3 is the path "first a, then b", written
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .field import FieldSpec, QQ
@@ -195,9 +194,11 @@ class Algebra:
         if self.dim - len(self.radical) < self.n_idempotents:
             raise AlgebraError("semisimple quotient smaller than idempotent count")
         if self.dim - len(self.radical) > self.n_idempotents:
-            warnings.warn(
+            # projective covers and is_projective take every simple to be
+            # one-dimensional: the algebra must be basic and split
+            raise AlgebraError(
                 "algebra/radical has dimension %d > %d idempotents; "
-                "the semisimple quotient is not split over this field"
+                "the algebra is not basic and split over this field"
                 % (self.dim - len(self.radical), self.n_idempotents)
             )
 

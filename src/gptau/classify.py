@@ -612,14 +612,22 @@ def consistency_suites(a, bound=None, max_dim=None, sample=20, seed=7):
     ida = inj_dim(regular_module(a), bound)
     t = t2(a)
     idt = inj_dim(regular_module(t), 2 * t.dim + 2)
-    if ida.is_yes and idt.is_yes:
-        report["t2_id_shift"] = (
-            yes("id t2 = id + 1 = %d" % idt.value, value=idt.value)
-            if idt.value == ida.value + 1
-            else no("id t2 = %d but id + 1 = %d"
-                    % (idt.value, ida.value + 1))
-        )
-    else:
-        report["t2_id_shift"] = unknown("an injective dimension is "
-                                        "unresolved", bound=bound)
+    report["t2_id_shift"] = id_shift_state(ida, idt, bound)
     return report
+
+
+def id_shift_state(ida: TriState, idt: TriState, bound) -> TriState:
+    """Does id T2(A) = id A + 1 hold, given the two injective dimensions
+    as proj_dim reports them (certified-no: certified infinite)?  Both
+    infinite counts as the shift holding; exactly one infinite, or two
+    finite values that disagree, as it failing."""
+    if ida.is_no and idt.is_no:
+        return yes("id t2 = id = infinity", bound=bound)
+    if ida.is_unknown or idt.is_unknown:
+        return unknown("an injective dimension is unresolved", bound=bound)
+    if ida.is_no or idt.is_no:
+        return no("exactly one injective dimension is infinite", bound=bound)
+    if idt.value == ida.value + 1:
+        return yes("id t2 = id + 1 = %d" % idt.value, bound=bound, value=idt.value)
+    return no("id t2 = %d but id + 1 = %d" % (idt.value, ida.value + 1),
+              bound=bound)

@@ -417,20 +417,7 @@ def _suite_t2_transfer(a, bound, max_dim):
         states["cm_transfer"] = no("verdicts differ", bound=bound)
     ida = inj_dim(regular_module(a), bound)
     idt = inj_dim(regular_module(t), bound)
-    if ida.is_unknown or idt.is_unknown:
-        states["id_shift"] = unknown("an injective dimension is unresolved",
-                                     bound=bound)
-    elif (
-        ida.is_yes
-        and idt.is_yes
-        and isinstance(ida.value, int)
-        and idt.value == ida.value + 1
-    ):
-        states["id_shift"] = yes("id T2 = id + 1 = %d" % idt.value, bound=bound)
-    else:
-        states["id_shift"] = no(
-            "id T2 != id + 1 (%s vs %s)" % (idt.value, ida.value), bound=bound
-        )
+    states["id_shift"] = _classify.id_shift_state(ida, idt, bound)
     return states
 
 

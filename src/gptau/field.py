@@ -1,9 +1,12 @@
 """Exact scalar arithmetic: the rationals and prime fields GF(p).
 
-Scalars are either ``gmpy2.mpq`` rationals (with a ``fractions.Fraction``
-fallback when gmpy2 is unavailable) or ``Fp`` wrappers (prime field).
-Both support +, -, *, / and compare equal to 0/1 via ``bool``-style
-checks, so all matrix code is field-generic.
+Over QQ a scalar is a Python ``int`` when it is integral and a rational
+otherwise: ``gmpy2.mpq``, or ``fractions.Fraction`` when gmpy2 is
+unavailable.  ``QQ.of`` keeps that form, so integral rationals never
+carry a denominator.  Over GF(p) a scalar is an ``Fp``.  Scalars of
+either field support +, -, * and truth tests (zero is false), so matrix
+code is field-generic; division goes only through ``FieldSpec.inv``,
+because ``/`` on two ints is float division.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ class FieldSpec:
         self.p = p
         # built once: scalars are immutable, so every caller can share them
         if kind == "rationals":
-            self._zero, self._one = _RAT(0), _RAT(1)
+            self._zero, self._one = 0, 1
         else:
             self._zero, self._one = Fp(0, p), Fp(1, p)
 
@@ -107,13 +110,18 @@ class FieldSpec:
         return self._one
 
     def of(self, x):
-        """Coerce an int, Fraction, Fp or 'p/q' string into this field."""
+        """Coerce an int, Fraction, Fp or 'p/q' string into this field.
+        Over QQ the result is an int when x is integral."""
         if self.kind == "rationals":
-            if type(x) is _RAT:  # already coerced; scalars are immutable
+            t = type(x)
+            if t is int:
                 return x
-            if isinstance(x, Fp):
-                raise TypeError("cannot coerce GF(p) element into the rationals")
-            return _RAT(x)
+            if t is not _RAT:
+                if isinstance(x, Fp):
+                    raise TypeError("cannot coerce GF(p) element into the rationals")
+                x = _RAT(x)
+            # mpq.numerator is an mpz, hence the int()
+            return int(x.numerator) if x.denominator == 1 else x
         if isinstance(x, Fp):
             if x.p != self.p:
                 raise TypeError("GF(%d) element used over GF(%d)" % (x.p, self.p))
@@ -126,6 +134,15 @@ class FieldSpec:
                 raise ZeroDivisionError("denominator divisible by %d" % self.p)
             return Fp(num * pow(den, -1, self.p), self.p)
         return Fp(int(x), self.p)
+
+    def inv(self, x):
+        """Exact reciprocal of a nonzero scalar of this field."""
+        if self.kind == "prime":
+            if x.v:
+                return Fp(pow(x.v, -1, self.p), self.p)
+        elif x:
+            return self.of(_RAT(1, x) if type(x) is int else 1 / x)
+        raise ZeroDivisionError("reciprocal of zero in %r" % self)
 
     def __eq__(self, other):
         return (

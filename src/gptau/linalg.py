@@ -3,14 +3,20 @@ else reduces to: RREF, rank, null space, image, solving, Kronecker
 products.
 
 Matrices are immutable by convention; 0 x n and n x 0 shapes are legal
-and behave as empty maps.  Reduction is plain Gaussian elimination to
+and behave as empty maps.  Reduction is Gauss-Jordan elimination to
 reduced row echelon form with first-nonzero pivoting, so all outputs
-are deterministic.
+are deterministic.  Over QQ it runs fraction-free on integer rows and
+divides by the pivots only at the end; over GF(p) it runs on the field
+elements.  The RREF of a row space is unique, so both give the same R.
+Over QQ, the constructor (through ``FieldSpec.of``) and the RREF store
+each integral entry as an int (field.py).
 """
 
 from __future__ import annotations
 
-from .field import FieldSpec
+from math import gcd, lcm
+
+from .field import _RAT, FieldSpec
 
 
 class Matrix:
@@ -197,6 +203,16 @@ class Matrix:
         """Reduced row echelon form.  Returns (R, pivot_columns)."""
         if self._rref is not None:
             return self._rref
+        if self.field.kind == "rationals":
+            R, pivots = _rref_integral(self.data, self.rows, self.cols)
+        else:
+            R, pivots = self._rref_generic()
+        Rm = Matrix(self.field, self.rows, self.cols)
+        Rm.data = R
+        self._rref = (Rm, tuple(pivots))
+        return self._rref
+
+    def _rref_generic(self):
         R = [row[:] for row in self.data]
         pivots = []
         r = 0
@@ -213,7 +229,7 @@ class Matrix:
             R[r], R[pr] = R[pr], R[r]
             prow = R[r]
             if prow[c] != 1:
-                inv = self.field.one() / prow[c]
+                inv = self.field.inv(prow[c])
                 prow = R[r] = [a * inv if a else a for a in prow]
             # columns left of c are zero in the pivot row
             nz = [j for j in range(c, self.cols) if prow[j]]
@@ -225,10 +241,7 @@ class Matrix:
                         row[j] = row[j] - f * prow[j]
             pivots.append(c)
             r += 1
-        Rm = Matrix(self.field, self.rows, self.cols)
-        Rm.data = R
-        self._rref = (Rm, tuple(pivots))
-        return self._rref
+        return R, pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -289,3 +302,68 @@ class Matrix:
 
 def rank(m: Matrix) -> int:
     return m.rank()
+
+
+def _integer_row(row):
+    """row times the lcm of its denominators, as ints, divided by the
+    gcd of its entries (a positive multiple of row)."""
+    try:
+        g = gcd(*row)  # a TypeError unless every entry is an int
+    except TypeError:
+        den = lcm(*(int(x.denominator) for x in row if type(x) is not int))
+        row = [x * den if type(x) is int
+               else int(x.numerator) * (den // int(x.denominator)) for x in row]
+        g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row[:]
+
+
+def _rref_integral(data, nrows, ncols):
+    """Fraction-free Gauss-Jordan over QQ (von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 5): the rows are scaled to integer rows,
+    each update row <- (a/g) row - (f/g) pivot_row with g = gcd(a, f)
+    stays integral and is divided by the gcd of its entries, and the
+    pivot rows are divided by their pivots only at the end.  The RREF of
+    a row space is unique, so this equals the reduction over QQ."""
+    R = [_integer_row(row) for row in data]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pr = None
+        for i in range(r, nrows):
+            if R[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        prow = R[pr]
+        if prow[c] < 0:
+            # a pivot -1 then skips the row scaling below, as 1 does
+            prow = [-x for x in prow]
+        R[pr] = R[r]
+        R[r] = prow
+        a = prow[c]
+        # columns left of c are zero in the pivot row
+        nz = [j for j in range(c, ncols) if prow[j]]
+        for i in range(nrows):
+            row = R[i]
+            f = row[c]
+            if i == r or not f:
+                continue
+            g = gcd(a, f)
+            if g != a:
+                ag = a // g
+                row = [ag * x for x in row]
+            fg = f // g
+            for j in nz:
+                row[j] -= fg * prow[j]
+            g = gcd(*row)
+            R[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    for i, c in enumerate(pivots):
+        p = R[i][c]
+        if p != 1:
+            R[i] = [x // p if not x % p else _RAT(x, p) for x in R[i]]
+    return R, pivots

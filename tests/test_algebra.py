@@ -121,3 +121,19 @@ def test_invalid_structure_constants_rejected():
             [[zero, one]],
             provenance="test",
         )
+
+
+def test_non_split_algebra_rejected():
+    # QQ[x]/(x^2 + 1) = QQ(i): a field of dimension 2 over QQ, so
+    # A/rad = A is 2-dimensional while 1 is the only idempotent.  The
+    # library assumes basic split algebras (one-dimensional simples).
+    mult = [
+        [[1, 0], [0, 1]],
+        [[0, 1], [-1, 0]],
+    ]
+    with pytest.raises(AlgebraError, match="not basic and split"):
+        Algebra(QQ, ["1", "x"], mult, [1, 0], [[1, 0]], [], provenance="test")
+    # over GF(2), x^2 + 1 = (x + 1)^2: local with radical spanned by 1 + x
+    a = Algebra(GF(2), ["1", "x"], mult, [1, 0], [[1, 0]], [[1, 1]],
+                provenance="test")
+    assert a.dim == 2

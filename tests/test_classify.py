@@ -17,6 +17,7 @@ from gptau.classify import (
     consistency_suites,
     enumerate_indecomposables,
     gorenstein_projective_tau_rigid_list,
+    id_shift_state,
     support_tau_tilting_pairs,
     support_tau_tilting_quiver,
     tau_inverse_rigid_test,
@@ -24,6 +25,7 @@ from gptau.classify import (
 )
 from gptau.approx import generator_data
 from gptau.homalg import is_tau_rigid
+from gptau.tristate import no, unknown, yes
 from gptau.module import (
     direct_sum,
     is_indecomposable,
@@ -141,3 +143,31 @@ def test_consistency_suites_pass_on_a3(a3):
     report = consistency_suites(a3)
     for name, state in report.items():
         assert not state.is_no, (name, state.reason)
+
+
+def test_id_shift_state():
+    # injective dimensions as proj_dim reports them: yes with the finite
+    # value, no when certified infinite, unknown past the bound
+    def fin(v):
+        return yes("finite", value=v)
+
+    inf, unres = no("infinite"), unknown("unresolved", bound=3)
+    cases = [
+        (fin(0), fin(1), "yes"),
+        (fin(2), fin(3), "yes"),
+        (inf, inf, "yes"),
+        (fin(1), fin(1), "no"),
+        (fin(1), fin(3), "no"),
+        (inf, fin(1), "no"),
+        (fin(0), inf, "no"),
+        (unres, fin(1), "unknown"),
+        (fin(0), unres, "unknown"),
+        (unres, unres, "unknown"),
+        (inf, unres, "unknown"),
+        (unres, inf, "unknown"),
+    ]
+    for ida, idt, want in cases:
+        state = id_shift_state(ida, idt, 5)
+        assert getattr(state, "is_" + want), (ida, idt, state)
+        assert state.bound == 5
+    assert id_shift_state(fin(0), fin(1), 5).value == 1

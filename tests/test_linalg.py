@@ -111,7 +111,8 @@ def dense_rref(f, rows, ncols):
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
-        inv = f.one() / R[r][c]
+        # an exact 1 to divide by: QQ.one() is the int 1
+        inv = (Fraction(1) if f == QQ else f.one()) / R[r][c]
         R[r] = [a * inv for a in R[r]]
         for i in range(len(R)):
             if i != r:
@@ -226,3 +227,105 @@ def test_scale_add_action_match_entrywise_formula(battery):
                         for er, ar in zip(expect, act.data)
                     ]
                 assert m.action_of(vec).data == expect, name
+
+
+# -- the integer-row elimination over QQ and the scalar representation ----
+
+
+def big_rational_matrix(rng, rows=12, cols=16, rank=None, negate=False):
+    """Dense seeded matrix, entries up to +-50, about 30% of them with a
+    denominator; with `rank`, rows are combinations of `rank` rows."""
+
+    def entry():
+        v = rng.randint(-50, 50)
+        return Fraction(v, rng.choice([2, 3, 4, 7])) if rng.random() < 0.3 else v
+
+    base = [[entry() for _ in range(cols)] for _ in range(rank or rows)]
+    if rank is None:
+        data = base
+    else:
+        data = [
+            [sum((c * x for c, x in zip(coeffs, col)), Fraction(0)) for col in zip(*base)]
+            for coeffs in ([rng.randint(-3, 3) for _ in base] for _ in range(rows))
+        ]
+    if negate:
+        data = [[-x for x in row] for row in data]
+    return Matrix(QQ, rows, cols, data)
+
+
+@pytest.mark.parametrize("rank", [None, 3, 7, 11])
+@pytest.mark.parametrize("negate", [False, True])
+def test_integer_rref_matches_dense_reference_on_large_rationals(rank, negate):
+    rng = random.Random("big/%r/%r" % (rank, negate))
+    negative_first_pivots = 0
+    for _ in range(6):
+        a = big_rational_matrix(rng, rank=rank, negate=negate)
+        R, pivots = a.rref()
+        ref, ref_pivots = dense_rref(QQ, a.data, a.cols)
+        assert pivots == ref_pivots
+        assert len(pivots) == (rank or 12)
+        assert R.data == ref
+        c = pivots[0]
+        negative_first_pivots += next(row[c] for row in a.data if row[c]) < 0
+    assert negative_first_pivots > 0
+
+
+def assert_canonical(m):
+    """Every entry is an int or a rational with a denominator > 1."""
+    for row in m.data:
+        for x in row:
+            assert not isinstance(x, float), x
+            assert type(x) is int or x.denominator != 1, repr(x)
+
+
+def test_rational_entries_are_ints_when_integral():
+    rng = random.Random("canonical")
+    half = Fraction(1, 2)
+    built = Matrix(QQ, 1, 4, [[Fraction(4, 2), half, "6/3", True]])
+    assert built.data == [[2, half, 2, 1]]
+    assert_canonical(built)
+    assert_canonical(Matrix.from_cols(QQ, [[Fraction(3), half]]))
+    for rank in (None, 5):
+        for _ in range(3):
+            a = big_rational_matrix(rng, 8, 8, rank=rank)
+            b = big_rational_matrix(rng, 8, 3)
+            assert_canonical(a)
+            assert_canonical(a.rref()[0])
+            assert_canonical(a.kernel_basis())
+            inv = a.inverse()
+            assert (inv is None) == (rank is not None)
+            if inv is not None:
+                assert_canonical(inv)
+                assert_canonical(a.solve_matrix(b))
+            assert_canonical(a.solve_matrix(a @ b))
+
+
+def test_qq_of_demotes_integral_rationals():
+    assert type(QQ.zero()) is int and QQ.zero() == 0
+    assert type(QQ.one()) is int and QQ.one() == 1
+    for x, want in [(5, 5), (Fraction(6, 3), 2), ("4/2", 2), ("-7", -7),
+                    (True, 1), (False, 0)]:
+        y = QQ.of(x)
+        assert type(y) is int and y == want, (x, y)
+    for x, want in [(Fraction(1, 2), Fraction(1, 2)), ("-3/6", Fraction(-1, 2))]:
+        y = QQ.of(x)
+        assert y == want and y.denominator == want.denominator
+    with pytest.raises(TypeError):
+        QQ.of(GF(7).of(3))
+
+
+def test_inv_is_exact():
+    for f in (QQ, GF(7)):
+        with pytest.raises(ZeroDivisionError):
+            f.inv(f.zero())
+        for v in (1, -1, 2, 3, -5, 6):
+            x = f.of(v)
+            assert x * f.inv(x) == f.one()
+    assert QQ.inv(3) == Fraction(1, 3)
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(Fraction(-2, 5)) == Fraction(-5, 2)
+    y = QQ.inv(Fraction(1, 4))
+    assert y == 4 and type(y) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(Fraction(0))
+    assert GF(7).inv(GF(7).of(3)) == GF(7).of(5)
