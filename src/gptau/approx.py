@@ -16,6 +16,7 @@ from .module import (
     Module,
     ModuleError,
     ModuleMap,
+    _iso_indecomposable,
     decompose,
     direct_sum,
     end_basis,
@@ -43,8 +44,10 @@ class GeneratorData:
     E_basic: Module
 
     def class_of(self, m: Module):
+        """Index of the basic summand isomorphic to m, or None.  m must be
+        indecomposable (in_add passes summands from decompose)."""
         for i, b in enumerate(self.basic):
-            if is_isomorphic(m, b):
+            if _iso_indecomposable(m, b):
                 return i
         return None
 
@@ -57,7 +60,7 @@ def generator_data(e_module: Module) -> GeneratorData:
     basic.sort(key=lambda m: (m.dim, m.dim_vector()))
     projs = projective_modules(e_module.algebra)
     is_gen = all(
-        any(is_isomorphic(p, b) for b in basic) for p in projs
+        any(_iso_indecomposable(p, b) for b in basic) for p in projs
     )
     if len(basic) == 1:
         e_basic = basic[0]
@@ -279,24 +282,6 @@ def hom_E(m: Module, g: GammaData) -> Module:
                 big.data[offs[i] + r][offs[j]:offs[j + 1]] = row
             acts.append(big)
     return Module(g.algebra, acts, validate=False)
-
-
-def hom_E_map(f: ModuleMap, g: GammaData) -> ModuleMap:
-    """Functorial action of Hom(E, -) on a map."""
-    src = hom_E(f.source, g)
-    tgt = hom_E(f.target, g)
-    raw = Matrix(f.source.field, tgt.dim, src.dim)
-    ro = co = 0
-    for b in g.e.basic:
-        # one diagonal block: h -> f o h, hom(E_i, source) -> hom(E_i, target)
-        x = hom_coords(b, f.target,
-                       [f.matrix @ h.matrix for h in hom(b, f.source)])
-        for r, row in enumerate(x.data):
-            raw.data[ro + r][co:co + x.cols] = row
-        ro += x.rows
-        co += x.cols
-    mat = tgt.from_raw_matrix() @ raw @ src.to_raw()
-    return ModuleMap(src, tgt, mat)
 
 
 # -- relative Gorenstein projectivity ----------------------------------------

@@ -88,14 +88,8 @@ def _load_module(path, algebra):
 
 
 @click.group()
-@click.option("--seed", type=int, default=None, help="decomposition seed policy")
-@click.pass_context
-def main(ctx, seed):
+def main():
     """Exact workbench for Gorenstein projective and tau-rigid modules."""
-    ctx.ensure_object(dict)
-    ctx.obj["seed"] = seed
-    if seed is not None:
-        random.seed(seed)
 
 
 # -- algebra ------------------------------------------------------------------
@@ -332,19 +326,19 @@ _SUITES = (
 )
 
 
-def _suite_tau_criteria(a, max_dim, sample=20, seed=7):
+def _suite_tau_criteria(a, max_dim):
     """Both tau-rigidity criteria on every enumerated indecomposable and
     on sampled direct sums; certified-no on any disagreement."""
     cls = _classify.enumerate_indecomposables(a, max_dim)
     reps = cls.representatives
-    rng = random.Random(seed)
+    rng = random.Random(_classify.SUITE_SEED)
     pool = list(reps)
     checked = 0
     try:
         for m in reps:
             _classify.tau_rigid_test(m)
             checked += 1
-        for _ in range(sample):
+        for _ in range(_classify.SUITE_SAMPLE):
             k = rng.randint(2, 3)
             parts = [rng.choice(pool) for _ in range(k)]
             s, _, _ = direct_sum(a, parts)

@@ -132,7 +132,9 @@ def gorenstein_injective(m: Module, bound: int | None = None) -> TriState:
 
 def gorenstein_algebra(a, bound: int | None = None) -> TriState:
     """Iwanaga-Gorenstein certificate.  value = max of the two one-sided
-    injective dimensions; witness = (left id, right id)."""
+    injective dimensions; witness = (left id, right id).  Only certified
+    verdicts are cached, since they hold at every bound; an unknown is
+    recomputed at the bound asked for."""
     if "gorenstein" in a._cache:
         return a._cache["gorenstein"]
     if bound is None:
@@ -151,7 +153,8 @@ def gorenstein_algebra(a, bound: int | None = None) -> TriState:
             bound=bound, witness=(left.value, right.value),
             value=max(left.value, right.value),
         )
-    a._cache["gorenstein"] = result
+    if not result.is_unknown:
+        a._cache["gorenstein"] = result
     return result
 
 

@@ -179,13 +179,6 @@ class Matrix:
         m.data = [r1 + r2 for r1, r2 in zip(self.data, other.data)]
         return m
 
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        m = Matrix(self.field, self.rows + other.rows, self.cols)
-        m.data = [row[:] for row in self.data] + [row[:] for row in other.data]
-        return m
-
     def col(self, j):
         return [row[j] for row in self.data]
 

@@ -14,6 +14,13 @@ hom_coords.  The algebras are basic (dim A/rad is the number of
 idempotents), so the top of a module counts its projective cover's
 summands and is_projective is a dimension count.
 
+Two indecomposables are isomorphic iff they have the same dimension
+vector and some element of the hom basis between them is invertible
+(_iso_indecomposable proves this from Fitting's lemma).  is_isomorphic
+decides arbitrary modules: an invertible basis element or seeded
+combination certifies yes, and otherwise it matches the Krull-Schmidt
+decompositions with the indecomposable rule.
+
 Modules and maps are immutable; expensive invariants are cached on the
 object.
 """
@@ -26,6 +33,8 @@ import warnings
 from .algebra import Algebra
 from .linalg import Matrix
 
+# the one seed of the random candidates tried in splitting and in
+# is_isomorphic; every result is reproducible run to run
 DEFAULT_SEED = 20240915
 
 
@@ -657,7 +666,7 @@ def _min_poly_split_candidate(m: Module, s: Matrix):
     return _fitting_split(m, g)
 
 
-def _split_candidates(m: Module, ends, seed):
+def _split_candidates(m: Module, ends):
     """Endomorphisms to try a Fitting split on, built one at a time: the
     End basis, its pairwise sums, then 24 seeded random combinations."""
     for e in ends:
@@ -665,7 +674,7 @@ def _split_candidates(m: Module, ends, seed):
     for i in range(len(ends)):
         for j in range(i + 1, len(ends)):
             yield ends[i].matrix + ends[j].matrix
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     for _ in range(24):
         mat = Matrix(m.field, m.dim, m.dim)
         for e in ends:
@@ -673,7 +682,7 @@ def _split_candidates(m: Module, ends, seed):
         yield mat
 
 
-def _split_once(m: Module, seed=DEFAULT_SEED):
+def _split_once(m: Module):
     """One nontrivial direct-sum split of m, or None if m is taken to be
     indecomposable.
 
@@ -690,7 +699,7 @@ def _split_once(m: Module, seed=DEFAULT_SEED):
     if _trace_form_exact(m) and rad_end(m)[1] == 1:
         return None
     idm = Matrix.identity(m.field, m.dim)
-    for s in _split_candidates(m, ends, seed):
+    for s in _split_candidates(m, ends):
         if s.is_zero() or (s - idm.scale(s.data[0][0])).is_zero():
             continue
         split = _fitting_split(m, s)
@@ -736,26 +745,25 @@ def _split_once(m: Module, seed=DEFAULT_SEED):
     return None
 
 
-def split_indecomposables(m: Module, seed=DEFAULT_SEED):
+def split_indecomposables(m: Module):
     """List of indecomposable summand modules (with repetitions)."""
     if m.dim == 0:
         return []
-    split = _split_once(m, seed)
+    split = _split_once(m)
     if split is None:
         return [m]
     out = []
     for basis in split:
         s, _ = submodule(m, basis)
-        out.extend(split_indecomposables(s, seed))
+        out.extend(split_indecomposables(s))
     return out
 
 
-def decompose(m: Module, seed=DEFAULT_SEED):
+def decompose(m: Module):
     """Krull-Schmidt decomposition: list of (indecomposable, multiplicity)."""
-    key = ("decompose", seed)
-    if key in m._cache:
-        return m._cache[key]
-    pieces = split_indecomposables(m, seed)
+    if "decompose" in m._cache:
+        return m._cache["decompose"]
+    pieces = split_indecomposables(m)
     groups = []
     for p in pieces:
         for g in groups:
@@ -765,7 +773,7 @@ def decompose(m: Module, seed=DEFAULT_SEED):
         else:
             groups.append([p, 1])
     result = [(g[0], g[1]) for g in groups]
-    m._cache[key] = result
+    m._cache["decompose"] = result
     return result
 
 
@@ -784,43 +792,50 @@ def is_indecomposable(m: Module):
 
 
 def _iso_indecomposable(m: Module, n: Module) -> bool:
-    """Exact isomorphism test for indecomposables: some composite
-    n -> m -> n avoids rad End.  Certified in both directions."""
-    if m.dim != n.dim or m.dim_vector() != n.dim_vector():
+    """Isomorphism test for indecomposables: equal dimension vectors and
+    an invertible element in the hom(m, n) basis.  Certified both ways.
+
+    If phi: m -> n is an isomorphism, Hom(m, n) = phi End(m).  End(m) is
+    local (Fitting's lemma), so the maps m -> n that are no isomorphism
+    form phi rad End(m), a proper subspace; a basis of Hom(m, n) cannot
+    lie inside it, so one of its elements is invertible.  The argument
+    holds whether End/rad is the ground field or a larger division
+    algebra."""
+    if m.dim_vector() != n.dim_vector():
         return False
     if m is n:
         return True
-    hmn = hom(m, n)
-    if not hmn:
-        return False
-    hnm = hom(n, m)
-    for h in hmn:
-        if h.matrix.is_invertible():
-            return True
-    for h in hmn:
-        for g in hnm:
-            if not end_rad_membership(m, g.matrix @ h.matrix):
-                return True
-    return False
+    return any(h.matrix.is_invertible() for h in hom(m, n))
 
 
-def is_isomorphic(m: Module, n: Module, seed=DEFAULT_SEED) -> bool:
-    """Exact isomorphism test."""
+def is_isomorphic(m: Module, n: Module) -> bool:
+    """Exact isomorphism test for arbitrary modules.
+
+    An invertible map m -> n certifies yes: first the hom(m, n) basis
+    elements, then 30 seeded combinations of them, a shortcut that
+    spares most isomorphic sums their decomposition.  Failing that, the
+    Krull-Schmidt decompositions are matched summand by summand with
+    _iso_indecomposable, which certifies yes and no."""
     if m.algebra is not n.algebra:
         raise ModuleError("modules live over different algebras")
     if m is n:
         return True
-    if m.dim != n.dim or m.dim_vector() != n.dim_vector():
+    if m.dim_vector() != n.dim_vector():
         return False
     if m.dim == 0:
         return True
-    # fast path: find an invertible hom directly
-    h = find_isomorphism(m, n, seed=seed, exhaustive=False)
-    if h is not None:
+    mats = [h.matrix for h in hom(m, n)]
+    if not mats:  # isomorphic nonzero modules have a nonzero Hom
+        return False
+    if any(mat.is_invertible() for mat in mats):
         return True
-    # exact path: match Krull-Schmidt decompositions
-    dm = decompose(m, seed)
-    dn = decompose(n, seed)
+    rng = random.Random(DEFAULT_SEED)
+    for _ in range(30):
+        coeffs = [rng.randint(-4, 4) for _ in mats]
+        if _combine(m.field, m.dim, mats, coeffs).is_invertible():
+            return True
+    dm = decompose(m)
+    dn = decompose(n)
     if len(dm) != len(dn):
         return False
     used = [False] * len(dn)
@@ -832,42 +847,6 @@ def is_isomorphic(m: Module, n: Module, seed=DEFAULT_SEED) -> bool:
         else:
             return False
     return True
-
-
-def find_isomorphism(m: Module, n: Module, seed=DEFAULT_SEED, exhaustive=True):
-    """An invertible ModuleMap m -> n, or None.
-
-    With exhaustive=False only a deterministic sequence of basis
-    combinations is tried (no certificate of failure)."""
-    if m.dim != n.dim or m.dim_vector() != n.dim_vector():
-        return None
-    if m.dim == 0:
-        return ModuleMap(m, n, Matrix(m.field, 0, 0))
-    hs = hom(m, n)
-    if not hs:
-        return None
-    for h in hs:
-        if h.matrix.is_invertible():
-            return h
-    rng = random.Random(seed)
-    for _ in range(30):
-        mat = Matrix(m.field, n.dim, m.dim)
-        for h in hs:
-            mat = mat + h.matrix.scale(rng.randint(-4, 4))
-        if mat.is_invertible():
-            return ModuleMap(m, n, mat)
-    if not exhaustive:
-        return None
-    if not is_isomorphic(m, n, seed):
-        return None
-    # isomorphic but no invertible combination found yet: widen the search
-    for _ in range(500):
-        mat = Matrix(m.field, n.dim, m.dim)
-        for h in hs:
-            mat = mat + h.matrix.scale(rng.randint(-9, 9))
-        if mat.is_invertible():
-            return ModuleMap(m, n, mat)
-    raise ModuleError("isomorphic modules but no isomorphism found in budget")
 
 
 # -- simples, projectives, injectives -------------------------------------
@@ -1025,11 +1004,11 @@ def is_injective(m: Module) -> bool:
     return is_projective(dual_D(m))
 
 
-def strip_projectives(m: Module, seed=DEFAULT_SEED) -> Module:
+def strip_projectives(m: Module) -> Module:
     """Direct sum of the non-projective indecomposable summands."""
     if m.dim == 0:
         return m
-    parts = [p for p in split_indecomposables(m, seed) if not is_projective(p)]
+    parts = [p for p in split_indecomposables(m) if not is_projective(p)]
     if not parts:
         return zero_module(m.algebra)
     if len(parts) == 1:

@@ -151,3 +151,11 @@ def test_malformed_algebra_positional_error(runner, tmp_path):
     r = run(runner, "algebra", "check", str(bad))
     assert r.exit_code != 0
     assert ":5:" in r.output
+
+
+def test_seed_option_is_gone(runner):
+    """Every random choice in the library is seeded by a fixed constant,
+    so there is no seed to set."""
+    r = run(runner, "--seed", "3", "algebra", "check", fx("a3.alg"))
+    assert r.exit_code == 2
+    assert "No such option" in r.output and "--seed" in r.output

@@ -9,6 +9,7 @@ whenever certified."""
 
 import pytest
 
+from gptau.algebra import linear_a_n
 from gptau.gorenstein import (
     co_regular,
     gorenstein_algebra,
@@ -47,6 +48,17 @@ def test_gorenstein_algebra_verdicts(a3, kx3, loop_flag, nakayama22):
     assert glf.is_yes and glf.value == 1
     assert glf.witness == (1, 1)  # left and right injective dimension
     assert gorenstein_algebra(nakayama22).value == 0
+
+
+def test_gorenstein_unknown_is_recomputed_at_a_larger_bound():
+    """An unknown at bound 0 is not cached: bound 10 certifies the
+    1-Gorenstein A3, and that certified yes is then kept."""
+    a = linear_a_n(3)
+    low = gorenstein_algebra(a, 0)
+    assert low.is_unknown and low.bound == 0
+    high = gorenstein_algebra(a, 10)
+    assert high.is_yes and high.bound == 10 and high.value == 1
+    assert gorenstein_algebra(a, 0) is high
 
 
 def test_projectives_are_gorenstein_projective(battery):

@@ -12,6 +12,8 @@ import pytest
 
 from gptau.algebra import (
     Algebra,
+    Quiver,
+    bound_quiver_algebra,
     cyclic_nakayama,
     example_loop_flag_algebra,
     linear_a_n,
@@ -20,11 +22,12 @@ from gptau.algebra import (
     tensor,
     trivial_algebra,
 )
-from gptau.classify import enumerate_indecomposables
-from gptau.field import GF
+from gptau.classify import consistency_suites, enumerate_indecomposables
+from gptau.field import GF, QQ
 from gptau.module import (
     Module,
     ModuleError,
+    _iso_indecomposable,
     decompose,
     direct_sum,
     dual_D,
@@ -597,3 +600,118 @@ def test_split_warning_calls_a_small_prime_trace_form_unreliable():
             "where the trace form reading dim End/rad = 0 is unreliable; "
             "treating the module as indecomposable") in messages
     assert not any("> 1" in msg for msg in messages)
+
+
+@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
+@pytest.mark.filterwarnings(SMALL_PRIME_SPLIT_WARNING)
+@pytest.mark.parametrize("p", [None, 7, 2])
+def test_iso_rule_separates_the_enumerated_classes(battery, p):
+    """Each class of the battery and of T2(linear A2) is isomorphic to its
+    random-basis copy, both ways, and to no other class of its dimension
+    vector, also where Hom between the two is nonzero; is_isomorphic
+    agrees with the indecomposable rule."""
+    rng = random.Random(20241104)
+    algebras = _battery_over(battery, p)
+    algebras.append(t2(linear_a_n(2, algebras[0].field)))
+    rivals = 0
+    for a in algebras:
+        reps = enumerate_indecomposables(a, 4).representatives
+        for i, m in enumerate(reps):
+            copy = _in_random_basis(m, rng)
+            assert _iso_indecomposable(m, copy) and _iso_indecomposable(copy, m)
+            assert is_isomorphic(copy, m)
+            for n in reps[:i] + reps[i + 1:]:
+                if n.dim_vector() == m.dim_vector():
+                    assert not _iso_indecomposable(copy, n)
+                    assert not is_isomorphic(copy, n)
+                    rivals += bool(hom(copy, n))
+    assert rivals
+
+
+def _kronecker(f):
+    return bound_quiver_algebra(
+        Quiver((1, 2), (("a", 1, 2), ("b", 1, 2))), [], 2, f)
+
+
+def _kronecker_module(a, c):
+    """Dimension vector (2, 2) with a = I and b = [[0, -c], [1, 0]]: End is
+    the field extended by a root of t^2 + c, when that is irreducible."""
+    f = a.field
+    return module_from_dimvector(a, [2, 2], {
+        "a": Matrix.identity(f, 2),
+        "b": Matrix(f, 2, 2, [[0, -c], [1, 0]]),
+    })
+
+
+def test_iso_rule_over_a_division_endomorphism_algebra():
+    """The Kronecker module with b^2 = -1 over QQ has End = QQ(i): it is
+    kept whole with the End/rad warning, is isomorphic to its random-basis
+    copy and not to the module with b^2 = -2."""
+    a = _kronecker(QQ)
+    m = _kronecker_module(a, 1)
+    with pytest.warns(UserWarning, match="End/rad has dimension 2"):
+        assert split_indecomposables(m) == [m]
+    assert rad_end(m) == ([], 2)
+    copy = _in_random_basis(m, random.Random(20241105))
+    other = _kronecker_module(a, 2)
+    assert _iso_indecomposable(m, copy) and _iso_indecomposable(copy, m)
+    assert is_isomorphic(copy, m)
+    assert not _iso_indecomposable(m, other) and not is_isomorphic(m, other)
+
+
+@pytest.mark.parametrize("p", [None, 7, 2])
+def test_sums_with_rival_summands_are_told_apart(p):
+    """Over cyclic Nakayama (2, 2) the projectives P_0 and P_1 share the
+    dimension vector (1, 1) and Hom(P_0, P_1) is nonzero.  Sums that
+    trade one for the other keep their dimension vector but change their
+    summand multiset: no map between them is invertible, so the answer
+    comes from matching the decompositions."""
+    a = cyclic_nakayama(2, 2, QQ if p is None else GF(p))
+    P, S = projective_modules(a), simple_modules(a)
+    rng = random.Random(20241106)
+
+    def disguised(parts):
+        return _in_random_basis(direct_sum(a, parts)[0], rng)
+
+    assert hom(P[0], P[1])
+    for left, right in (([P[0], S[0]], [P[1], S[0]]),
+                        ([P[0], P[0], S[1]], [P[0], P[1], S[1]])):
+        x, y = disguised(left), disguised(right)
+        assert x.dim_vector() == y.dim_vector()
+        assert hom(x, y)
+        assert not is_isomorphic(x, y) and not is_isomorphic(y, x)
+        assert "decompose" in x._cache
+        assert sum(k for _, k in decompose(x)) == len(left)
+        assert is_isomorphic(x, disguised(list(reversed(left))))
+
+
+def test_isomorphic_sums_that_no_seeded_combination_finds():
+    """Over GF(2), for m the sum of the six classes of linear A3, End/rad
+    is GF(2)^6, and a map m -> m' is invertible only if its image there
+    has no zero coordinate, about one combination in 64: the seeded
+    combinations miss, and matching the decompositions says yes."""
+    a = linear_a_n(3, GF(2))
+    reps = enumerate_indecomposables(a, 6).representatives
+    m = direct_sum(a, reps)[0]
+    copy = _in_random_basis(m, random.Random(20241108))
+    assert is_isomorphic(m, copy)
+    assert "decompose" in m._cache
+
+
+def test_library_leaves_the_global_random_state_alone():
+    """Every random choice goes through a seeded local random.Random: the
+    global state is unchanged across enumeration, isomorphism tests,
+    decomposition (with the sympy factoring behind the Kronecker module)
+    and the consistency suites."""
+    state = random.getstate()
+    a = linear_a_n(2)  # a fresh algebra, so that nothing comes from a cache
+    reps = enumerate_indecomposables(a, 4).representatives
+    m = direct_sum(a, reps)[0]
+    copy = _in_random_basis(m, random.Random(20241107))
+    assert is_isomorphic(m, copy)
+    assert len(decompose(copy)) == len(reps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        decompose(_kronecker_module(_kronecker(QQ), 1))
+    consistency_suites(a)
+    assert random.getstate() == state
