@@ -640,8 +640,11 @@ def triangular(a: Algebra, b: Algebra, m: Bimodule) -> Algebra:
 
 
 def t2(a: Algebra) -> Algebra:
-    """T_2(a): lower triangular 2x2 matrices over a."""
-    return triangular(a, a, regular_bimodule(a))
+    """T_2(a): lower triangular 2x2 matrices over a; built once per
+    algebra and cached on it."""
+    if "t2" not in a._cache:
+        a._cache["t2"] = triangular(a, a, regular_bimodule(a))
+    return a._cache["t2"]
 
 
 # -- battery builders --------------------------------------------------------

@@ -436,6 +436,11 @@ class BijectionTable:
     bound: int
     complete: bool
 
+    def dim_vector_rows(self):
+        return [{"base_dim_vector": list(m.dim_vector()),
+                 "gamma_dim_vector": list(n.dim_vector())}
+                for m, n in self.rows]
+
 
 def eg_classes(e: GeneratorData, bound=None, max_dim=None):
     """(indecomposable E-GP E-rigid classes, any-unknown flag,

@@ -1,6 +1,7 @@
 """Bounded enumeration of indecomposables, tau-rigidity testing with a
 built-in cross-check, support tau-tilting pairs and their exchange
-graph, and the CM-freeness certificates.
+graph, the CM-freeness certificates, and the registry of theorem-suite
+checks behind `gptau verify` and consistency_suites.
 
 Enumeration is never claimed complete beyond its bound: the
 BoundedClassification carries a completeness flag that is set only when
@@ -11,36 +12,59 @@ for exceeding the bound.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
+from .algebra import t2, tensor, trivial_algebra
+from .approx import (
+    bijection_table,
+    e_gorenstein_projective,
+    e_rigid,
+    eg_classes,
+    in_add,
+    minimal_addE_presentation,
+)
+from .gorenstein import (
+    default_bound,
+    gorenstein_algebra,
+    gorenstein_projective,
+    is_tau_inverse_rigid,
+    tachikawa_probe,
+    theorem_report,
+)
 from .linalg import Matrix
 from .module import (
     Module,
     ModuleError,
     _iso_indecomposable,
     direct_sum,
+    dual_D,
     hom,
     hom_map_surjective,
     injective_modules,
     is_projective,
     module_from_dimvector,
+    module_to_triple,
     projective_modules,
     radical_submodule,
     regular_module,
     simple_modules,
     split_indecomposables,
+    tensor_module,
     top_of,
 )
 from .homalg import (
     cosyzygy,
     ext_dim,
+    inj_dim,
     minimal_projective_presentation,
     minimal_projective_resolution,
     syzygy,
     tau,
     tau_inverse,
+    transpose_Tr,
 )
-from .tristate import TriState, no, unknown, yes
+from .tristate import TriState, agreement, no, unknown, yes
 
 SWEEP_CAP = 4
 SWEEP_BITS = 12  # max total 0/1 entries per candidate in the sweep
@@ -141,17 +165,15 @@ def _relations_hold(q, rels, mats, dims, src, tgt, f):
     return True
 
 
-def enumerate_indecomposables(a, max_total_dim: int,
-                              sweep_cap: int | None = None) -> BoundedClassification:
+def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
     """Indecomposable isomorphism classes of total dimension up to the
     bound: closure of the standard constructions (simples, projectives,
     injectives, radical layers, syzygies, tau-orbits, extensions) plus
     an exhaustive small-dimension sweep for quiver-presented algebras."""
-    key = ("indec_classes", max_total_dim, sweep_cap)
+    key = ("indec_classes", max_total_dim)
     if key in a._cache:
         return a._cache[key]
-    if sweep_cap is None:
-        sweep_cap = min(max_total_dim, SWEEP_CAP)
+    sweep_cap = min(max_total_dim, SWEEP_CAP)
     classes = _ClassSet()
     dropped = False
 
@@ -304,9 +326,6 @@ def tau_rigid_test(m: Module) -> bool:
 
 def tau_inverse_rigid_test(m: Module) -> bool:
     """Hom(tau^{-1} m, m) = 0, cross-checked through duality."""
-    from .module import dual_D
-    from .gorenstein import is_tau_inverse_rigid
-
     direct = is_tau_inverse_rigid(m)
     via_dual = tau_rigid_test(dual_D(m))
     if direct != via_dual:
@@ -323,14 +342,10 @@ def tau_inverse_rigid_test(m: Module) -> bool:
 def gorenstein_projective_tau_rigid_list(a, bound=None, max_dim=None):
     """(certified GP tau-rigid indecomposables, unknown-GP list,
     completeness TriState)."""
-    from .gorenstein import default_bound, gorenstein_projective
-
     if bound is None:
         bound = default_bound(a)
     if max_dim is None:
         max_dim = 2 * a.dim
-    from .gorenstein import gorenstein_algebra
-
     gorenstein_algebra(a, bound)  # cached: enables the GP fast path
     cls = enumerate_indecomposables(a, max_dim)
     members, unknowns = [], []
@@ -373,11 +388,7 @@ def cm_tau_tilting_free(a, bound=None, max_dim=None) -> TriState:
 def cm_e_free(e, bound=None, max_dim=None) -> TriState:
     """Is every member of the bounded E-GP E-rigid enumeration a
     summand of E?"""
-    from .approx import e_gorenstein_projective, e_rigid, in_add
-
     a = e.E.algebra
-    from .gorenstein import default_bound
-
     if bound is None:
         bound = default_bound(a)
     if max_dim is None:
@@ -405,8 +416,6 @@ def cm_e_free(e, bound=None, max_dim=None) -> TriState:
 
 def cm_e_finite(e, bound=None, max_dim=None) -> TriState:
     """Does the count of E-GP E-rigid classes stabilize within bound?"""
-    from .approx import eg_classes
-
     members, any_unknown, cls = eg_classes(e, bound, max_dim)
     top_layer = [m for m in members if m.dim == cls.max_total_dim]
     if cls.complete and not top_layer and not any_unknown:
@@ -506,119 +515,6 @@ def support_tau_tilting_quiver(a, max_dim=None):
     return rigid, pairs, edges
 
 
-# -- theorem suites for triangular and tensor constructions ------------------
-
-
-def consistency_suites(a, bound=None, max_dim=None):
-    """Five consistency suites over an algebra and its triangular and
-    tensor companions.  Returns a dict of TriStates."""
-    import random
-
-    from .algebra import t2, tensor, trivial_algebra
-    from .gorenstein import default_bound, gorenstein_algebra
-    from .gorenstein import gorenstein_projective
-    from .homalg import inj_dim
-    from .module import tensor_module, module_to_triple
-
-    if bound is None:
-        bound = default_bound(a)
-    if max_dim is None:
-        max_dim = 2 * a.dim
-    report = {}
-
-    # (i) opposite transport of CM-tau-tilting freeness
-    mine = cm_tau_tilting_free(a, bound, max_dim)
-    theirs = cm_tau_tilting_free(a.opposite(), bound, max_dim)
-    if mine.is_unknown or theirs.is_unknown:
-        report["opposite_transport"] = unknown("a side is unresolved",
-                                               bound=bound)
-    elif mine.verdict == theirs.verdict:
-        report["opposite_transport"] = yes("verdicts agree", bound=bound)
-    else:
-        report["opposite_transport"] = no("verdicts differ", bound=bound)
-
-    # (ii) triangular GP triples (only meaningful when a is Gorenstein)
-    g = gorenstein_algebra(a, bound)
-    if g.is_yes:
-        t = t2(a)
-        tmax = min(max_dim, a.dim + 2)
-        tcls = enumerate_indecomposables(t, tmax, sweep_cap=0)
-        bad = None
-        checked = 0
-        for m in tcls.representatives:
-            x, y, phi = module_to_triple(m)
-            gp_m = gorenstein_projective(m, bound)
-            if gp_m.is_unknown:
-                continue
-            cok = phi.cokernel()[0]
-            parts = [
-                gorenstein_projective(x, bound),
-                gorenstein_projective(y, bound),
-                gorenstein_projective(cok, bound),
-            ]
-            if any(p.is_unknown for p in parts):
-                continue
-            rhs = (
-                all(p.is_yes for p in parts)
-                and phi.matrix.rank() == x.dim
-            )
-            checked += 1
-            if gp_m.is_yes != rhs:
-                bad = m.dim_vector()
-                break
-        report["triangular_gp_triples"] = (
-            no("triple criterion mismatch", witness=bad, bound=bound)
-            if bad
-            else yes("criterion agrees on %d certified modules" % checked,
-                     bound=bound)
-        )
-    else:
-        report["triangular_gp_triples"] = unknown(
-            "base algebra not certified Gorenstein", bound=bound
-        )
-
-    # (iii) projective tensor tau-rigid stays tau-rigid
-    t2k = t2(trivial_algebra(a.field))
-    big = tensor(t2k, a)
-    rng = random.Random(SUITE_SEED)
-    pa = projective_modules(t2k)
-    cls = enumerate_indecomposables(a, max_dim)
-    rigid = [m for m in cls.representatives if tau_rigid_test(m)]
-    bad = None
-    n_checked = 0
-    for _ in range(SUITE_SAMPLE):
-        p = rng.choice(pa)
-        m = rng.choice(rigid)
-        tm = tensor_module(p, m, big)
-        n_checked += 1
-        if not tau_rigid_test(tm):
-            bad = (p.dim_vector(), m.dim_vector())
-            break
-    report["tensor_tau_rigid"] = (
-        no("tensor broke tau-rigidity", witness=bad)
-        if bad
-        else yes("%d sampled pairs pass" % n_checked)
-    )
-
-    # (iv) triangular transport of CM-tau-tilting freeness
-    t = t2(a)
-    tfree = cm_tau_tilting_free(t, bound, min(max_dim, a.dim + 2))
-    if mine.is_unknown or tfree.is_unknown:
-        report["triangular_transport"] = unknown("a side is unresolved",
-                                                 bound=bound)
-    elif mine.verdict == tfree.verdict:
-        report["triangular_transport"] = yes("verdicts agree", bound=bound)
-    else:
-        report["triangular_transport"] = no("verdicts differ", bound=bound)
-
-    # (v) injective dimension shift under t2
-    ida = inj_dim(regular_module(a), bound)
-    t = t2(a)
-    idt = inj_dim(regular_module(t), 2 * t.dim + 2)
-    report["t2_id_shift"] = id_shift_state(ida, idt, bound)
-    return report
-
-
 def id_shift_state(ida: TriState, idt: TriState, bound) -> TriState:
     """Does id T2(A) = id A + 1 hold, given the two injective dimensions
     as proj_dim reports them (certified-no: certified infinite)?  Both
@@ -634,3 +530,253 @@ def id_shift_state(ida: TriState, idt: TriState, bound) -> TriState:
         return yes("id t2 = id + 1 = %d" % idt.value, bound=bound, value=idt.value)
     return no("id t2 = %d but id + 1 = %d" % (idt.value, ida.value + 1),
               bound=bound)
+
+
+# -- the registry of theorem-suite checks ------------------------------------
+#
+# Every check of `gptau verify` and of consistency_suites is defined here
+# once, as check(a, bound, max_dim, e) -> (TriState, extra report data),
+# and a suite is a tuple of check names.  One bound rule holds for all:
+# A is enumerated to max_dim and T2(A) to min(max_dim, dim A + 2);
+# homological questions on A use `bound`, and id T2(A) uses
+# default_bound(T2(A)).
+
+
+def suite_bounds(a, bound=None, max_dim=None):
+    """(bound, max_dim) with their defaults default_bound(a), 2 dim a."""
+    return (default_bound(a) if bound is None else bound,
+            2 * a.dim if max_dim is None else max_dim)
+
+
+def _t2_max_dim(a, max_dim):
+    # keeps the enumeration of T2(loop-flag), dim 15, affordable
+    return min(max_dim, a.dim + 2)
+
+
+def _tau_criteria(a, bound, max_dim, e):
+    """Both tau-rigidity criteria on every enumerated indecomposable and
+    on sampled direct sums; certified-no on any disagreement."""
+    reps = enumerate_indecomposables(a, max_dim).representatives
+    rng = random.Random(SUITE_SEED)
+    checked = 0
+    try:
+        for m in reps:
+            tau_rigid_test(m)
+            checked += 1
+        for _ in range(SUITE_SAMPLE):
+            parts = [rng.choice(reps) for _ in range(rng.randint(2, 3))]
+            tau_rigid_test(direct_sum(a, parts)[0])
+            checked += 1
+    except CriteriaDisagreement as exc:
+        return no("criteria disagree: %s" % exc), {}
+    return yes("criteria agree on %d modules" % checked, bound=max_dim), {}
+
+
+def _transpose_transport(a, bound, max_dim, e):
+    """tau-rigidity of each non-projective indecomposable M agrees with
+    that of its transpose Tr M over the opposite algebra."""
+    checked = 0
+    for m in enumerate_indecomposables(a, max_dim).representatives:
+        if is_projective(m):
+            continue
+        mine = tau_rigid_test(m)
+        trm = transpose_Tr(m)
+        if mine != (tau_rigid_test(trm) if trm.dim else True):
+            return no("transpose transport fails", witness=m.dim_vector(),
+                      bound=max_dim), {}
+        checked += 1
+    return yes("transport holds on %d non-projectives" % checked,
+               bound=max_dim), {}
+
+
+def _opposite_transport(a, bound, max_dim, e):
+    """CM-tau-tilting freeness of A agrees with that of its opposite."""
+    return agreement(cm_tau_tilting_free(a, bound, max_dim),
+                     cm_tau_tilting_free(a.opposite(), bound, max_dim),
+                     bound), {}
+
+
+def _triangular_gp_triples(a, bound, max_dim, e):
+    """Over a Gorenstein A, a T2(A)-module (X, Y, phi) is GP exactly when
+    X, Y and coker phi are GP and phi is injective."""
+    if not gorenstein_algebra(a, bound).is_yes:
+        return unknown("base algebra not certified Gorenstein", bound=bound), {}
+    tmax = _t2_max_dim(a, max_dim)
+    checked = 0
+    for m in enumerate_indecomposables(t2(a), tmax).representatives:
+        x, y, phi = module_to_triple(m)
+        gp_m = gorenstein_projective(m, bound)
+        if gp_m.is_unknown:
+            continue
+        parts = [gorenstein_projective(x, bound),
+                 gorenstein_projective(y, bound),
+                 gorenstein_projective(phi.cokernel()[0], bound)]
+        if any(p.is_unknown for p in parts):
+            continue
+        rhs = all(p.is_yes for p in parts) and phi.matrix.rank() == x.dim
+        checked += 1
+        if gp_m.is_yes != rhs:
+            return no("triple criterion mismatch", witness=m.dim_vector(),
+                      bound=bound), {}
+    return yes("criterion agrees on %d certified modules of T2(A) up to "
+               "dimension %d" % (checked, tmax), bound=bound), {}
+
+
+def _tensor_tau_rigid(a, bound, max_dim, e):
+    """P (x) M stays tau-rigid over T2(k) (x) A for sampled projective
+    T2(k)-modules P and tau-rigid A-modules M."""
+    t2k = t2(trivial_algebra(a.field))
+    big = tensor(t2k, a)
+    rng = random.Random(SUITE_SEED)
+    pa = projective_modules(t2k)
+    rigid = [m for m in enumerate_indecomposables(a, max_dim).representatives
+             if tau_rigid_test(m)]
+    for _ in range(SUITE_SAMPLE):
+        p = rng.choice(pa)
+        m = rng.choice(rigid)
+        if not tau_rigid_test(tensor_module(p, m, big)):
+            return no("tensor broke tau-rigidity",
+                      witness=(p.dim_vector(), m.dim_vector())), {}
+    return yes("%d sampled pairs pass" % SUITE_SAMPLE), {}
+
+
+def _triangular_transport(a, bound, max_dim, e):
+    """CM-tau-tilting freeness of A agrees with that of T2(A); the
+    verdict carries T2(A)'s enumeration bound."""
+    tmax = _t2_max_dim(a, max_dim)
+    return agreement(cm_tau_tilting_free(a, bound, max_dim),
+                     cm_tau_tilting_free(t2(a), bound, tmax), tmax), {}
+
+
+def _t2_id_shift(a, bound, max_dim, e):
+    """id T2(A) = id A + 1 for the regular modules; the verdict carries
+    the bound of id T2(A)."""
+    t = t2(a)
+    tbound = default_bound(t)
+    return id_shift_state(inj_dim(regular_module(a), bound),
+                          inj_dim(regular_module(t), tbound), tbound), {}
+
+
+def _e_presentations(a, bound, max_dim, e):
+    """Every E-rigid module within bound has an add-E presentation whose
+    end terms share no E-summand class."""
+    checked = 0
+    for m in enumerate_indecomposables(a, max_dim).representatives:
+        if not e_rigid(m, e):
+            continue
+        pres = minimal_addE_presentation(m, e)
+        if set(pres.p0_idx) & set(pres.p1_idx):
+            return no("presentation terms share a summand class",
+                      witness=m.dim_vector(), bound=max_dim), {}
+        checked += 1
+    return yes("disjoint supports on %d E-rigid modules" % checked,
+               bound=max_dim), {}
+
+
+def _bijection(a, bound, max_dim, e):
+    """The E-GP E-rigid classes match the GP tau-rigid Gamma-classes
+    through Hom(E, -); reports the table."""
+    try:
+        table = bijection_table(e, bound, max_dim)
+    except ModuleError as exc:
+        return no(str(exc)), {}
+    if table.complete:
+        state = yes("matched %d = %d classes" % (table.n_lambda, table.n_gamma),
+                    bound=table.bound)
+    else:
+        state = unknown("enumeration incomplete within bound (matched %d "
+                        "classes so far)" % table.n_lambda, bound=table.bound)
+    return state, {"table": table.dim_vector_rows()}
+
+
+def _nine_conditions(a, bound, max_dim, e):
+    """The nine self-injectivity conditions certify consistently;
+    reports them."""
+    rep = theorem_report(a, bound, max_dim)
+    conds = rep["conditions"]
+    if not rep["consistent"]:
+        state = no("certified conditions contradict each other",
+                   bound=rep["bound"])
+    elif any(c.is_unknown for c in conds):
+        state = unknown("some conditions unresolved", bound=rep["bound"])
+    else:
+        state = yes("all nine conditions certified-%s"
+                    % ("yes" if conds[0].is_yes else "no"), bound=rep["bound"])
+    return state, {"conditions": conds, "consistent": rep["consistent"]}
+
+
+def _three_way(a, bound, max_dim, e):
+    """1-Gorenstein, D(A) tau-rigid and A tau-inverse-rigid are
+    equivalent; reports the probe."""
+    probe = tachikawa_probe(a, bound)
+    if probe["three_way_consistent"] is False:
+        state = no("three-way equivalence violated", bound=probe["bound"])
+    elif probe["dlam_semi_gp"].is_unknown:
+        state = unknown("a piece is unresolved", bound=probe["bound"])
+    else:
+        state = yes("three-way equivalence holds", bound=probe["bound"])
+    return state, {"probe": probe}
+
+
+def _tachikawa(a, bound, max_dim, e):
+    """No semi-GP D(A) without tau-rigidity (a counterexample candidate
+    to the conjecture); reports the probe."""
+    probe = tachikawa_probe(a, bound)
+    if probe["counterexample_candidate"]:
+        state = no("semi-Gorenstein-projective dual with non-tau-rigid "
+                   "behavior found", bound=probe["bound"])
+    elif probe["dlam_semi_gp"].is_unknown:
+        state = unknown("semi-GP status of D(algebra) unresolved",
+                        bound=probe["bound"])
+    else:
+        state = yes("no counterexample candidate", bound=probe["bound"])
+    return state, {"probe": probe}
+
+
+CHECKS = {
+    "tau_criteria": _tau_criteria,
+    "transpose_transport": _transpose_transport,
+    "opposite_transport": _opposite_transport,
+    "triangular_gp_triples": _triangular_gp_triples,
+    "tensor_tau_rigid": _tensor_tau_rigid,
+    "triangular_transport": _triangular_transport,
+    "t2_id_shift": _t2_id_shift,
+    "e_presentations": _e_presentations,
+    "bijection": _bijection,
+    "nine_conditions": _nine_conditions,
+    "three_way": _three_way,
+    "tachikawa": _tachikawa,
+}
+E_CHECKS = frozenset({"e_presentations", "bijection"})  # they take E
+
+SUITES = {
+    "prop-2.5": ("tau_criteria",),
+    "prop-3.4": ("transpose_transport", "opposite_transport"),
+    "prop-4.5": ("e_presentations",),
+    "thm-3.10": ("triangular_transport", "t2_id_shift"),
+    "thm-4.7": ("bijection",),
+    "thm-5.2": ("nine_conditions",),
+    "prop-5.1": ("three_way",),
+    "tachikawa": ("tachikawa",),
+}
+CONSISTENCY_CHECKS = ("opposite_transport", "triangular_gp_triples",
+                      "tensor_tau_rigid", "triangular_transport",
+                      "t2_id_shift")
+
+
+def run_checks(names, a, bound, max_dim, e=None):
+    """Run the named registry checks on `a` (bounds as suite_bounds
+    resolves them).  Returns ({check name: TriState}, extra report
+    data)."""
+    states, extra = {}, {}
+    for name in names:
+        states[name], more = CHECKS[name](a, bound, max_dim, e)
+        extra.update(more)
+    return states, extra
+
+
+def consistency_suites(a, bound=None, max_dim=None):
+    """Five consistency checks of an algebra against its opposite,
+    triangular and tensor companions.  Returns a dict of TriStates."""
+    return run_checks(CONSISTENCY_CHECKS, a,
+                      *suite_bounds(a, bound, max_dim))[0]

@@ -118,9 +118,7 @@ def _parse_matrix(f: FieldSpec, rest, path, lineno):
         if len(r) != ncols:
             raise FormatError(path, lineno, "ragged matrix rows")
         data.append(_scalars(f, r, path, lineno))
-    m = Matrix(f, len(data), ncols)
-    m.data = data
-    return m
+    return Matrix._adopt(f, len(data), ncols, data)
 
 
 def _format_scalar(x):

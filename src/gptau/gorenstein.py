@@ -30,7 +30,7 @@ from .homalg import (
     star_module,
     tau_inverse,
 )
-from .tristate import TriState, no, unknown, yes
+from .tristate import TriState, all_of, no, unknown, yes
 
 
 def default_bound(algebra) -> int:
@@ -240,23 +240,6 @@ def cotilting_modules(a, max_dim: int | None = None, bound: int | None = None):
 # -- the nine-condition equivalence report -----------------------------------
 
 
-def _combine(parts):
-    """parts: list of (TriState or bool).  All certified-yes -> yes; any
-    certified-no -> no; else unknown."""
-    any_unknown = False
-    for p in parts:
-        if isinstance(p, TriState):
-            if p.is_no:
-                return no(p.reason, bound=p.bound, witness=p.witness)
-            if p.is_unknown:
-                any_unknown = True
-        elif not p:
-            return no("boolean condition fails")
-    if any_unknown:
-        return unknown("a component check is unresolved")
-    return yes("all component checks certified")
-
-
 def theorem_report(a, bound: int | None = None, max_dim: int | None = None):
     """The nine-way self-injectivity equivalence, each condition as a
     TriState, plus a consistency verdict.
@@ -273,19 +256,19 @@ def theorem_report(a, bound: int | None = None, max_dim: int | None = None):
     c1 = yes("D(algebra) is projective") if self_injective(a) else no(
         "D(algebra) is not projective"
     )
-    c2 = _combine([semi_gp(dlam, bound), is_tau_rigid(dlam)])
-    c3 = _combine(
+    c2 = all_of([semi_gp(dlam, bound), is_tau_rigid(dlam)])
+    c3 = all_of(
         [semi_gp(c, bound) for c in cot] + [is_tau_rigid(c) for c in cot]
     )
     c4 = gorenstein_projective(dlam, bound)
-    c5 = _combine([gorenstein_projective(c, bound) for c in cot])
-    c6 = _combine([semi_gi(reg, bound), is_tau_inverse_rigid(reg)])
-    c7 = _combine(
+    c5 = all_of([gorenstein_projective(c, bound) for c in cot])
+    c6 = all_of([semi_gi(reg, bound), is_tau_inverse_rigid(reg)])
+    c7 = all_of(
         [semi_gi(t, bound) for t in til]
         + [is_tau_inverse_rigid(t) for t in til]
     )
     c8 = gorenstein_injective(reg, bound)
-    c9 = _combine([gorenstein_injective(t, bound) for t in til])
+    c9 = all_of([gorenstein_injective(t, bound) for t in til])
     conditions = [c1, c2, c3, c4, c5, c6, c7, c8, c9]
     certified = [c.verdict for c in conditions if not c.is_unknown]
     consistent = len(set(certified)) <= 1

@@ -134,9 +134,6 @@ def ext_dim(m: Module, n: Module, i: int) -> int:
     return ker_dim - img.rank()
 
 
-ext = ext_dim
-
-
 def ext_vanishes_all_positive(m: Module, n: Module, bound: int) -> TriState:
     """Does Ext^i(m, n) = 0 for all i >= 1?  Certified-yes when the
     resolution of m terminates or its syzygies become periodic within

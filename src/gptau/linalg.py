@@ -37,6 +37,18 @@ class Matrix:
 
     # -- constructors -------------------------------------------------
 
+    @classmethod
+    def _adopt(cls, field, rows, cols, data):
+        """A matrix owning `data`: rows x cols nested lists already of
+        field elements, taken as they are, with no copy or coercion."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        m._rref = None
+        return m
+
     @staticmethod
     def identity(field, n):
         m = Matrix(field, n, n)
@@ -65,9 +77,8 @@ class Matrix:
         return m
 
     def copy(self):
-        m = Matrix(self.field, self.rows, self.cols)
-        m.data = [row[:] for row in self.data]
-        return m
+        return Matrix._adopt(self.field, self.rows, self.cols,
+                             [row[:] for row in self.data])
 
     # -- basic algebra ------------------------------------------------
 
@@ -85,28 +96,24 @@ class Matrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        m = Matrix(self.field, self.rows, self.cols)
-        m.data = [
+        return Matrix._adopt(self.field, self.rows, self.cols, [
             [(a + b if b else a) if a else b for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.data, other.data)
-        ]
-        return m
+        ])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        m = Matrix(self.field, self.rows, self.cols)
-        m.data = [[-a for a in row] for row in self.data]
-        return m
+        return Matrix._adopt(self.field, self.rows, self.cols,
+                             [[-a for a in row] for row in self.data])
 
     def scale(self, c):
         c = self.field.of(c)
         if c == 1:
             return self.copy()
-        m = Matrix(self.field, self.rows, self.cols)
-        m.data = [[c * a if a else a for a in row] for row in self.data]
-        return m
+        data = [[c * a if a else a for a in row] for row in self.data]
+        return Matrix._adopt(self.field, self.rows, self.cols, data)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -145,13 +152,9 @@ class Matrix:
         return out
 
     def transpose(self):
-        m = Matrix(self.field, self.cols, self.rows)
-        m.data = [list(col) for col in zip(*self.data)] if self.rows else [
-            [] for _ in range(self.cols)
-        ]
-        if self.rows == 0:
-            m.data = [[] for _ in range(self.cols)]
-        return m
+        data = ([list(col) for col in zip(*self.data)] if self.rows
+                else [[] for _ in range(self.cols)])
+        return Matrix._adopt(self.field, self.cols, self.rows, data)
 
     def kron(self, other):
         """Kronecker product, row-major block convention:
@@ -175,17 +178,15 @@ class Matrix:
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        m = Matrix(self.field, self.rows, self.cols + other.cols)
-        m.data = [r1 + r2 for r1, r2 in zip(self.data, other.data)]
-        return m
+        data = [r1 + r2 for r1, r2 in zip(self.data, other.data)]
+        return Matrix._adopt(self.field, self.rows, self.cols + other.cols, data)
 
     def col(self, j):
         return [row[j] for row in self.data]
 
     def select_cols(self, js):
-        m = Matrix(self.field, self.rows, len(js))
-        m.data = [[row[j] for j in js] for row in self.data]
-        return m
+        return Matrix._adopt(self.field, self.rows, len(js),
+                             [[row[j] for j in js] for row in self.data])
 
     def is_zero(self):
         return all(not a for row in self.data for a in row)
@@ -200,9 +201,8 @@ class Matrix:
             R, pivots = _rref_integral(self.data, self.rows, self.cols)
         else:
             R, pivots = self._rref_generic()
-        Rm = Matrix(self.field, self.rows, self.cols)
-        Rm.data = R
-        self._rref = (Rm, tuple(pivots))
+        self._rref = (Matrix._adopt(self.field, self.rows, self.cols, R),
+                      tuple(pivots))
         return self._rref
 
     def _rref_generic(self):

@@ -192,9 +192,8 @@ def _diagonal_blocks(idem_acts, d):
 
 def _permuted(f, a: Matrix, perm):
     """P^-1 a P for the permutation matrix P with columns e_perm[i]."""
-    out = Matrix(f, a.rows, a.cols)
-    out.data = [[row[p] for p in perm] for row in (a.data[q] for q in perm)]
-    return out
+    rows = [[row[p] for p in perm] for row in (a.data[q] for q in perm)]
+    return Matrix._adopt(f, a.rows, a.cols, rows)
 
 
 class ModuleMap:
@@ -476,9 +475,7 @@ def hom(m: Module, n: Module):
         rows.extend(row for row in eqs.values() if any(row))
     # rows are already field elements; the RREF of their span is canonical,
     # so neither their order nor the rows that cancelled to 0 matter
-    sys = Matrix(f, len(rows), u)
-    sys.data = rows
-    ker = sys.kernel_basis()
+    ker = Matrix._adopt(f, len(rows), u, rows).kernel_basis()
     out = []
     for j in range(ker.cols):
         x = ker.col(j)
@@ -994,8 +991,7 @@ def is_projective(m: Module) -> bool:
     for (off, d), p in zip(m.blocks, projective_modules(m.algebra)):
         rows = [[x for a in rad_acts for x in a.data[r]]
                 for r in range(off, off + d)]
-        rad_rows = Matrix(f, d, m.dim * len(rad_acts))
-        rad_rows.data = rows
+        rad_rows = Matrix._adopt(f, d, m.dim * len(rad_acts), rows)
         total += (d - rad_rows.rank()) * p.dim
     return total == m.dim
 

@@ -60,8 +60,29 @@ def unknown(reason="", bound=None, value=None):
     return TriState(UNKNOWN, bound=bound, reason=reason, value=value)
 
 
-def agree(a: TriState, b: TriState) -> bool:
-    """Two TriStates are consistent unless both certified and opposite."""
+def all_of(parts, bound=None) -> TriState:
+    """Conjunction of TriStates, a plain bool counting as a certified
+    verdict: the first certified-no part (False: certified-no), else the
+    first unknown part, else certified-yes with `bound`."""
+    first_unknown = None
+    for p in parts:
+        if isinstance(p, bool):
+            if not p:
+                return no("boolean condition fails", bound=bound)
+        elif p.is_no:
+            return p
+        elif p.is_unknown and first_unknown is None:
+            first_unknown = p
+    if first_unknown is not None:
+        return first_unknown
+    return yes("all component checks certified", bound=bound)
+
+
+def agreement(a: TriState, b: TriState, bound=None) -> TriState:
+    """Do two verdicts agree?  Unknown when either side is unresolved,
+    else certified-yes when they are equal and certified-no when not."""
     if a.is_unknown or b.is_unknown:
-        return True
-    return a.verdict == b.verdict
+        return unknown("a side is unresolved", bound=bound)
+    if a.verdict == b.verdict:
+        return yes("verdicts agree", bound=bound)
+    return no("verdicts differ", bound=bound)

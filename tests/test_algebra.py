@@ -88,6 +88,7 @@ def test_t2_dimension_and_idempotents(loop_flag, t2_loop_flag):
     assert t2_loop_flag.dim == 3 * loop_flag.dim
     assert t2_loop_flag.n_idempotents == 2 * loop_flag.n_idempotents
     t2_loop_flag.validate()
+    assert t2(loop_flag) is t2(loop_flag)
 
 
 def test_prime_field_algebra_builds():

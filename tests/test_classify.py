@@ -23,9 +23,10 @@ from gptau.classify import (
     tau_inverse_rigid_test,
     tau_rigid_test,
 )
+from gptau.algebra import linear_a_n, t2
 from gptau.approx import generator_data
 from gptau.homalg import is_tau_rigid
-from gptau.tristate import no, unknown, yes
+from gptau.tristate import agreement, all_of, no, unknown, yes
 from gptau.module import (
     direct_sum,
     is_indecomposable,
@@ -171,3 +172,44 @@ def test_id_shift_state():
         assert getattr(state, "is_" + want), (ida, idt, state)
         assert state.bound == 5
     assert id_shift_state(fin(0), fin(1), 5).value == 1
+
+
+def test_consistency_suites_enumerate_t2_once():
+    a = linear_a_n(2)  # a fresh algebra, so that nothing comes from a cache
+    consistency_suites(a)
+    keys = [k for k in t2(a)._cache
+            if isinstance(k, tuple) and k[0] == "indec_classes"]
+    assert len(keys) == 1
+
+
+def test_all_of_and_agreement():
+    y, n, u = yes("y"), no("n"), unknown("u", bound=3)
+    # all_of: the first certified-no part (False counts), else the first
+    # unknown part, else certified-yes with the given bound
+    cases = [
+        ([], "yes"),
+        ([y, True], "yes"),
+        ([y, u], "unknown"),
+        ([True, u, y], "unknown"),
+        ([u, n], "no"),
+        ([y, False, u], "no"),
+    ]
+    for parts, want in cases:
+        assert getattr(all_of(parts, bound=5), "is_" + want), (parts, want)
+    assert all_of([y, u, n], bound=5) is n
+    assert all_of([y, u], bound=5) is u
+    assert all_of([y, True], bound=5).bound == 5
+    # agreement: unknown if a side is, else whether the verdicts are equal
+    cases = [
+        (y, y, "yes"),
+        (n, n, "yes"),
+        (y, n, "no"),
+        (n, y, "no"),
+        (u, y, "unknown"),
+        (n, u, "unknown"),
+        (u, u, "unknown"),
+    ]
+    for a, b, want in cases:
+        state = agreement(a, b, 5)
+        assert getattr(state, "is_" + want), (a, b, state)
+        assert state.bound == 5

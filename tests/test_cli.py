@@ -6,7 +6,9 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from gptau.cli import main
+from gptau.classify import SUITES, consistency_suites
+from gptau.cli import main, verify
+from gptau.fileio import parse_algebra_file
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -133,6 +135,26 @@ def test_verify_bijection_suite(runner):
 def test_verify_tau_criteria_suite(runner):
     r = run(runner, "verify", "prop-2.5", fx("a3.alg"))
     assert r.exit_code == 0
+
+
+def test_verify_suites_are_the_registry_suites():
+    suite = next(p for p in verify.params if p.name == "suite")
+    assert list(suite.type.choices) == list(SUITES)
+
+
+@pytest.mark.parametrize("alg", ["a3.alg", "kx3.alg"])
+def test_verify_and_consistency_suites_share_checks(runner, alg):
+    """A check reached through `verify` and through consistency_suites
+    gives the same verdict under the same bound."""
+    cons = consistency_suites(parse_algebra_file(fx(alg)))
+    shared = {"prop-3.4": ["opposite_transport"],
+              "thm-3.10": ["triangular_transport", "t2_id_shift"]}
+    for suite, names in shared.items():
+        rep = json.loads(run(runner, "verify", suite, fx(alg)).output)
+        for name in names:
+            assert name in rep, (suite, name)
+            assert (rep[name]["verdict"], rep[name]["bound"]) == (
+                cons[name].verdict, cons[name].bound), (suite, name)
 
 
 def test_verify_unknown_suite_rejected(runner):
