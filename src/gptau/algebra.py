@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .field import FieldSpec, QQ
 from .linalg import Matrix
+from .memo import memo
 
 
 class AlgebraError(ValueError):
@@ -89,6 +90,8 @@ class Algebra:
         self.radical = [[field.of(x) for x in r] for r in radical]
         self.provenance = provenance
         self.quiver_data = None  # set by bound_quiver_algebra
+        # a two-way link (the opposite of the opposite is this object),
+        # not a cache: memo could not point the opposite back here
         self._op = None
         self._cache = {}
         if validate:
@@ -204,11 +207,10 @@ class Algebra:
 
     # -- derived data ---------------------------------------------------
 
+    @memo
     def generators(self):
         """Small generating set: idempotents plus lifts of rad/rad^2,
-        completed with extra basis vectors if needed.  Cached."""
-        if "generators" in self._cache:
-            return self._cache["generators"]
+        completed with extra basis vectors if needed."""
         f = self.field
         gens = list(self.idempotents)
         if self.radical:
@@ -245,7 +247,6 @@ class Algebra:
                     span = span.hstack(
                         Matrix.from_cols(f, [v], nrows=self.dim)
                     ).image_basis()
-        self._cache["generators"] = gens
         return gens
 
     def opposite(self):
@@ -639,12 +640,11 @@ def triangular(a: Algebra, b: Algebra, m: Bimodule) -> Algebra:
     return alg
 
 
+@memo
 def t2(a: Algebra) -> Algebra:
     """T_2(a): lower triangular 2x2 matrices over a; built once per
-    algebra and cached on it."""
-    if "t2" not in a._cache:
-        a._cache["t2"] = triangular(a, a, regular_bimodule(a))
-    return a._cache["t2"]
+    algebra."""
+    return triangular(a, a, regular_bimodule(a))
 
 
 # -- battery builders --------------------------------------------------------

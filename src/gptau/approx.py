@@ -8,10 +8,11 @@ Gamma-modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import Algebra, AlgebraError
 from .linalg import Matrix
+from .memo import memo
 from .module import (
     Module,
     ModuleError,
@@ -19,7 +20,6 @@ from .module import (
     _iso_indecomposable,
     decompose,
     direct_sum,
-    end_basis,
     hom,
     hom_coords,
     hom_dim,
@@ -42,6 +42,8 @@ class GeneratorData:
     summands: list  # (indecomposable, multiplicity)
     basic: list  # one representative per class, deterministic order
     E_basic: Module
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def class_of(self, m: Module):
         """Index of the basic summand isomorphic to m, or None.  m must be
@@ -199,7 +201,7 @@ def gamma(e: GeneratorData) -> GammaData:
     dim = 0
     for i in range(n):
         for j in range(n):
-            hb = end_basis(basic[i]) if i == j else hom(basic[i], basic[j])
+            hb = hom(basic[i], basic[j])
             hom_bases[(i, j)] = hb
             offsets[(i, j)] = dim
             dim += len(hb)
@@ -383,10 +385,9 @@ def e_gorenstein_projective(m: Module, e: GeneratorData,
               bound=bound, witness=cok.dim_vector())
 
 
+@memo
 def cached_gamma(e: GeneratorData) -> GammaData:
-    if not hasattr(e, "_gamma"):
-        e._gamma = gamma(e)
-    return e._gamma
+    return gamma(e)
 
 
 def e_gp_resolution_probe(m: Module, e: GeneratorData,

@@ -33,6 +33,7 @@ from .gorenstein import (
     theorem_report,
 )
 from .linalg import Matrix
+from .memo import memo
 from .module import (
     Module,
     ModuleError,
@@ -165,14 +166,12 @@ def _relations_hold(q, rels, mats, dims, src, tgt, f):
     return True
 
 
+@memo
 def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
     """Indecomposable isomorphism classes of total dimension up to the
     bound: closure of the standard constructions (simples, projectives,
     injectives, radical layers, syzygies, tau-orbits, extensions) plus
     an exhaustive small-dimension sweep for quiver-presented algebras."""
-    key = ("indec_classes", max_total_dim)
-    if key in a._cache:
-        return a._cache[key]
     sweep_cap = min(max_total_dim, SWEEP_CAP)
     classes = _ClassSet()
     dropped = False
@@ -233,14 +232,13 @@ def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
                              for x in row)),
     )
     complete = not dropped
-    notes = (
-        "closure fixed point reached; sweep cap %d" % sweep_cap
-        if complete
-        else "bound exhausted: some constructed modules exceeded the bound"
-    )
-    result = BoundedClassification(a, max_total_dim, reps, complete, notes)
-    a._cache[key] = result
-    return result
+    if not complete:
+        notes = "bound exhausted: some constructed modules exceeded the bound"
+    elif a.quiver_data is None:  # _sweep_quiver_modules yielded nothing
+        notes = "closure fixed point reached; no sweep (no quiver presentation)"
+    else:
+        notes = "closure fixed point reached; sweep cap %d" % sweep_cap
+    return BoundedClassification(a, max_total_dim, reps, complete, notes)
 
 
 def _radical_layers(p):

@@ -92,7 +92,7 @@ def gorenstein_projective(m: Module, bound: int | None = None) -> TriState:
         return yes("projective", bound=bound)
     # fast path over a certified Gorenstein algebra: finitely many Ext
     # vanishings suffice
-    g = m.algebra._cache.get("gorenstein")
+    g = m.algebra._cache.get(_CERTIFIED)
     if g is not None and g.is_yes:
         n = g.value
         reg = regular_module(m.algebra)
@@ -130,13 +130,18 @@ def gorenstein_injective(m: Module, bound: int | None = None) -> TriState:
     return gorenstein_projective(dual_D(m), bound)
 
 
+# memo keeps every result, and gorenstein_algebra keeps only certified
+# ones, so this is the one cache written out by hand
+_CERTIFIED = "gorenstein_algebra"
+
+
 def gorenstein_algebra(a, bound: int | None = None) -> TriState:
     """Iwanaga-Gorenstein certificate.  value = max of the two one-sided
     injective dimensions; witness = (left id, right id).  Only certified
-    verdicts are cached, since they hold at every bound; an unknown is
+    verdicts are kept, since they hold at every bound; an unknown is
     recomputed at the bound asked for."""
-    if "gorenstein" in a._cache:
-        return a._cache["gorenstein"]
+    if _CERTIFIED in a._cache:
+        return a._cache[_CERTIFIED]
     if bound is None:
         bound = default_bound(a)
     op = a.opposite()
@@ -154,7 +159,7 @@ def gorenstein_algebra(a, bound: int | None = None) -> TriState:
             value=max(left.value, right.value),
         )
     if not result.is_unknown:
-        a._cache["gorenstein"] = result
+        a._cache[_CERTIFIED] = result
     return result
 
 

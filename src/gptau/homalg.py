@@ -9,6 +9,7 @@ isomorphism the resolution cycles forever.
 from __future__ import annotations
 
 from .linalg import Matrix
+from .memo import memo
 from .module import (
     Module,
     ModuleMap,
@@ -42,25 +43,20 @@ class Presentation:
         self.p1_idx = tuple(p1_idx)
 
 
+@memo
 def minimal_projective_presentation(m: Module) -> Presentation:
-    if "min_pres" in m._cache:
-        return m._cache["min_pres"]
     a = m.algebra
     p0, f0, idx0 = projective_cover(m)
     if m.dim == 0:
         z = zero_module(a)
-        pres = Presentation(
+        return Presentation(
             m, z, ModuleMap(z, m, Matrix(m.field, 0, 0)),
             z, ModuleMap(z, z, Matrix(m.field, 0, 0)), [], []
         )
-        m._cache["min_pres"] = pres
-        return pres
     ker, inc = f0.kernel()
     p1, g, idx1 = projective_cover(ker)
     f1 = ModuleMap(p1, p0, inc.matrix @ g.matrix)
-    pres = Presentation(m, p0, f0, p1, f1, idx0, idx1)
-    m._cache["min_pres"] = pres
-    return pres
+    return Presentation(m, p0, f0, p1, f1, idx0, idx1)
 
 
 def syzygy(m: Module, k: int = 1, strip=True):

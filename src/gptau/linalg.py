@@ -20,6 +20,8 @@ from .field import _RAT, FieldSpec
 
 
 class Matrix:
+    # _rref keeps the RREF in a slot, not in memo: Matrix has no _cache,
+    # and the traced benchmark reads the slot to count RREF reuse
     __slots__ = ("field", "rows", "cols", "data", "_rref")
 
     def __init__(self, field: FieldSpec, rows: int, cols: int, data=None):

@@ -21,8 +21,10 @@ decides arbitrary modules: an invertible basis element or seeded
 combination certifies yes, and otherwise it matches the Krull-Schmidt
 decompositions with the indecomposable rule.
 
-Modules and maps are immutable; expensive invariants are cached on the
-object.
+Modules and maps are immutable.  Expensive results are memoised with
+memo.memo on the object they are computed from; a module argument is
+keyed by its content (Module.content_key), so hom(m, n) answers a fresh
+copy of n from m's entry and the cache never holds n itself.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import warnings
 
 from .algebra import Algebra
 from .linalg import Matrix
+from .memo import Keyed, memo
 
 # the one seed of the random candidates tried in splitting and in
 # is_isomorphic; every result is reproducible run to run
@@ -42,11 +45,12 @@ class ModuleError(ValueError):
     pass
 
 
-class Module:
+class Module(Keyed):
     def __init__(self, algebra: Algebra, actions, validate=True):
         """actions: one (d x d) Matrix per algebra basis element, in any
         basis; the constructor re-bases to idempotent-adapted coordinates."""
         self.algebra = algebra
+        self._cache = {}
         self.dim = actions[0].rows if actions else 0
         if len(actions) != algebra.dim:
             raise ModuleError("need one action matrix per algebra basis element")
@@ -56,7 +60,6 @@ class Module:
             self.actions = [Matrix(f, 0, 0) for _ in range(algebra.dim)]
             self.blocks = [(0, 0)] * algebra.n_idempotents
             self._from_raw = None
-            self._cache = {}
             return
         # unit must act as identity
         unit_act = _combine(f, d, actions, algebra.unit)
@@ -97,7 +100,6 @@ class Module:
             self.actions = [Uinv @ a @ U for a in actions]
             self._from_raw = Uinv
         self.blocks = blocks
-        self._cache = {}
         if validate:
             self.validate()
 
@@ -110,12 +112,11 @@ class Module:
     def dim_vector(self):
         return tuple(b[1] for b in self.blocks)
 
+    @memo
     def to_raw(self):
         if self._from_raw is None:
             return Matrix.identity(self.field, self.dim)
-        if "to_raw" not in self._cache:
-            self._cache["to_raw"] = self._from_raw.inverse()
-        return self._cache["to_raw"]
+        return self._from_raw.inverse()
 
     def from_raw_matrix(self):
         if self._from_raw is None:
@@ -126,12 +127,23 @@ class Module:
         """Action matrix of an arbitrary algebra element."""
         return _combine(self.field, self.dim, self.actions, vec)
 
+    @memo
     def generator_actions(self):
-        if "gen_actions" not in self._cache:
-            self._cache["gen_actions"] = [
-                self.action_of(g) for g in self.algebra.generators()
-            ]
-        return self._cache["gen_actions"]
+        return [self.action_of(g) for g in self.algebra.generators()]
+
+    @memo
+    def content_key(self):
+        """(algebra, exact content), the key of this module as a memo
+        argument.  The blocks fix the idempotents' actions (the block
+        projectors), and with the other generators' actions they fix
+        the module and all of hom.  A str, so its hash is computed once
+        and no Fp hash runs on a lookup."""
+        k0 = self.algebra.n_idempotents
+        ents = [x for g in self.generator_actions()[k0:]
+                for row in g.data for x in row]
+        if self.field.kind == "prime":
+            ents = [x.v for x in ents]
+        return self.algebra, repr((self.blocks, ents))
 
     def validate(self):
         a = self.algebra
@@ -188,6 +200,13 @@ def _diagonal_blocks(idem_acts, d):
     if sorted(perm) != list(range(d)):
         return None
     return perm, blocks
+
+
+def _place(big: Matrix, sub: Matrix, r0, c0):
+    """big, with sub written into it (in place) at row r0, column c0."""
+    for r, row in enumerate(sub.data):
+        big.data[r0 + r][c0:c0 + sub.cols] = row
+    return big
 
 
 def _permuted(f, a: Matrix, perm):
@@ -251,15 +270,14 @@ def zero_module(algebra: Algebra) -> Module:
                   validate=False)
 
 
+@memo
 def regular_module(algebra: Algebra) -> Module:
     """The algebra as a left module over itself."""
-    if "regular_module" not in algebra._cache:
-        acts = [
-            algebra.left_mult_matrix(algebra._basis_vec(i))
-            for i in range(algebra.dim)
-        ]
-        algebra._cache["regular_module"] = Module(algebra, acts, validate=False)
-    return algebra._cache["regular_module"]
+    acts = [
+        algebra.left_mult_matrix(algebra._basis_vec(i))
+        for i in range(algebra.dim)
+    ]
+    return Module(algebra, acts, validate=False)
 
 
 def direct_sum(algebra: Algebra, mods):
@@ -271,12 +289,7 @@ def direct_sum(algebra: Algebra, mods):
         big = Matrix(f, total, total)
         off = 0
         for m in mods:
-            a = m.actions[i]
-            for r in range(m.dim):
-                row = big.data[off + r]
-                arow = a.data[r]
-                for c in range(m.dim):
-                    row[off + c] = arow[c]
+            _place(big, m.actions[i], off, off)
             off += m.dim
         acts.append(big)
     M = Module(algebra, acts, validate=False)
@@ -379,11 +392,7 @@ def module_from_dimvector(algebra: Algebra, dims, arrow_mats, validate=True):
                 if mat is None:
                     mat = Matrix(f, dims[tgt[name]], dims[src[name]])
                 prod = mat if prod is None else mat @ prod
-            sv = s
-            tv = tgt[q.arrows[arrows[0]][0]]
-            for r in range(prod.rows):
-                for c in range(prod.cols):
-                    big.data[offs[tv] + r][offs[sv] + c] = prod.data[r][c]
+            _place(big, prod, offs[tgt[q.arrows[arrows[0]][0]]], offs[s])
         acts.append(big)
     return Module(algebra, acts, validate=validate)
 
@@ -414,16 +423,18 @@ def module_to_dimvector(m: Module):
 
 
 def hom(m: Module, n: Module):
-    """Basis of Hom(m, n) as a list of ModuleMaps (one kernel solve).
-    Cached per (source, target) object pair."""
+    """Basis of Hom(m, n) as a list of ModuleMaps from m to n."""
+    return [ModuleMap(m, n, x) for x in _hom_matrices(m, n)]
+
+
+@memo
+def _hom_matrices(m: Module, n: Module):
+    """The matrices of a Hom(m, n) basis, from one kernel solve; memoised
+    by the content of n, so a copy of n with equal content shares them."""
     if m.algebra is not n.algebra:
         raise ModuleError("hom requires modules over the same algebra")
     if m.dim == 0 or n.dim == 0:
         return []
-    key = ("hom", id(n))
-    hit = m._cache.get(key)
-    if hit is not None and hit[0] is n:
-        return hit[1]
     f = m.field
     mb = m.blocks
     nb = n.blocks
@@ -484,19 +495,12 @@ def hom(m: Module, n: Module):
             for r in range(nd):
                 mat.data[no + r][mo:mo + md] = x[offsets[i] + r * md:
                                                  offsets[i] + (r + 1) * md]
-        out.append(ModuleMap(m, n, mat))
-    m._cache[key] = (n, out)
+        out.append(mat)
     return out
 
 
 def hom_dim(m: Module, n: Module) -> int:
     return len(hom(m, n))
-
-
-def end_basis(m: Module):
-    if "end_basis" not in m._cache:
-        m._cache["end_basis"] = hom(m, m)
-    return m._cache["end_basis"]
 
 
 def _flat(mat: Matrix):
@@ -507,25 +511,23 @@ def hom_coords(m: Module, n: Module, mats) -> Matrix:
     """Coordinates of the m -> n matrices mats in the hom(m, n) basis,
     one column per map, from one solve against the stacked basis.
     Raises ModuleError when a matrix is not in Hom(m, n)."""
-    f = m.field
-    hs = hom(m, n)
-    size = n.dim * m.dim
-    # cached as in hom: the entry holds n, since an id alone can be reused
-    key = ("hom_coords", id(n))
-    hit = m._cache.get(key)
-    if hit is not None and hit[0] is n:
-        stack = hit[1]
-    else:
-        stack = Matrix.from_cols(f, [_flat(h.matrix) for h in hs], nrows=size)
-        m._cache[key] = (n, stack)
+    stack = _hom_stack(m, n)
     if any(a.rows != n.dim or a.cols != m.dim for a in mats):
         raise ModuleError("map matrix has the wrong shape")
     x = stack.solve_matrix(
-        Matrix.from_cols(f, [_flat(a) for a in mats], nrows=size)
+        Matrix.from_cols(m.field, [_flat(a) for a in mats], nrows=stack.rows)
     )
     if x is None:
         raise ModuleError("matrix is not in Hom of the given modules")
     return x
+
+
+@memo
+def _hom_stack(m: Module, n: Module) -> Matrix:
+    """The hom(m, n) basis matrices, flattened, as the columns of one
+    matrix (which keeps its RREF for the next solve)."""
+    return Matrix.from_cols(m.field, [_flat(x) for x in _hom_matrices(m, n)],
+                            nrows=n.dim * m.dim)
 
 
 def hom_map_surjective(f: ModuleMap, m: Module) -> bool:
@@ -543,6 +545,7 @@ def _trace_form_exact(m: Module) -> bool:
     return f.kind == "rationals" or f.p > m.dim
 
 
+@memo
 def rad_end(m: Module):
     """(radical coefficient vectors over the End basis, dim End/rad).
 
@@ -551,9 +554,7 @@ def rad_end(m: Module):
     p > dim m.  For p <= dim m the kernel can be larger than the radical
     (a summand whose dimension p divides loses its idempotent), so
     dim End/rad can read too small; a warning says so."""
-    if "rad_end" in m._cache:
-        return m._cache["rad_end"]
-    ends = end_basis(m)
+    ends = hom(m, m)
     k = len(ends)
     f = m.field
     if not _trace_form_exact(m):
@@ -580,8 +581,7 @@ def rad_end(m: Module):
             gram.data[j][i] = t
     ker = gram.kernel_basis()
     rad_coeffs = [ker.col(j) for j in range(ker.cols)]
-    m._cache["rad_end"] = (rad_coeffs, k - len(rad_coeffs))
-    return m._cache["rad_end"]
+    return rad_coeffs, k - len(rad_coeffs)
 
 
 def end_rad_membership(m: Module, mat: Matrix):
@@ -690,7 +690,7 @@ def _split_once(m: Module):
     no split is found past a reading of 1, None comes with a warning:
     that End/rad has dimension > 1 where the trace form is exact, and
     that the reading is unreliable where it is not."""
-    ends = end_basis(m)
+    ends = hom(m, m)
     if len(ends) <= 1:
         return None
     if _trace_form_exact(m) and rad_end(m)[1] == 1:
@@ -756,10 +756,9 @@ def split_indecomposables(m: Module):
     return out
 
 
+@memo
 def decompose(m: Module):
     """Krull-Schmidt decomposition: list of (indecomposable, multiplicity)."""
-    if "decompose" in m._cache:
-        return m._cache["decompose"]
     pieces = split_indecomposables(m)
     groups = []
     for p in pieces:
@@ -769,9 +768,7 @@ def decompose(m: Module):
                 break
         else:
             groups.append([p, 1])
-    result = [(g[0], g[1]) for g in groups]
-    m._cache["decompose"] = result
-    return result
+    return [(g[0], g[1]) for g in groups]
 
 
 def is_indecomposable(m: Module):
@@ -849,18 +846,17 @@ def is_isomorphic(m: Module, n: Module) -> bool:
 # -- simples, projectives, injectives -------------------------------------
 
 
+@memo
 def projective_modules(algebra: Algebra):
     """Indecomposable projectives P_i = (algebra) e_i, in idempotent order."""
-    if "projectives" not in algebra._cache:
-        reg = regular_module(algebra)
-        out = []
-        for e in algebra.idempotents:
-            basis = algebra.right_mult_matrix(e).image_basis()
-            basis = reg.from_raw_matrix() @ basis
-            p, _ = submodule(reg, basis)
-            out.append(p)
-        algebra._cache["projectives"] = out
-    return algebra._cache["projectives"]
+    reg = regular_module(algebra)
+    out = []
+    for e in algebra.idempotents:
+        basis = algebra.right_mult_matrix(e).image_basis()
+        basis = reg.from_raw_matrix() @ basis
+        p, _ = submodule(reg, basis)
+        out.append(p)
+    return out
 
 
 def radical_submodule(m: Module):
@@ -878,12 +874,9 @@ def top_of(m: Module):
     return quotient_module(m, inc.matrix)
 
 
+@memo
 def simple_modules(algebra: Algebra):
-    if "simples" not in algebra._cache:
-        algebra._cache["simples"] = [
-            top_of(p)[0] for p in projective_modules(algebra)
-        ]
-    return algebra._cache["simples"]
+    return [top_of(p)[0] for p in projective_modules(algebra)]
 
 
 def dual_D(m: Module) -> Module:
@@ -892,14 +885,10 @@ def dual_D(m: Module) -> Module:
     return Module(op, [a.transpose() for a in m.actions], validate=False)
 
 
+@memo
 def injective_modules(algebra: Algebra):
     """I_i = D((e_i) algebra), computed through the opposite algebra."""
-    if "injectives" not in algebra._cache:
-        op = algebra.opposite()
-        algebra._cache["injectives"] = [
-            dual_D(p) for p in projective_modules(op)
-        ]
-    return algebra._cache["injectives"]
+    return [dual_D(p) for p in projective_modules(algebra.opposite())]
 
 
 def projective_cover(m: Module):
@@ -957,20 +946,18 @@ def projective_cover(m: Module):
     return P, fmap, piece_idx
 
 
+@memo
 def _proj_embedding(algebra: Algebra, i: int) -> Matrix:
     """Columns: the algebra elements forming the basis of P_i, matching
     the internal coordinates of projective_modules(algebra)[i]."""
-    key = ("proj_embedding", i)
-    if key not in algebra._cache:
-        reg = regular_module(algebra)
-        basis = algebra.right_mult_matrix(algebra.idempotents[i]).image_basis()
-        p = projective_modules(algebra)[i]
-        # submodule() was built from from_raw @ basis; its inclusion into
-        # the regular module in raw coordinates recovers algebra elements
-        adapted = reg.from_raw_matrix() @ basis
-        inc = adapted @ p.to_raw()
-        algebra._cache[key] = reg.to_raw() @ inc
-    return algebra._cache[key]
+    reg = regular_module(algebra)
+    basis = algebra.right_mult_matrix(algebra.idempotents[i]).image_basis()
+    p = projective_modules(algebra)[i]
+    # submodule() was built from from_raw @ basis; its inclusion into
+    # the regular module in raw coordinates recovers algebra elements
+    adapted = reg.from_raw_matrix() @ basis
+    inc = adapted @ p.to_raw()
+    return reg.to_raw() @ inc
 
 
 def is_projective(m: Module) -> bool:
@@ -1093,28 +1080,16 @@ def module_from_triple(t2_algebra: Algebra, x: Module, y: Module,
     if phi.source is not x or phi.target is not y:
         raise ModuleError("phi must map X to Y")
     f = t2_algebra.field
-    dx, dy = x.dim, y.dim
-    total = dx + dy
+    dx = x.dim
+    total = dx + y.dim
     acts = []
     for i in range(a.dim):  # (a_i, 0, 0): (x, y) -> (a_i x, 0)
-        big = Matrix(f, total, total)
-        for r in range(dx):
-            for c in range(dx):
-                big.data[r][c] = x.actions[i].data[r][c]
-        acts.append(big)
+        acts.append(_place(Matrix(f, total, total), x.actions[i], 0, 0))
     for i in range(a.dim):  # (0, m_i, 0): (x, y) -> (0, phi(m_i x))
-        big = Matrix(f, total, total)
-        block = phi.matrix @ x.actions[i]
-        for r in range(dy):
-            for c in range(dx):
-                big.data[dx + r][c] = block.data[r][c]
-        acts.append(big)
+        acts.append(_place(Matrix(f, total, total), phi.matrix @ x.actions[i],
+                           dx, 0))
     for i in range(a.dim):  # (0, 0, b_i): (x, y) -> (0, b_i y)
-        big = Matrix(f, total, total)
-        for r in range(dy):
-            for c in range(dy):
-                big.data[dx + r][dx + c] = y.actions[i].data[r][c]
-        acts.append(big)
+        acts.append(_place(Matrix(f, total, total), y.actions[i], dx, dx))
     return Module(t2_algebra, acts, validate=False)
 
 
@@ -1124,7 +1099,7 @@ def is_right_minimal(f: ModuleMap) -> bool:
     src = f.source
     if src.dim == 0:
         return True
-    ends = end_basis(src)
+    ends = hom(src, src)
     ff = f.matrix
     field = src.field
     cols = [_flat(ff @ e.matrix) for e in ends]

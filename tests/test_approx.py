@@ -7,6 +7,9 @@ not tau-rigid but is rigid relative to itself; S1 is E-rigid with the
 add-E presentation P2 -> I2 -> S1 -> 0; Gamma has dimension 9 and four
 simples; the class bijection matches 4 = 4 within bound 12."""
 
+import gc
+import weakref
+
 import pytest
 
 from gptau.approx import (
@@ -26,6 +29,7 @@ from gptau.approx import (
 from gptau.algebra import linear_a_n
 from gptau.homalg import ext_dim, is_tau_rigid
 from gptau.linalg import Matrix
+from gptau.memo import entries
 from gptau.module import (
     Module,
     ModuleMap,
@@ -163,3 +167,22 @@ def test_hom_map_surjective_not_fooled_by_a_reused_id():
         del x
         y = Module(a, [m.copy() for m in S[0].actions], validate=False)
         assert hom_map_surjective(f, y) is False
+
+
+def test_hom_map_surjective_keeps_no_target_alive():
+    # the memo keys a target by its content, so a dropped target is freed
+    # and copies with equal content share one entry on f.source
+    a = linear_a_n(3)
+    S = simple_modules(a)
+    f = ModuleMap(S[0], zero_module(a), Matrix(a.field, 0, 1))
+    x = Module(a, [m.copy() for m in S[1].actions], validate=False)
+    hom_map_surjective(f, x)
+    r = weakref.ref(x)
+    del x
+    gc.collect()
+    assert r() is None
+    held = len(entries(f.source))
+    for _ in range(200):
+        x = Module(a, [m.copy() for m in S[1].actions], validate=False)
+        assert hom_map_surjective(f, x) is True
+    assert len(entries(f.source)) == held

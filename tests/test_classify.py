@@ -26,6 +26,7 @@ from gptau.classify import (
 from gptau.algebra import linear_a_n, t2
 from gptau.approx import generator_data
 from gptau.homalg import is_tau_rigid
+from gptau.memo import entries
 from gptau.tristate import agreement, all_of, no, unknown, yes
 from gptau.module import (
     direct_sum,
@@ -177,9 +178,16 @@ def test_id_shift_state():
 def test_consistency_suites_enumerate_t2_once():
     a = linear_a_n(2)  # a fresh algebra, so that nothing comes from a cache
     consistency_suites(a)
-    keys = [k for k in t2(a)._cache
-            if isinstance(k, tuple) and k[0] == "indec_classes"]
-    assert len(keys) == 1
+    assert len(entries(t2(a), enumerate_indecomposables)) == 1
+
+
+def test_enumeration_note_says_whether_a_sweep_ran():
+    # T2(A2) has no quiver presentation, so only the closure ran; a quiver
+    # algebra keeps its sweep-cap note
+    notes = enumerate_indecomposables(t2(linear_a_n(2)), 4).notes
+    assert notes == "closure fixed point reached; no sweep (no quiver presentation)"
+    notes = enumerate_indecomposables(linear_a_n(2), 4).notes
+    assert notes == "closure fixed point reached; sweep cap 4"
 
 
 def test_all_of_and_agreement():
