@@ -114,8 +114,9 @@ class Algebra:
                 c = xi * yj
                 for k, m in enumerate(mi[j]):
                     if m:
-                        out[k] = out[k] + c * m
-        return out
+                        out[k] += c * m
+        p = self.field.p
+        return [v % p for v in out] if p else out
 
     def left_mult_matrix(self, x):
         """Matrix of y -> x*y on the basis."""
@@ -160,7 +161,7 @@ class Algebra:
         # idempotents: orthogonal, sum to 1
         s = self.zero_vec()
         for a, e in enumerate(self.idempotents):
-            s = [x + y for x, y in zip(s, e)]
+            s = [f.of(x + y) for x, y in zip(s, e)]
             for b, e2 in enumerate(self.idempotents):
                 p = self.product(e, e2)
                 want = e if a == b else self.zero_vec()
@@ -352,7 +353,7 @@ def bound_quiver_algebra(
                 raise AlgebraError("relation terms are not parallel paths")
             if len(arrows) > B:
                 continue  # already zero at this bound
-            v[index[p]] = v[index[p]] + coeff
+            v[index[p]] = f.of(v[index[p]] + coeff)
         return v
 
     # two-sided ideal closure under arrow multiplication, products of
@@ -409,7 +410,7 @@ def bound_quiver_algebra(
             if c:
                 for j in range(n):
                     if R.data[r][j]:
-                        v[j] = v[j] - c * R.data[r][j]
+                        v[j] = f.of(v[j] - c * R.data[r][j])
         return [v[pi] for pi in basis_paths]
 
     dim = len(basis_paths)
@@ -485,7 +486,7 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
                 continue
             for j, vj in enumerate(v):
                 if vj:
-                    out[pair(i, j)] = ui * vj
+                    out[pair(i, j)] = f.of(ui * vj)
         return out
 
     mult = [[None] * dim for _ in range(dim)]

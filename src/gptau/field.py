@@ -3,10 +3,13 @@
 Over QQ a scalar is a Python ``int`` when it is integral and a rational
 otherwise: ``gmpy2.mpq``, or ``fractions.Fraction`` when gmpy2 is
 unavailable.  ``QQ.of`` keeps that form, so integral rationals never
-carry a denominator.  Over GF(p) a scalar is an ``Fp``.  Scalars of
-either field support +, -, * and truth tests (zero is false), so matrix
-code is field-generic; division goes only through ``FieldSpec.inv``,
-because ``/`` on two ints is float division.
+carry a denominator.  Over GF(p) a scalar is a plain ``int`` in
+[0, p): ``GF(p).of`` reduces, and every scalar stored in a matrix,
+vector or structure constant is kept reduced, so truth tests, ``==``
+and hashing are exact.  The code that adds or multiplies GF(p) scalars
+reduces the results mod ``FieldSpec.p`` (linalg reduces each output row
+once).  Division goes only through ``FieldSpec.inv``, because ``/`` on
+two ints is float division.
 """
 
 from __future__ import annotations
@@ -37,49 +40,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class Fp:
-    """Element of GF(p).  Immutable, hashable."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v, p):
-        self.v = v % p
-        self.p = p
-
-    def __add__(self, other):
-        return Fp(self.v + other.v, self.p)
-
-    def __sub__(self, other):
-        return Fp(self.v - other.v, self.p)
-
-    def __neg__(self):
-        return Fp(-self.v, self.p)
-
-    def __mul__(self, other):
-        return Fp(self.v * other.v, self.p)
-
-    def __truediv__(self, other):
-        if other.v == 0:
-            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
-        return Fp(self.v * pow(other.v, -1, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.v == other.v and self.p == other.p
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return "Fp(%d mod %d)" % (self.v, self.p)
-
-
 class FieldSpec:
     """Ground field: the rationals, or GF(p) for a prime p.
 
@@ -97,49 +57,39 @@ class FieldSpec:
                 raise ValueError("prime field needs a prime order, got %r" % p)
         self.kind = kind
         self.p = p
-        # built once: scalars are immutable, so every caller can share them
-        if kind == "rationals":
-            self._zero, self._one = 0, 1
-        else:
-            self._zero, self._one = Fp(0, p), Fp(1, p)
 
     def zero(self):
-        return self._zero
+        return 0
 
     def one(self):
-        return self._one
+        return 1
 
     def of(self, x):
-        """Coerce an int, Fraction, Fp or 'p/q' string into this field.
-        Over QQ the result is an int when x is integral."""
-        if self.kind == "rationals":
-            t = type(x)
-            if t is int:
-                return x
-            if t is not _RAT:
-                if isinstance(x, Fp):
-                    raise TypeError("cannot coerce GF(p) element into the rationals")
+        """Coerce an int, Fraction or 'p/q' string into this field.
+        Over QQ the result is an int when x is integral; over GF(p) it
+        is the int in [0, p)."""
+        p = self.p
+        if type(x) is int:
+            return x % p if p else x
+        if p is None:
+            if type(x) is not _RAT:
                 x = _RAT(x)
             # mpq.numerator is an mpz, hence the int()
             return int(x.numerator) if x.denominator == 1 else x
-        if isinstance(x, Fp):
-            if x.p != self.p:
-                raise TypeError("GF(%d) element used over GF(%d)" % (x.p, self.p))
-            return x
         if isinstance(x, str):
             x = Fraction(x)
-        if isinstance(x, Fraction):
-            num, den = x.numerator, x.denominator
-            if den % self.p == 0:
-                raise ZeroDivisionError("denominator divisible by %d" % self.p)
-            return Fp(num * pow(den, -1, self.p), self.p)
-        return Fp(int(x), self.p)
+        if isinstance(x, (Fraction, _RAT)):
+            num, den = int(x.numerator), int(x.denominator)
+            if den % p == 0:
+                raise ZeroDivisionError("denominator divisible by %d" % p)
+            return num * pow(den, -1, p) % p
+        return int(x) % p
 
     def inv(self, x):
         """Exact reciprocal of a nonzero scalar of this field."""
-        if self.kind == "prime":
-            if x.v:
-                return Fp(pow(x.v, -1, self.p), self.p)
+        if self.p:
+            if x % self.p:
+                return pow(x, -1, self.p)
         elif x:
             return self.of(_RAT(1, x) if type(x) is int else 1 / x)
         raise ZeroDivisionError("reciprocal of zero in %r" % self)

@@ -6,10 +6,14 @@ Matrices are immutable by convention; 0 x n and n x 0 shapes are legal
 and behave as empty maps.  Reduction is Gauss-Jordan elimination to
 reduced row echelon form with first-nonzero pivoting, so all outputs
 are deterministic.  Over QQ it runs fraction-free on integer rows and
-divides by the pivots only at the end; over GF(p) it runs on the field
-elements.  The RREF of a row space is unique, so both give the same R.
-Over QQ, the constructor (through ``FieldSpec.of``) and the RREF store
-each integral entry as an int (field.py).
+divides by the pivots only at the end; over GF(p) it runs on int rows
+reduced mod p.  The RREF of a row space is unique, so both give the
+same R.  Entries are canonical (field.py): over QQ each integral entry
+is an int, and over GF(p) every entry is an int in [0, p).  The
+constructor gets them through ``FieldSpec.of``; every operation that
+adds or multiplies entries accumulates in ints and reduces each output
+row once.  Operations on two matrices refuse operands over different
+fields.
 """
 
 from __future__ import annotations
@@ -17,6 +21,18 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .field import _RAT, FieldSpec
+
+
+def _same_field(a, b):
+    if a.field is not b.field and a.field != b.field:
+        raise TypeError("field mismatch: %r and %r" % (a.field, b.field))
+
+
+def _reduced(field, data):
+    """data (rows of entries) with each entry reduced mod p over GF(p);
+    data itself over QQ."""
+    p = field.p
+    return [[x % p for x in row] for row in data] if p else data
 
 
 class Matrix:
@@ -96,62 +112,57 @@ class Matrix:
         return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
     def __add__(self, other):
+        _same_field(self, other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return Matrix._adopt(self.field, self.rows, self.cols, [
-            [(a + b if b else a) if a else b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.data, other.data)
-        ])
+        return Matrix._adopt(self.field, self.rows, self.cols, _reduced(
+            self.field,
+            [[(a + b if b else a) if a else b for a, b in zip(r1, r2)]
+             for r1, r2 in zip(self.data, other.data)]))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix._adopt(self.field, self.rows, self.cols,
-                             [[-a for a in row] for row in self.data])
+        return Matrix._adopt(self.field, self.rows, self.cols, _reduced(
+            self.field, [[-a for a in row] for row in self.data]))
 
     def scale(self, c):
         c = self.field.of(c)
         if c == 1:
             return self.copy()
         data = [[c * a if a else a for a in row] for row in self.data]
-        return Matrix._adopt(self.field, self.rows, self.cols, data)
+        return Matrix._adopt(self.field, self.rows, self.cols,
+                             _reduced(self.field, data))
 
     def __matmul__(self, other):
+        _same_field(self, other)
         if self.cols != other.rows:
             raise ValueError(
                 "shape mismatch in product: %dx%d @ %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        out = Matrix(self.field, self.rows, other.cols)
-        if self.cols == 0:
-            return out
+        p = self.field.p
+        ncols = other.cols
         ot = other.data
-        for i in range(self.rows):
-            srow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                s = srow[k]
-                if not s:
-                    continue
-                trow = ot[k]
-                for j in range(other.cols):
-                    t = trow[j]
-                    if t:
-                        orow[j] = orow[j] + s * t
-        return out
+        out = []
+        for srow in self.data:
+            orow = [0] * ncols
+            for s, trow in zip(srow, ot):
+                if s:
+                    for j, t in enumerate(trow):
+                        if t:
+                            orow[j] += s * t
+            out.append([x % p for x in orow] if p else orow)
+        return Matrix._adopt(self.field, self.rows, ncols, out)
 
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for row in self.data:
-            s = self.field.zero()
-            for a, x in zip(row, v):
-                if a and x:
-                    s = s + a * x
-            out.append(s)
-        return out
+        p = self.field.p
+        out = [sum(a * x for a, x in zip(row, v) if a and x)
+               for row in self.data]
+        return [s % p for s in out] if p else out
 
     def transpose(self):
         data = ([list(col) for col in zip(*self.data)] if self.rows
@@ -161,6 +172,7 @@ class Matrix:
     def kron(self, other):
         """Kronecker product, row-major block convention:
         entry ((i*other.rows + k), (j*other.cols + l)) = a[i][j] * b[k][l]."""
+        _same_field(self, other)
         m = Matrix(self.field, self.rows * other.rows, self.cols * other.cols)
         for i in range(self.rows):
             for j in range(self.cols):
@@ -175,9 +187,11 @@ class Matrix:
                         b = orow[l]
                         if b:
                             mrow[base + l] = a * b
+        m.data = _reduced(self.field, m.data)
         return m
 
     def hstack(self, other):
+        _same_field(self, other)
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
         data = [r1 + r2 for r1, r2 in zip(self.data, other.data)]
@@ -199,44 +213,14 @@ class Matrix:
         """Reduced row echelon form.  Returns (R, pivot_columns)."""
         if self._rref is not None:
             return self._rref
-        if self.field.kind == "rationals":
-            R, pivots = _rref_integral(self.data, self.rows, self.cols)
+        p = self.field.p
+        if p:
+            R, pivots = _rref_mod_p(self.data, self.rows, self.cols, p)
         else:
-            R, pivots = self._rref_generic()
+            R, pivots = _rref_integral(self.data, self.rows, self.cols)
         self._rref = (Matrix._adopt(self.field, self.rows, self.cols, R),
                       tuple(pivots))
         return self._rref
-
-    def _rref_generic(self):
-        R = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r >= self.rows:
-                break
-            pr = None
-            for i in range(r, self.rows):
-                if R[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            R[r], R[pr] = R[pr], R[r]
-            prow = R[r]
-            if prow[c] != 1:
-                inv = self.field.inv(prow[c])
-                prow = R[r] = [a * inv if a else a for a in prow]
-            # columns left of c are zero in the pivot row
-            nz = [j for j in range(c, self.cols) if prow[j]]
-            for i in range(self.rows):
-                row = R[i]
-                f = row[c]
-                if i != r and f:
-                    for j in nz:
-                        row[j] = row[j] - f * prow[j]
-            pivots.append(c)
-            r += 1
-        return R, pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -246,15 +230,14 @@ class Matrix:
         R, pivots = self.rref()
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]
-        cols = []
-        zero, one = self.field.zero(), self.field.one()
-        for fc in free:
-            v = [zero] * self.cols
-            v[fc] = one
+        p = self.field.p
+        data = [[0] * len(free) for _ in range(self.cols)]
+        for k, fc in enumerate(free):
+            data[fc][k] = 1
             for i, pc in enumerate(pivots):
-                v[pc] = -R.data[i][fc]
-            cols.append(v)
-        return Matrix.from_cols(self.field, cols, nrows=self.cols)
+                x = R.data[i][fc]
+                data[pc][k] = -x % p if p else -x
+        return Matrix._adopt(self.field, self.cols, len(free), data)
 
     def image_basis(self):
         """Columns form a basis of the column space (original pivot columns)."""
@@ -361,4 +344,39 @@ def _rref_integral(data, nrows, ncols):
         p = R[i][c]
         if p != 1:
             R[i] = [x // p if not x % p else _RAT(x, p) for x in R[i]]
+    return R, pivots
+
+
+def _rref_mod_p(data, nrows, ncols, p):
+    """Gauss-Jordan over GF(p) on int rows, each entry reduced mod p as
+    it is written."""
+    R = [row[:] for row in data]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pr = None
+        for i in range(r, nrows):
+            if R[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        prow = R[r]
+        if prow[c] != 1:
+            inv = pow(prow[c], -1, p)
+            prow = R[r] = [a * inv % p for a in prow]
+        # columns left of c are zero in the pivot row
+        nz = [j for j in range(c, ncols) if prow[j]]
+        for i in range(nrows):
+            row = R[i]
+            f = row[c]
+            if i != r and f:
+                f = p - f
+                for j in nz:
+                    row[j] = (row[j] + f * prow[j]) % p
+        pivots.append(c)
+        r += 1
     return R, pivots

@@ -137,12 +137,10 @@ class Module(Keyed):
         argument.  The blocks fix the idempotents' actions (the block
         projectors), and with the other generators' actions they fix
         the module and all of hom.  A str, so its hash is computed once
-        and no Fp hash runs on a lookup."""
+        per module."""
         k0 = self.algebra.n_idempotents
         ents = [x for g in self.generator_actions()[k0:]
                 for row in g.data for x in row]
-        if self.field.kind == "prime":
-            ents = [x.v for x in ents]
         return self.algebra, repr((self.blocks, ents))
 
     def validate(self):
@@ -166,19 +164,26 @@ class Module(Keyed):
 
 
 def _combine(f, d, actions, vec):
-    """sum_k vec[k] * actions[k], accumulated in place over nonzero terms."""
-    out = Matrix(f, d, d)
+    """sum_k vec[k] * actions[k], accumulated in place over nonzero terms.
+    Over GF(p) it is reduced once at the end, unless it is one action
+    taken once (a structure constant that is a basis element)."""
+    out = [[0] * d for _ in range(d)]
+    terms = 0
     for c, m in zip(vec, actions):
         if not c:
             continue
         c = f.of(c)
         unit = c == 1
-        for orow, mrow in zip(out.data, m.data):
+        terms += 1 if unit else 2  # a scaled term can leave [0, p)
+        for orow, mrow in zip(out, m.data):
             for j, a in enumerate(mrow):
                 if a:
                     t = a if unit else c * a
                     orow[j] = orow[j] + t if orow[j] else t
-    return out
+    p = f.p
+    if p and terms > 1:
+        out = [[x % p for x in row] for row in out]
+    return Matrix._adopt(f, d, d, out)
 
 
 def _diagonal_blocks(idem_acts, d):
@@ -453,6 +458,7 @@ def _hom_matrices(m: Module, n: Module):
     # that a nonzero entry reaches.  The idempotent generators come first
     # and act as coordinate projectors, so their equations vanish.
     zero = f.zero()
+    p = f.p
     rows = []
     k0 = m.algebra.n_idempotents
     for gm, gn in zip(m.generator_actions()[k0:], n.generator_actions()[k0:]):
@@ -483,8 +489,12 @@ def _hom_matrices(m: Module, n: Module):
                             row = eqs[(r, mo + c)] = [zero] * u
                         x = row[base + c]
                         row[base + c] = x - v if x else -v
-        rows.extend(row for row in eqs.values() if any(row))
-    # rows are already field elements; the RREF of their span is canonical,
+        for row in eqs.values():
+            if p:
+                row = [x % p for x in row]
+            if any(row):
+                rows.append(row)
+    # rows are reduced field elements; the RREF of their span is canonical,
     # so neither their order nor the rows that cancelled to 0 matter
     ker = Matrix._adopt(f, len(rows), u, rows).kernel_basis()
     out = []
@@ -577,6 +587,7 @@ def rad_end(m: Module):
                 y = b[c][r]
                 if y:
                     t = t + x * y
+            t = f.of(t)
             gram.data[i][j] = t
             gram.data[j][i] = t
     ker = gram.kernel_basis()
@@ -621,7 +632,7 @@ def _min_poly(mat: Matrix):
         nxt = powers[-1] @ mat
         sol = stack.solve(_flat(nxt))
         if sol is not None:
-            return [-c for c in sol] + [f.one()]
+            return [f.of(-c) for c in sol] + [f.one()]
         powers.append(nxt)
 
 
@@ -640,7 +651,7 @@ def _min_poly_split_candidate(m: Module, s: Matrix):
         )
         factors = sympy.factor_list(poly)[1]
     else:
-        poly = sympy.Poly([c.v for c in reversed(coeffs)], t, modulus=f.p)
+        poly = sympy.Poly(list(reversed(coeffs)), t, modulus=f.p)
         factors = sympy.factor_list(poly, modulus=f.p)[1]
     if len(factors) < 2:
         return None

@@ -6,8 +6,10 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from gptau.algebra import t2
 from gptau.classify import SUITES, consistency_suites
 from gptau.cli import main, verify
+from gptau.field import GF
 from gptau.fileio import parse_algebra_file
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -106,6 +108,16 @@ def test_construct_op_t2_tensor(runner, tmp_path):
     r = run(runner, "construct", "tensor", fx("kx3.alg"), fx("kx3.alg"),
             "-o", str(out))
     assert r.exit_code == 0 and "dim 9" in r.output
+
+
+def test_construct_t2_over_gf_reads_back(runner, tmp_path):
+    src = tmp_path / "kx3gf.alg"
+    src.write_text(open(fx("kx3.alg")).read().replace("field QQ", "field GF 7"))
+    out = tmp_path / "t2.alg"
+    r = run(runner, "construct", "t2", str(src), "-o", str(out))
+    assert r.exit_code == 0 and "dim 9" in r.output
+    b = parse_algebra_file(str(out))
+    assert b.field == GF(7) and b.mult == t2(parse_algebra_file(str(src))).mult
 
 
 def test_gamma_command(runner):

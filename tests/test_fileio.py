@@ -14,8 +14,10 @@ from gptau.fileio import (
     write_algebra_file,
     write_module_file,
 )
-from gptau.algebra import t2
+from gptau.algebra import Quiver, Relation, bound_quiver_algebra, linear_a_n, t2
+from gptau.field import GF
 from gptau.module import (
+    direct_sum,
     injective_modules,
     is_isomorphic,
     projective_modules,
@@ -105,6 +107,50 @@ def test_table_module_round_trip(tmp_path):
     write_module_file(m, str(out))
     q = parse_module_file(str(out), a)
     assert is_isomorphic(m, q)
+
+
+# -- round trips over GF(7): scalars are written as ints in [0, 7) -----------
+
+
+def test_gf_module_round_trip(tmp_path):
+    a = linear_a_n(3, GF(7))
+    b = t2(linear_a_n(2, GF(7)))
+    mods = projective_modules(a) + injective_modules(a)
+    mods += [direct_sum(a, mods[:2])[0], regular_module(b)]
+    for m in mods:
+        out = tmp_path / "m.mod"
+        write_module_file(m, str(out))
+        assert "Fp" not in out.read_text()
+        q = parse_module_file(str(out), m.algebra)
+        assert q.field == GF(7) and is_isomorphic(m, q)
+
+
+def test_gf_table_algebra_round_trip(tmp_path):
+    a = t2(linear_a_n(2, GF(7)))
+    out = tmp_path / "t2.alg"
+    write_algebra_file(a, str(out))
+    b = parse_algebra_file(str(out))
+    assert b.field == GF(7) and b.dim == a.dim == 9
+    assert (b.mult, b.unit, b.idempotents, b.radical) == (
+        a.mult, a.unit, a.idempotents, a.radical)
+
+
+def test_gf_quiver_algebra_round_trip_keeps_relation_coefficients(tmp_path):
+    """A commutative square up to the factor 3: b.a = -3 d.c over GF(7),
+    written as 'b.a + 3*d.c' and read back as the same algebra."""
+    q = Quiver((1, 2, 3, 4), (("a", 1, 2), ("b", 2, 4), ("c", 1, 3),
+                              ("d", 3, 4)))
+    rel = Relation(((1, ("b", "a")), (3, ("d", "c"))))
+    a = bound_quiver_algebra(q, [rel], 3, GF(7))
+    out = tmp_path / "sq.alg"
+    write_algebra_file(a, str(out))
+    text = out.read_text()
+    assert "relation b.a + 3*d.c" in text and "field GF 7" in text
+    b = parse_algebra_file(str(out))
+    assert b.field == GF(7) and b.dim == a.dim == 9
+    assert b.basis_labels == a.basis_labels and b.mult == a.mult
+    # the surviving length-2 path carries the coefficient 7 - 3 = 4
+    assert any(4 in v for row in b.mult for v in row)
 
 
 def test_zero_module_accepted(tmp_path):

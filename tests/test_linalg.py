@@ -11,7 +11,14 @@ import pytest
 
 from gptau.field import GF, QQ
 from gptau.linalg import Matrix, rank
-from gptau.module import injective_modules, projective_modules, regular_module
+from gptau.algebra import linear_a_n
+from gptau.module import (
+    hom,
+    injective_modules,
+    projective_modules,
+    rad_end,
+    regular_module,
+)
 
 
 def mat(f, rows):
@@ -83,8 +90,11 @@ def test_rank_helper_matches_method(f):
 
 def test_gf_division_by_zero_raises():
     f = GF(5)
+    for zero in (f.of(0), f.of(5), 10):
+        with pytest.raises(ZeroDivisionError):
+            f.inv(zero)
     with pytest.raises(ZeroDivisionError):
-        f.of(1) / f.of(0)
+        f.of(Fraction(1, 5))
 
 
 def test_rational_string_round_trip():
@@ -111,13 +121,14 @@ def dense_rref(f, rows, ncols):
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
-        # an exact 1 to divide by: QQ.one() is the int 1
-        inv = (Fraction(1) if f == QQ else f.one()) / R[r][c]
-        R[r] = [a * inv for a in R[r]]
+        # over QQ an exact 1 to divide by (QQ.one() is the int 1); over
+        # GF(p) the modular inverse, every entry reduced as it is written
+        inv = Fraction(1) / R[r][c] if f == QQ else f.inv(R[r][c])
+        R[r] = [f.of(a * inv) for a in R[r]]
         for i in range(len(R)):
             if i != r:
                 fac = R[i][c]
-                R[i] = [a - fac * b for a, b in zip(R[i], R[r])]
+                R[i] = [f.of(a - fac * b) for a, b in zip(R[i], R[r])]
         pivots.append(c)
         r += 1
     return R, tuple(pivots)
@@ -271,11 +282,16 @@ def test_integer_rref_matches_dense_reference_on_large_rationals(rank, negate):
 
 
 def assert_canonical(m):
-    """Every entry is an int or a rational with a denominator > 1."""
+    """Over QQ every entry is an int or a rational with a denominator > 1;
+    over GF(p) every entry is an int in [0, p)."""
+    p = m.field.p
     for row in m.data:
         for x in row:
             assert not isinstance(x, float), x
-            assert type(x) is int or x.denominator != 1, repr(x)
+            if p:
+                assert type(x) is int and 0 <= x < p, (repr(x), p)
+            else:
+                assert type(x) is int or x.denominator != 1, repr(x)
 
 
 def test_rational_entries_are_ints_when_integral():
@@ -310,8 +326,29 @@ def test_qq_of_demotes_integral_rationals():
     for x, want in [(Fraction(1, 2), Fraction(1, 2)), ("-3/6", Fraction(-1, 2))]:
         y = QQ.of(x)
         assert y == want and y.denominator == want.denominator
-    with pytest.raises(TypeError):
-        QQ.of(GF(7).of(3))
+
+
+def test_gf_of_reduces_into_range():
+    f = GF(7)
+    assert (f.zero(), f.one()) == (0, 1)
+    for x, want in [(3, 3), (10, 3), (-1, 6), (-14, 0), (True, 1),
+                    (Fraction(1, 2), 4), ("-3/2", 2), ("5", 5)]:
+        y = f.of(x)
+        assert type(y) is int and y == want, (x, y)
+
+
+@pytest.mark.parametrize("a, b", [(QQ, GF(7)), (GF(5), GF(7)), (GF(7), QQ)])
+def test_field_mismatch_raises(a, b):
+    x = Matrix.identity(a, 2)
+    y = Matrix.identity(b, 2)
+    for op in (lambda: x @ y, lambda: x + y, lambda: x - y,
+               lambda: x.hstack(y), lambda: x.solve_matrix(y),
+               lambda: x.kron(y)):
+        with pytest.raises(TypeError, match="field mismatch"):
+            op()
+    # equal fields built apart are the same field
+    z = Matrix.identity(GF(7) if b.p else QQ, 2)
+    assert y @ z == y and (y + z).data == (y.scale(2)).data
 
 
 def test_inv_is_exact():
@@ -320,7 +357,7 @@ def test_inv_is_exact():
             f.inv(f.zero())
         for v in (1, -1, 2, 3, -5, 6):
             x = f.of(v)
-            assert x * f.inv(x) == f.one()
+            assert f.of(x * f.inv(x)) == f.one()
     assert QQ.inv(3) == Fraction(1, 3)
     assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
     assert QQ.inv(Fraction(-2, 5)) == Fraction(-5, 2)
@@ -329,3 +366,43 @@ def test_inv_is_exact():
     with pytest.raises(ZeroDivisionError):
         QQ.inv(Fraction(0))
     assert GF(7).inv(GF(7).of(3)) == GF(7).of(5)
+
+
+def assert_reduced(v, p):
+    assert all(type(x) is int and 0 <= x < p for x in v), (v, p)
+
+
+@pytest.mark.filterwarnings("ignore:radical via trace form:UserWarning")
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_gf_outputs_are_reduced(p):
+    """Every matrix, vector and structure constant built over GF(p) holds
+    ints in [0, p), whatever the operation that built it."""
+    f = GF(p)
+    rng = random.Random("reduced/%d" % p)
+    for _ in range(6):
+        a = random_matrix(f, rng, 4, 4, 0.8)
+        b = random_matrix(f, rng, 4, 4, 0.8)
+        outs = [a, a @ b, a + b, a - b, -a, a.scale(p - 1), a.scale(-3),
+                a.kron(b), a.rref()[0], a.kernel_basis()]
+        if a.is_invertible():
+            outs += [a.inverse(), a.solve_matrix(b)]
+        for m in outs:
+            assert_canonical(m)
+        assert_reduced(a.mul_vec([p - 1, 1, -1, 2]), p)
+    alg = linear_a_n(3, f)
+    for row in alg.mult:
+        for v in row:
+            assert_reduced(v, p)
+    for _ in range(20):
+        x = [rng.randint(0, p - 1) for _ in range(alg.dim)]
+        y = [rng.randint(0, p - 1) for _ in range(alg.dim)]
+        assert_reduced(alg.product(x, y), p)
+    mods = projective_modules(alg) + injective_modules(alg)
+    mods.append(regular_module(alg))
+    for m in mods:
+        assert_canonical(m.action_of([rng.randint(-p, p) for _ in range(alg.dim)]))
+        for n in mods:
+            for h in hom(m, n):
+                assert_canonical(h.matrix)
+        for v in rad_end(m)[0]:
+            assert_reduced(v, p)
