@@ -112,7 +112,24 @@ class _ClassSet:
 
 def _sweep_quiver_modules(a, cap):
     """Exhaustive 0/1-matrix sweep over quiver representations with
-    total dimension <= cap.  Independent of the closure constructions."""
+    total dimension <= cap.  Independent of the closure constructions.
+
+    A pattern is the bit tuple of the entries (arrow, row, col), arrow by
+    arrow, rows then columns.  It sits on the coordinates: the basis
+    vectors of the vertex spaces, where a set bit joins its arrow's
+    target coordinate `row` to its source coordinate `col`.  Two kinds
+    of pattern are skipped before any matrix is built or relation
+    checked:
+    - a disconnected coordinate graph: each component is a pattern of a
+      smaller dimension vector (so swept earlier) with no more bits, and
+      satisfies the relations, because paths act block-diagonally; the
+      pattern is the direct sum of its components;
+    - a pattern that some permutation of the coordinates within each
+      vertex maps to a lexicographically smaller bit tuple: that one is
+      an isomorphic representation swept earlier.
+    By induction over the sweep order and Krull-Schmidt, every
+    indecomposable summand of a skipped pattern is isomorphic to one
+    already fed, so skipping changes no class and no representative."""
     qd = a.quiver_data
     if qd is None:
         return
@@ -128,10 +145,14 @@ def _sweep_quiver_modules(a, cap):
         if total == 0 or total > cap:
             continue
         shapes = [(dims[tgt[k]], dims[src[k]]) for k in range(len(arrows))]
-        sizes = [r * c for r, c in shapes]
-        if sum(sizes) > SWEEP_BITS:
+        nbits = sum(r * c for r, c in shapes)
+        if nbits > SWEEP_BITS:
             continue  # keep the sweep bounded
-        for bits in itertools.product((0, 1), repeat=sum(sizes)):
+        links, perms = _pattern_symmetries(dims, src, tgt)
+        for bits in itertools.product((0, 1), repeat=nbits):
+            if not _connected(bits, links, total) or any(
+                    bits > tuple(map(bits.__getitem__, p)) for p in perms):
+                continue
             mats = {}
             pos = 0
             for k, (r, c) in enumerate(shapes):
@@ -149,6 +170,42 @@ def _sweep_quiver_modules(a, cap):
                                             validate=False)
             except ModuleError:
                 continue
+
+
+def _pattern_symmetries(dims, src, tgt):
+    """For the patterns of dimension vector dims: per bit, the pair of
+    coordinates it joins, and the bit-index maps of the non-identity
+    permutations of the coordinates within each vertex (p[i] is the bit
+    that the permuted pattern reads at position i)."""
+    offs = [sum(dims[:v]) for v in range(len(dims))]
+    entries = [(k, i, j) for k in range(len(src))
+               for i in range(dims[tgt[k]]) for j in range(dims[src[k]])]
+    links = [(offs[tgt[k]] + i, offs[src[k]] + j) for k, i, j in entries]
+    index = {e: n for n, e in enumerate(entries)}
+    perms = set()
+    for sigma in itertools.product(*(itertools.permutations(range(d))
+                                     for d in dims)):
+        perms.add(tuple(index[k, sigma[tgt[k]][i], sigma[src[k]][j]]
+                        for k, i, j in entries))
+    perms.discard(tuple(range(len(entries))))
+    return links, list(perms)
+
+
+def _connected(bits, links, total):
+    """Is the coordinate graph of the pattern connected?  Reachable
+    coordinates are an int bitmask grown to a fixed point."""
+    adj = [1 << c for c in range(total)]
+    for b, (x, y) in zip(bits, links):
+        if b:
+            adj[x] |= 1 << y
+            adj[y] |= 1 << x
+    seen, reach = 0, 1
+    while reach != seen:
+        seen = reach
+        for c in range(total):
+            if seen >> c & 1:
+                reach |= adj[c]
+    return reach == (1 << total) - 1
 
 
 def _relations_hold(q, rels, mats, dims, src, tgt, f):

@@ -81,9 +81,12 @@ def cosyzygy(m: Module, k: int = 1, strip=True):
     return dual_D(op_syz)
 
 
+@memo
 def minimal_projective_resolution(m: Module, length: int):
     """[(P_i, d_i)] with d_0 : P_0 -> M and d_i : P_i -> P_{i-1},
-    up to index `length` (or shorter if the resolution terminates)."""
+    up to index `length` (or shorter if the resolution terminates).
+    The list is shared by every caller with equal arguments: read it,
+    never change it."""
     out = []
     cur = m
     prev_cover = None

@@ -4,14 +4,21 @@ suites.
 
 Oracles: representation-finite battery algebras with hand-countable
 class lists (A3: 6 intervals; loop-flag: 7 classes; K[x]/(x^3): 3
-uniserials) and the brute-force support-pair count for A3 (14)."""
+uniserials), the brute-force support-pair count for A3 (14), and an
+unpruned 0/1 sweep kept here as the reference for the pruned one."""
 
+import itertools
 import random
+import warnings
 
 import pytest
 
 from gptau.classify import (
+    SWEEP_BITS,
+    SWEEP_CAP,
     CriteriaDisagreement,
+    _ClassSet,
+    _sweep_quiver_modules,
     cm_e_free,
     cm_tau_tilting_free,
     consistency_suites,
@@ -23,18 +30,32 @@ from gptau.classify import (
     tau_inverse_rigid_test,
     tau_rigid_test,
 )
-from gptau.algebra import linear_a_n, t2
+from gptau.algebra import (
+    Quiver,
+    Relation,
+    bound_quiver_algebra,
+    example_loop_flag_algebra,
+    linear_a_n,
+    t2,
+)
+from gptau.field import GF, QQ
+from gptau.linalg import Matrix
 from gptau.approx import generator_data
 from gptau.homalg import is_tau_rigid
 from gptau.memo import entries
 from gptau.tristate import agreement, all_of, no, unknown, yes
 from gptau.module import (
+    ModuleError,
+    _iso_indecomposable,
     direct_sum,
     is_indecomposable,
     is_isomorphic,
     is_projective,
+    module_from_dimvector,
+    module_to_dimvector,
     regular_module,
     simple_modules,
+    split_indecomposables,
 )
 
 
@@ -221,3 +242,96 @@ def test_all_of_and_agreement():
         state = agreement(a, b, 5)
         assert getattr(state, "is_" + want), (a, b, state)
         assert state.bound == 5
+
+
+def _kronecker(f):
+    return bound_quiver_algebra(
+        Quiver((1, 2), (("a", 1, 2), ("b", 1, 2))), [], 2, f)
+
+
+def _commutative_square(f):
+    q = Quiver((1, 2, 3, 4),
+               (("a", 1, 2), ("b", 2, 4), ("c", 1, 3), ("d", 3, 4)))
+    return bound_quiver_algebra(
+        q, [Relation(((1, ("b", "a")), (-1, ("d", "c"))))], 3, f)
+
+
+def _two_loops_radical_square_zero(f):
+    """k[x, y]/(x, y)^2: one vertex, two loops, every path of length 2
+    zero."""
+    q = Quiver((1,), (("x", 1, 1), ("y", 1, 1)))
+    rels = [Relation(((1, p),)) for p in itertools.product("xy", repeat=2)]
+    return bound_quiver_algebra(q, rels, 2, f)
+
+
+def _reference_sweep(a, cap):
+    """Every 0/1 representation of total dimension <= cap with at most
+    SWEEP_BITS entries that is a module (validated, so the relations are
+    checked by the module axioms): no pattern is skipped."""
+    q = a.quiver_data["quiver"]
+    ends = [(name, q.vertex_index(s), q.vertex_index(t))
+            for name, s, t in q.arrows]
+    for dims in itertools.product(range(cap + 1), repeat=len(q.vertices)):
+        if not 0 < sum(dims) <= cap:
+            continue
+        entries = [(name, i, j) for name, s, t in ends
+                   for i in range(dims[t]) for j in range(dims[s])]
+        if len(entries) > SWEEP_BITS:
+            continue
+        for bits in itertools.product((0, 1), repeat=len(entries)):
+            mats = {name: Matrix(a.field, dims[t], dims[s])
+                    for name, s, t in ends}
+            for (name, i, j), bit in zip(entries, bits):
+                mats[name].data[i][j] = bit
+            try:
+                yield module_from_dimvector(a, list(dims), mats)
+            except ModuleError:
+                continue
+
+
+@pytest.mark.parametrize("build", [_kronecker, example_loop_flag_algebra,
+                                   _two_loops_radical_square_zero,
+                                   _commutative_square])
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["QQ", "GF2"])
+def test_pruned_sweep_misses_no_class_of_the_full_sweep(build, field):
+    """Parallel arrows, a loop, two loops and a non-monomial relation: the
+    production sweep skips patterns, the reference feeds them all.  Every
+    summand class the reference builds is a production class, and is
+    already a summand class of the patterns the pruned sweep feeds."""
+    a = build(field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # End/rad and small-prime notes
+        reps = enumerate_indecomposables(a, SWEEP_CAP).representatives
+        swept = [part for m in _sweep_quiver_modules(a, SWEEP_CAP)
+                 for part in split_indecomposables(m)]
+        full = _ClassSet()
+        for m in _reference_sweep(a, SWEEP_CAP):
+            for part in split_indecomposables(m):
+                full.add(part)
+        for pool in (reps, swept):
+            for part in full.all:
+                assert any(r.dim_vector() == part.dim_vector()
+                           and _iso_indecomposable(part, r) for r in pool)
+
+
+@pytest.mark.parametrize("field,count", [(QQ, 24), (GF(2), 19), (GF(3), 22),
+                                         (GF(7), 25)])
+def test_kronecker_class_counts_at_bound_8(field, count):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cls = enumerate_indecomposables(_kronecker(field), 8)
+    assert len(cls.representatives) == count
+    assert not cls.complete
+
+
+def test_sweep_skips_disconnected_and_permuted_patterns():
+    fed = [module_to_dimvector(m) for m in _sweep_quiver_modules(
+        _kronecker(QQ), 4)]
+    patterns = [(dims, mats["a"].data, mats["b"].data) for dims, mats in fed]
+    J, anti, I = [[1, 1], [1, 1]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]
+    assert ([2, 2], J, anti) in patterns
+    # swapping the two coordinates at vertex 2 maps (J, I) onto (J, anti)
+    assert ([2, 2], J, I) not in patterns
+    # the zero representation of dimension vector (1, 1) is S1 + S2
+    assert ([1, 1], [[0]], [[0]]) not in patterns
+    assert ([1, 1], [[1]], [[0]]) in patterns

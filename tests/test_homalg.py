@@ -7,12 +7,15 @@ certifies infinite projective dimension on the loop-flag algebra."""
 
 import pytest
 
+from gptau.algebra import linear_a_n
+from gptau.classify import _extension_middle_terms
 from gptau.homalg import (
     ext_dim,
     global_dimension,
     inj_dim,
     is_tau_rigid,
     minimal_projective_presentation,
+    minimal_projective_resolution,
     proj_dim,
     star_module,
     syzygy,
@@ -20,6 +23,7 @@ from gptau.homalg import (
     tau_inverse,
     transpose_Tr,
 )
+from gptau.memo import entries
 from gptau.module import (
     direct_sum,
     injective_modules,
@@ -84,6 +88,14 @@ def test_ext_nonzero_between_neighbor_simples(a3):
     assert ext_dim(S[0], S[1], 1) == 1
     assert ext_dim(S[1], S[2], 1) == 1
     assert ext_dim(S[0], S[2], 1) == 0
+
+
+def test_extension_middle_terms_resolve_the_module_once():
+    S = simple_modules(linear_a_n(3))  # fresh, so that no cache is warm
+    mids = _extension_middle_terms(S[0], S[1])
+    assert [m.dim_vector() for m in mids] == [(1, 1, 0)]
+    # ext_dim and the pushout read one memoised resolution of S_1
+    assert entries(S[0], minimal_projective_resolution) == [(2,)]
 
 
 def test_inj_dim_matches_duality(loop_flag):
