@@ -355,8 +355,7 @@ def _lift_presentation(g: GammaData, pres: Presentation):
 
 
 def e_gorenstein_projective(m: Module, e: GeneratorData,
-                            bound: int | None = None,
-                            gamma_data: GammaData | None = None) -> TriState:
+                            bound: int | None = None) -> TriState:
     """Relative Gorenstein projectivity through the Hom(E, -) reduction:
     transport m to Gamma, test plain Gorenstein projectivity there, and
     on success lift the Gamma presentation back and compare cokernels."""
@@ -367,7 +366,7 @@ def e_gorenstein_projective(m: Module, e: GeneratorData,
         bound = default_bound(a)
     if m.dim == 0 or in_add(m, e):
         return yes("module lies in add E", bound=bound)
-    g = gamma_data if gamma_data is not None else cached_gamma(e)
+    g = cached_gamma(e)
     n = hom_E(m, g)
     verdict = gorenstein_projective(n, bound)
     if verdict.is_no:
@@ -390,42 +389,6 @@ def cached_gamma(e: GeneratorData) -> GammaData:
     return gamma(e)
 
 
-def e_gp_resolution_probe(m: Module, e: GeneratorData,
-                          bound: int | None = None) -> TriState:
-    """Direct half-check of the relative GP condition: build the add-E
-    resolution by iterated minimal right approximations and verify that
-    Hom(-, E_s) stays exact at every degree.  certified-no refutes
-    relative GP; certified-yes certifies only this half (the resolution
-    side), promoted by kernel periodicity."""
-    from .gorenstein import default_bound
-
-    a = m.algebra
-    if bound is None:
-        bound = default_bound(a)
-    if m.dim == 0 or in_add(m, e):
-        return yes("module lies in add E", bound=bound)
-    cur = m
-    seen = []
-    for step in range(bound):
-        f0 = minimal_right_approx(cur, e)
-        ker, inc = f0.kernel()
-        if ker.dim == 0:
-            return yes("resolution terminates inside add E", bound=bound)
-        # Hom(E0, E_s) -> Hom(ker, E_s) must be onto the restrictions
-        if not all(hom_map_surjective(inc, s) for s in e.basic):
-            return no(
-                "Hom(-, E summand) loses exactness at degree %d"
-                % (step + 1), bound=bound, witness=step + 1,
-            )
-        for j, old in enumerate(seen):
-            if is_isomorphic(ker, old):
-                return yes("kernels periodic (degree %d matches %d)"
-                           % (step + 1, j + 1), bound=bound)
-        seen.append(ker)
-        cur = ker
-    return unknown("resolution half unresolved within bound", bound=bound)
-
-
 # -- the bijection table ------------------------------------------------------
 
 
@@ -444,8 +407,8 @@ class BijectionTable:
 
 
 def eg_classes(e: GeneratorData, bound=None, max_dim=None):
-    """(indecomposable E-GP E-rigid classes, any-unknown flag,
-    classification used)."""
+    """(indecomposable E-GP E-rigid classes, E-rigid classes whose
+    relative GP check is unresolved, classification used)."""
     from .classify import enumerate_indecomposables
     from .gorenstein import default_bound
 
@@ -455,18 +418,16 @@ def eg_classes(e: GeneratorData, bound=None, max_dim=None):
     if max_dim is None:
         max_dim = 2 * a.dim
     cls = enumerate_indecomposables(a, max_dim)
-    g = cached_gamma(e)
-    members = []
-    any_unknown = False
+    members, unknowns = [], []
     for m in cls.representatives:
         if not e_rigid(m, e):
             continue
-        v = e_gorenstein_projective(m, e, bound, gamma_data=g)
+        v = e_gorenstein_projective(m, e, bound)
         if v.is_yes:
             members.append(m)
         elif v.is_unknown:
-            any_unknown = True
-    return members, any_unknown, cls
+            unknowns.append(m)
+    return members, unknowns, cls
 
 
 def bijection_table(e: GeneratorData, bound=None,
@@ -483,7 +444,7 @@ def bijection_table(e: GeneratorData, bound=None,
     if max_dim is None:
         max_dim = 2 * a.dim
     g = cached_gamma(e)
-    left, left_unknown, cls = eg_classes(e, bound, max_dim)
+    left, left_unknowns, cls = eg_classes(e, bound, max_dim)
     gamma_max = max(max_dim, 2 * g.algebra.dim)
     right, right_unknowns, _ = gorenstein_projective_tau_rigid_list(
         g.algebra, bound, gamma_max
@@ -510,5 +471,5 @@ def bijection_table(e: GeneratorData, bound=None,
         raise ModuleError(
             "bijection violated: unmatched Gamma-side classes %s" % missing
         )
-    complete = cls.complete and not left_unknown and not right_unknowns
+    complete = cls.complete and not left_unknowns and not right_unknowns
     return BijectionTable(rows, len(left), len(right), max_dim, complete)

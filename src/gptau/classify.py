@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .algebra import t2, tensor, trivial_algebra
 from .approx import (
     bijection_table,
-    e_gorenstein_projective,
     e_rigid,
     eg_classes,
     in_add,
@@ -395,8 +394,9 @@ def tau_inverse_rigid_test(m: Module) -> bool:
 
 
 def gorenstein_projective_tau_rigid_list(a, bound=None, max_dim=None):
-    """(certified GP tau-rigid indecomposables, unknown-GP list,
-    completeness TriState)."""
+    """(certified GP tau-rigid indecomposable classes, classes whose GP
+    check is unresolved, classification used), the shape of
+    approx.eg_classes."""
     if bound is None:
         bound = default_bound(a)
     if max_dim is None:
@@ -412,18 +412,12 @@ def gorenstein_projective_tau_rigid_list(a, bound=None, max_dim=None):
             members.append(m)
         elif g.is_unknown:
             unknowns.append(m)
-    completeness = (
-        yes("enumeration reached a fixed point", bound=max_dim)
-        if cls.complete and not unknowns
-        else unknown("bound exhausted or unresolved GP checks",
-                     bound=max_dim)
-    )
-    return members, unknowns, completeness
+    return members, unknowns, cls
 
 
 def cm_tau_tilting_free(a, bound=None, max_dim=None) -> TriState:
     """Are all certified-GP tau-rigid modules projective?"""
-    members, unknowns, completeness = gorenstein_projective_tau_rigid_list(
+    members, unknowns, cls = gorenstein_projective_tau_rigid_list(
         a, bound, max_dim
     )
     for m in members:
@@ -432,48 +426,37 @@ def cm_tau_tilting_free(a, bound=None, max_dim=None) -> TriState:
                       witness=m.dim_vector())
     if unknowns:
         return unknown("unresolved GP checks within bound",
-                       bound=completeness.bound)
+                       bound=cls.max_total_dim)
     return yes(
         "all GP tau-rigid classes within bound are projective"
-        + ("" if completeness.is_yes else " (enumeration bound-limited)"),
-        bound=completeness.bound,
+        + ("" if cls.complete else " (enumeration bound-limited)"),
+        bound=cls.max_total_dim,
     )
 
 
 def cm_e_free(e, bound=None, max_dim=None) -> TriState:
     """Is every member of the bounded E-GP E-rigid enumeration a
     summand of E?"""
-    a = e.E.algebra
-    if bound is None:
-        bound = default_bound(a)
-    if max_dim is None:
-        max_dim = 2 * a.dim
-    cls = enumerate_indecomposables(a, max_dim)
-    any_unknown = False
-    for m in cls.representatives:
-        if not e_rigid(m, e):
-            continue
-        g = e_gorenstein_projective(m, e, bound)
-        if g.is_yes and not in_add(m, e):
+    members, unknowns, cls = eg_classes(e, bound, max_dim)
+    for m in members:
+        if not in_add(m, e):
             return no("E-GP E-rigid module outside add E",
-                      witness=m.dim_vector(), bound=max_dim)
-        if g.is_unknown:
-            any_unknown = True
-    if any_unknown:
+                      witness=m.dim_vector(), bound=cls.max_total_dim)
+    if unknowns:
         return unknown("unresolved relative GP checks within bound",
-                       bound=max_dim)
+                       bound=cls.max_total_dim)
     return yes(
         "every E-GP E-rigid class within bound lies in add E"
         + ("" if cls.complete else " (enumeration bound-limited)"),
-        bound=max_dim,
+        bound=cls.max_total_dim,
     )
 
 
 def cm_e_finite(e, bound=None, max_dim=None) -> TriState:
     """Does the count of E-GP E-rigid classes stabilize within bound?"""
-    members, any_unknown, cls = eg_classes(e, bound, max_dim)
+    members, unknowns, cls = eg_classes(e, bound, max_dim)
     top_layer = [m for m in members if m.dim == cls.max_total_dim]
-    if cls.complete and not top_layer and not any_unknown:
+    if cls.complete and not top_layer and not unknowns:
         return yes("count stabilized within bound: %d classes"
                    % len(members), bound=cls.max_total_dim,
                    value=len(members))

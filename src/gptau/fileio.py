@@ -320,10 +320,10 @@ def write_algebra_file(a: Algebra, path):
 
 def parse_module_file(path, algebra: Algebra) -> Module:
     kind = None
-    dims = None
+    dims = dims_at = None
     dim = None
-    arrow_mats = {}
-    action_mats = {}
+    arrow_mats = []  # (name, lineno, matrix) in line order
+    action_mats = []  # (label, lineno, matrix) in line order
     f = algebra.field
     for lineno, kw, rest in _read_lines(path):
         if kw == "kind":
@@ -333,15 +333,13 @@ def parse_module_file(path, algebra: Algebra) -> Module:
                 )
             kind = rest
         elif kw == "dims":
-            dims = _naturals(rest, path, lineno)
+            dims, dims_at = _naturals(rest, path, lineno), lineno
         elif kw == "dim":
             dim = _naturals(rest, path, lineno, one=True)[0]
-        elif kw == "arrow":
+        elif kw in ("arrow", "action"):
             name, _, body = rest.partition(":")
-            arrow_mats[(name.strip(), lineno)] = _parse_matrix(f, body, path, lineno)
-        elif kw == "action":
-            label, _, body = rest.partition(":")
-            action_mats[(label.strip(), lineno)] = _parse_matrix(f, body, path, lineno)
+            (arrow_mats if kw == "arrow" else action_mats).append(
+                (name.strip(), lineno, _parse_matrix(f, body, path, lineno)))
         else:
             raise FormatError(path, lineno, "unknown keyword %r" % kw)
 
@@ -351,11 +349,21 @@ def parse_module_file(path, algebra: Algebra) -> Module:
         if dims is None:
             raise FormatError(path, 0, "quiver-module needs a dims line")
         q = algebra.quiver_data["quiver"]
-        names = {a[0] for a in q.arrows}
+        if len(dims) != len(q.vertices):
+            raise FormatError(path, dims_at, "dims needs %d entries, got %d"
+                              % (len(q.vertices), len(dims)))
+        ends = {name: (q.vertex_index(s), q.vertex_index(t))
+                for name, s, t in q.arrows}
         mats = {}
-        for (name, lineno), mat in arrow_mats.items():
-            if name not in names:
+        for name, lineno, mat in arrow_mats:
+            if name not in ends:
                 raise FormatError(path, lineno, "unknown arrow %r" % name)
+            if name in mats:
+                raise FormatError(path, lineno, "repeated arrow %r" % name)
+            s, t = ends[name]
+            if (mat.rows, mat.cols) != (dims[t], dims[s]):
+                raise FormatError(path, lineno, "arrow %s matrix must be %d x %d"
+                                  % (name, dims[t], dims[s]))
             mats[name] = mat
         try:
             return module_from_dimvector(algebra, dims, mats)
@@ -369,7 +377,7 @@ def parse_module_file(path, algebra: Algebra) -> Module:
         labels = [str(l) for l in algebra.basis_labels]
         index = {lbl: i for i, lbl in enumerate(labels)}
         acts = [None] * algebra.dim
-        for (label, lineno), mat in action_mats.items():
+        for label, lineno, mat in action_mats:
             if label in index:
                 i = index[label]
             else:
@@ -379,6 +387,9 @@ def parse_module_file(path, algebra: Algebra) -> Module:
                     raise FormatError(path, lineno, "unknown basis label %r" % label)
                 if not 0 <= i < algebra.dim:
                     raise FormatError(path, lineno, "basis index out of range")
+            if acts[i] is not None:
+                raise FormatError(path, lineno, "repeated action for basis element %r"
+                                  % labels[i])
             if mat.rows != dim or mat.cols != dim:
                 raise FormatError(path, lineno, "action matrix must be %d x %d" % (dim, dim))
             acts[i] = mat

@@ -26,7 +26,6 @@ from .homalg import (
     ext_vanishes_all_positive,
     inj_dim,
     is_tau_rigid,
-    proj_dim,
     star_module,
     tau_inverse,
 )
@@ -188,58 +187,35 @@ def is_tau_inverse_rigid(m: Module) -> bool:
 # -- tilting and cotilting enumeration --------------------------------------
 
 
-def tilting_modules(a, max_dim: int | None = None, bound: int | None = None):
-    """Basic tilting modules found within the enumeration bound:
-    tau-rigid faithful modules with |M| = |Lambda| and pd <= 1 certified.
-    Completeness is only within the bound."""
-    from .classify import enumerate_indecomposables, tau_rigid_test
+def tilting_modules(a, max_dim: int | None = None):
+    """Basic tilting modules: the support tau-tilting pairs (M, 0) with
+    M faithful, in the order of support_tau_tilting_pairs.  A faithful
+    tau-tilting module is tilting, and every tilting module is a
+    faithful tau-tilting module (Adachi-Iyama-Reiten, "tau-tilting
+    theory", Compos. Math. 150, 2014, Prop. 2.2), so no projective
+    dimension is computed.  Summands are enumerated up to dimension
+    max_dim (default dim A), and the list is complete only within that
+    bound: the Kronecker algebra (dimension 4) has a tilting summand of
+    dimension 7."""
+    from .classify import support_tau_tilting_pairs
 
-    if bound is None:
-        bound = default_bound(a)
     if max_dim is None:
-        max_dim = a.dim  # tilting summands never exceed dim(algebra) here
-    cls = enumerate_indecomposables(a, max_dim)
-    n = a.n_idempotents
-    cands = []
-    for m in cls.representatives:
-        pd = proj_dim(m, bound)
-        if not (pd.is_yes and pd.value <= 1):
-            continue
-        if not tau_rigid_test(m):
-            continue
-        cands.append(m)
-    from .homalg import tau
-
-    taus = [tau(m) for m in cands]
-    k = len(cands)
-    compat = [[True] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if taus[j].dim and len(hom(cands[i], taus[j])):
-                compat[i][j] = compat[j][i] = False
+        max_dim = a.dim
+    rigid, pairs = support_tau_tilting_pairs(a, max_dim)
     out = []
-
-    def extend(start, chosen):
-        if len(chosen) == n:
-            mods = [cands[i] for i in chosen]
-            t = mods[0] if len(mods) == 1 else direct_sum(a, mods)[0]
-            if is_faithful(t):
-                pd = proj_dim(t, bound)
-                if pd.is_yes and pd.value <= 1:
-                    out.append(t)
-            return
-        for i in range(start, k):
-            if all(compat[i][j] and compat[j][i] for j in chosen):
-                extend(i + 1, chosen + [i])
-
-    extend(0, [])
+    for p in pairs:
+        if p.p_summands:  # e_P M = Hom(P, M) = 0: M is not faithful
+            continue
+        mods = [rigid[i] for i in p.m_summands]
+        t = mods[0] if len(mods) == 1 else direct_sum(a, mods)[0]
+        if is_faithful(t):
+            out.append(t)
     return out
 
 
-def cotilting_modules(a, max_dim: int | None = None, bound: int | None = None):
+def cotilting_modules(a, max_dim: int | None = None):
     """Cotilting modules = D of tilting modules over the opposite."""
-    op = a.opposite()
-    return [dual_D(t) for t in tilting_modules(op, max_dim, bound)]
+    return [dual_D(t) for t in tilting_modules(a.opposite(), max_dim)]
 
 
 # -- the nine-condition equivalence report -----------------------------------
@@ -255,8 +231,8 @@ def theorem_report(a, bound: int | None = None, max_dim: int | None = None):
         bound = default_bound(a)
     dlam = co_regular(a)
     reg = regular_module(a)
-    cot = cotilting_modules(a, max_dim, bound)
-    til = tilting_modules(a, max_dim, bound)
+    cot = cotilting_modules(a, max_dim)
+    til = tilting_modules(a, max_dim)
 
     c1 = yes("D(algebra) is projective") if self_injective(a) else no(
         "D(algebra) is not projective"

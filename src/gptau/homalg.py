@@ -14,6 +14,7 @@ from .module import (
     Module,
     ModuleMap,
     ModuleError,
+    _proj_embedding,
     direct_sum,
     dual_D,
     hom,
@@ -59,26 +60,25 @@ def minimal_projective_presentation(m: Module) -> Presentation:
     return Presentation(m, p0, f0, p1, f1, idx0, idx1)
 
 
-def syzygy(m: Module, k: int = 1, strip=True):
+def syzygy(m: Module, k: int = 1):
     """Omega^k m.  Omega^0 strips projective summands; each step takes
-    the kernel of the projective cover (stripped by the minimal-syzygy
-    convention unless strip=False)."""
+    the kernel of the projective cover, stripped by the minimal-syzygy
+    convention."""
     if k < 0:
         raise ValueError("syzygy degree must be nonnegative")
-    cur = strip_projectives(m) if strip else m
+    cur = strip_projectives(m)
     for _ in range(k):
         if cur.dim == 0:
             return zero_module(m.algebra)
         _, f0, _ = projective_cover(cur)
         ker, _ = f0.kernel()
-        cur = strip_projectives(ker) if strip else ker
+        cur = strip_projectives(ker)
     return cur
 
 
-def cosyzygy(m: Module, k: int = 1, strip=True):
+def cosyzygy(m: Module, k: int = 1):
     """Omega^{-k} m: cokernels of injective envelopes, via duality."""
-    op_syz = syzygy(dual_D(m), k, strip=strip)
-    return dual_D(op_syz)
+    return dual_D(syzygy(dual_D(m), k))
 
 
 @memo
@@ -259,8 +259,8 @@ def star_of_projective_map(f1: ModuleMap, p1_idx, p0_idx):
             # x -> elem . x in the opposite algebra
             src_p = op_projs[p0_idx[r]]
             tgt_p = op_projs[p1_idx[c]]
-            emb_s = _op_proj_embedding(op, p0_idx[r])
-            emb_t = _op_proj_embedding(op, p1_idx[c])
+            emb_s = _proj_embedding(op, p0_idx[r])
+            emb_t = _proj_embedding(op, p1_idx[c])
             cols = []
             for j in range(src_p.dim):
                 u = emb_s.col(j)
@@ -283,8 +283,6 @@ def _map_to_algebra_matrix(f1: ModuleMap, p1_idx, p0_idx):
     multiplication by it realises the component)."""
     a = f1.source.algebra
     f = a.field
-    from .module import _proj_embedding
-
     p1 = f1.source
     p0 = f1.target
     projs = projective_modules(a)
@@ -331,12 +329,6 @@ def _summand_offsets(projs, idx):
         offs.append(off)
         off += projs[i].dim
     return offs
-
-
-def _op_proj_embedding(op, i):
-    from .module import _proj_embedding
-
-    return _proj_embedding(op, i)
 
 
 def transpose_Tr(m: Module) -> Module:

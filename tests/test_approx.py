@@ -16,7 +16,6 @@ from gptau.approx import (
     bijection_table,
     cached_gamma,
     e_gorenstein_projective,
-    e_gp_resolution_probe,
     e_rigid,
     eg_classes,
     generator_data,
@@ -125,12 +124,6 @@ def test_e_gp_detection(a3, e1):
     s1 = simple_modules(a3)[0]
     res = e_gorenstein_projective(s1, e1)
     assert res.is_no
-
-
-def test_e_gp_probe_agrees(a3, e1):
-    for p in projective_modules(a3):
-        probe = e_gp_resolution_probe(p, e1)
-        assert not probe.is_no
 
 
 def test_class_bijection(e1, loop_flag):

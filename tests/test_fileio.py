@@ -171,12 +171,24 @@ def test_action_axiom_violation_reported(tmp_path):
     assert "alpha" in str(exc.value)
 
 
-def test_shape_mismatch_reported(tmp_path):
+@pytest.mark.parametrize("text, lineno, msg", [
+    ("kind quiver-module\ndims 1 1 0\narrow a : 1 0\n", 3, "must be 1 x 1"),
+    ("kind quiver-module\ndims 1 1\narrow a : 1\n", 2, "dims needs 3"),
+    ("kind quiver-module\ndims 1 1 0\narrow a : 1\narrow a : 0\n", 4,
+     "repeated arrow"),
+    ("kind module\ndim 1\naction e_1 : 1\naction 0 : 1\n", 4,
+     "repeated action"),
+    ("kind quiver-module\ndims 1 1 0\narrow a1 : 1\n", 3, "unknown arrow"),
+], ids=["arrow-shape", "dims-length", "repeated-arrow", "repeated-action",
+        "unknown-arrow"])
+def test_shape_mismatch_reported(tmp_path, text, lineno, msg):
     a3 = parse_algebra_file(fx("a3.alg"))
     p = tmp_path / "bad.mod"
-    p.write_text("kind quiver-module\ndims 1 1 0\narrow a1 : 1 0\n")
-    with pytest.raises(FormatError):
+    p.write_text(text)
+    with pytest.raises(FormatError) as exc:
         parse_module_file(str(p), a3)
+    assert exc.value.lineno == lineno
+    assert msg in str(exc.value)
 
 
 @pytest.mark.parametrize("fixture, line, bad", [

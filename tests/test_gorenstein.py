@@ -7,9 +7,12 @@ is self-injective; the loop-flag algebra is 1-Gorenstein with
 non-projective GP modules; all nine equivalent conditions must agree
 whenever certified."""
 
+import warnings
+
 import pytest
 
-from gptau.algebra import linear_a_n
+from gptau.algebra import Quiver, Relation, bound_quiver_algebra, linear_a_n
+from gptau.field import GF, QQ
 from gptau.gorenstein import (
     co_regular,
     gorenstein_algebra,
@@ -22,10 +25,12 @@ from gptau.gorenstein import (
     tilting_modules,
     cotilting_modules,
 )
-from gptau.homalg import syzygy
+from gptau.homalg import is_tau_rigid, proj_dim, syzygy
 from gptau.module import (
+    decompose,
     dual_D,
     injective_modules,
+    is_faithful,
     is_isomorphic,
     projective_modules,
     regular_module,
@@ -116,12 +121,40 @@ def test_co_regular_is_injective_sum(a3):
     assert total == d.dim
 
 
+def _kronecker(f):
+    return bound_quiver_algebra(
+        Quiver((1, 2), (("a", 1, 2), ("b", 1, 2))), [], 2, f)
+
+
+def _commutative_square(f):
+    q = Quiver((1, 2, 3, 4),
+               (("a", 1, 2), ("b", 2, 4), ("c", 1, 3), ("d", 3, 4)))
+    return bound_quiver_algebra(
+        q, [Relation(((1, ("b", "a")), (-1, ("d", "c"))))], 3, f)
+
+
 def test_tilting_modules_hereditary_count(a3):
     # linear A3 has exactly 5 tilting modules (Catalan number C_3)
-    tils = tilting_modules(a3)
-    assert len(tils) == 5
-    cots = cotilting_modules(a3)
-    assert len(cots) == 5
+    assert len(cotilting_modules(a3)) == 5
+    # tilting modules are read off the support tau-tilting pairs (M, 0)
+    # with M faithful (Adachi-Iyama-Reiten Prop. 2.2); each one must be
+    # basic with n summands, tau-rigid and of projective dimension <= 1.
+    # The Kronecker algebra has a tilting summand of dimension 7, so
+    # bound 4 misses four of its tilting modules.
+    cases = [(a3, None, 5), (linear_a_n(4), None, 14),
+             (_commutative_square(QQ), 8, 14)]
+    cases += [(_kronecker(f), b, want) for f in (QQ, GF(2))
+              for b, want in ((4, 2), (8, 6))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # bound-limited enumerations
+        for a, b, want in cases:
+            tils = tilting_modules(a, b)
+            assert len(tils) == want, (a.dim, b)
+            for t in tils:
+                assert is_faithful(t) and is_tau_rigid(t)
+                assert [k for _, k in decompose(t)] == [1] * a.n_idempotents
+                pd = proj_dim(t)
+                assert pd.is_yes and pd.value <= 1
 
 
 def test_self_injective_algebra_unique_tilting(kx3):
