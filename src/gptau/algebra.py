@@ -61,6 +61,16 @@ class Relation:
 
     terms: tuple  # of (coeff, tuple_of_arrow_names)
 
+    def text(self, field: FieldSpec) -> str:
+        """The relation in the `.alg` syntax, coefficients in the field:
+        `b.a + -1*d.c`."""
+        parts = []
+        for coeff, names in self.terms:
+            c = field.of(coeff)
+            p = ".".join(names)
+            parts.append(p if c == field.one() else "%s*%s" % (c, p))
+        return " + ".join(parts)
+
 
 class Algebra:
     """Basic finite-dimensional algebra with explicit idempotents.

@@ -117,18 +117,19 @@ def _sweep_quiver_modules(a, cap):
     arrow, rows then columns.  It sits on the coordinates: the basis
     vectors of the vertex spaces, where a set bit joins its arrow's
     target coordinate `row` to its source coordinate `col`.  Two kinds
-    of pattern are skipped before any matrix is built or relation
-    checked:
+    of pattern are skipped before any matrix is built or checked:
     - a disconnected coordinate graph: each component is a pattern of a
       smaller dimension vector (so swept earlier) with no more bits, and
-      satisfies the relations, because paths act block-diagonally; the
-      pattern is the direct sum of its components;
+      is a module when the pattern is, because paths act
+      block-diagonally; the pattern is the direct sum of its components;
     - a pattern that some permutation of the coordinates within each
       vertex maps to a lexicographically smaller bit tuple: that one is
       an isomorphic representation swept earlier.
     By induction over the sweep order and Krull-Schmidt, every
     indecomposable summand of a skipped pattern is isomorphic to one
-    already fed, so skipping changes no class and no representative."""
+    already fed, so skipping changes no class and no representative.
+    The patterns fed are checked by module_from_dimvector on their arrow
+    matrices, relations first."""
     qd = a.quiver_data
     if qd is None:
         return
@@ -137,7 +138,6 @@ def _sweep_quiver_modules(a, cap):
     arrows = q.arrows
     src = [q.vertex_index(x[1]) for x in arrows]
     tgt = [q.vertex_index(x[2]) for x in arrows]
-    rels = qd.get("relations") or []
     f = a.field
     for dims in itertools.product(range(cap + 1), repeat=nv):
         total = sum(dims)
@@ -162,11 +162,8 @@ def _sweep_quiver_modules(a, cap):
                             m.data[i][j] = f.one()
                         pos += 1
                 mats[arrows[k][0]] = m
-            if not _relations_hold(q, rels, mats, dims, src, tgt, f):
-                continue
             try:
-                yield module_from_dimvector(a, list(dims), mats,
-                                            validate=False)
+                yield module_from_dimvector(a, list(dims), mats)
             except ModuleError:
                 continue
 
@@ -205,21 +202,6 @@ def _connected(bits, links, total):
             if seen >> c & 1:
                 reach |= adj[c]
     return reach == (1 << total) - 1
-
-
-def _relations_hold(q, rels, mats, dims, src, tgt, f):
-    for rel in rels:
-        acc = None
-        for coeff, names in rel.terms:
-            prod = None
-            for nm in reversed(names):
-                m = mats[nm]
-                prod = m if prod is None else m @ prod
-            term = prod.scale(f.of(coeff))
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
-            return False
-    return True
 
 
 @memo

@@ -36,6 +36,15 @@ Module files (`.mod`), interpreted over a given algebra::
     dim 2
     action e1 : 1 0 ; 0 0     # one matrix per algebra basis label
     ...
+
+A line of the other kind (`dim` or `action` in a quiver-module file,
+`dims` or `arrow` in a module file) is a FormatError at its line.  A
+quiver-module is checked on its arrow matrices: every relation of the
+algebra and every path of length `nilpotency` must act as zero
+(module.module_from_dimvector); the error names the failed relation.
+A module file is checked against the structure constants:
+basis_i basis_j must act as the product of the two actions
+(Module.validate).
 """
 
 from __future__ import annotations
@@ -152,15 +161,6 @@ def _parse_relation(rest, path, lineno):
             raise FormatError(path, lineno, "malformed path in %r" % term)
         terms.append((coeff, names))
     return Relation(tuple(terms))
-
-
-def _format_relation(rel: Relation, field: FieldSpec):
-    parts = []
-    for coeff, names in rel.terms:
-        c = field.of(coeff)
-        p = ".".join(names)
-        parts.append(p if c == field.one() else "%s*%s" % (_format_scalar(c), p))
-    return " + ".join(parts)
 
 
 # -- algebra files -----------------------------------------------------------
@@ -290,7 +290,7 @@ def write_algebra_file(a: Algebra, path):
         for name, s, t in q.arrows:
             lines.append("arrow %s %s %s" % (name, s, t))
         for rel in qd["relations"]:
-            lines.append("relation %s" % _format_relation(rel, f))
+            lines.append("relation %s" % rel.text(f))
         lines.append("nilpotency %d" % qd["nilpotency_bound"])
     else:
         lines.insert(0, "kind table")
@@ -322,6 +322,7 @@ def parse_module_file(path, algebra: Algebra) -> Module:
     kind = None
     dims = dims_at = None
     dim = None
+    first = {}  # keyword -> line of its first use
     arrow_mats = []  # (name, lineno, matrix) in line order
     action_mats = []  # (label, lineno, matrix) in line order
     f = algebra.field
@@ -342,7 +343,15 @@ def parse_module_file(path, algebra: Algebra) -> Module:
                 (name.strip(), lineno, _parse_matrix(f, body, path, lineno)))
         else:
             raise FormatError(path, lineno, "unknown keyword %r" % kw)
+        first.setdefault(kw, lineno)
 
+    # a line of the other module kind would otherwise be ignored
+    other = {"quiver-module": ("dim", "action"), "module": ("dims", "arrow")}
+    stray = [(first[kw], kw) for kw in other.get(kind, ()) if kw in first]
+    if stray:
+        lineno, kw = min(stray)
+        raise FormatError(path, lineno, "%r lines do not belong in a "
+                          "'kind %s' file" % (kw, kind))
     if kind == "quiver-module":
         if algebra.quiver_data is None:
             raise FormatError(path, 0, "algebra has no quiver presentation")

@@ -45,16 +45,24 @@ class Presentation:
 
 
 @memo
+def _cover_kernel(m: Module):
+    """(P, f: P -> m, summand indices, ker f, inclusion ker f -> P): the
+    projective cover and its kernel, built once per module and shared
+    by presentations, syzygies and resolutions."""
+    p, f, idx = projective_cover(m)
+    ker, inc = f.kernel()
+    return p, f, idx, ker, inc
+
+
+@memo
 def minimal_projective_presentation(m: Module) -> Presentation:
-    a = m.algebra
-    p0, f0, idx0 = projective_cover(m)
     if m.dim == 0:
-        z = zero_module(a)
+        z = zero_module(m.algebra)
         return Presentation(
             m, z, ModuleMap(z, m, Matrix(m.field, 0, 0)),
             z, ModuleMap(z, z, Matrix(m.field, 0, 0)), [], []
         )
-    ker, inc = f0.kernel()
+    p0, f0, idx0, ker, inc = _cover_kernel(m)
     p1, g, idx1 = projective_cover(ker)
     f1 = ModuleMap(p1, p0, inc.matrix @ g.matrix)
     return Presentation(m, p0, f0, p1, f1, idx0, idx1)
@@ -70,9 +78,7 @@ def syzygy(m: Module, k: int = 1):
     for _ in range(k):
         if cur.dim == 0:
             return zero_module(m.algebra)
-        _, f0, _ = projective_cover(cur)
-        ker, _ = f0.kernel()
-        cur = strip_projectives(ker)
+        cur = strip_projectives(_cover_kernel(cur)[3])
     return cur
 
 
@@ -89,19 +95,15 @@ def minimal_projective_resolution(m: Module, length: int):
     never change it."""
     out = []
     cur = m
-    prev_cover = None
+    inc = None  # inclusion of the current module into the last P_i
     for i in range(length + 1):
         if cur.dim == 0:
             break
-        p, f, _ = projective_cover(cur)
-        if prev_cover is None:
-            out.append((p, f))
-        else:
-            ker, inc = prev_cover
-            out.append((p, ModuleMap(p, inc.target, inc.matrix @ f.matrix)))
-        ker, inc = f.kernel()
-        prev_cover = (ker, ModuleMap(ker, p, inc.matrix))
-        cur = ker
+        p, f, _, ker, nxt = _cover_kernel(cur)
+        if inc is not None:
+            f = ModuleMap(p, inc.target, inc.matrix @ f.matrix)
+        out.append((p, f))
+        cur, inc = ker, nxt
     return out
 
 

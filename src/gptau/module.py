@@ -2,6 +2,12 @@
 isomorphism testing, simples/projectives/injectives, duality, and the
 triple form of modules over triangular matrix algebras.
 
+A Module is valid when its actions satisfy the structure constants
+(Module.validate).  A quiver representation is checked on its arrows
+instead: it is a module iff every relation and every path of length
+nilpotency_bound act as zero (module_from_dimvector), which is the same
+condition and costs no d x d product per pair of basis elements.
+
 A Module stores one action matrix per algebra basis element, in a basis
 adapted to the idempotent grading (coordinates grouped block by block,
 with each idempotent acting as the coordinate projector of its block).
@@ -358,48 +364,163 @@ def quotient_module(m: Module, basis: Matrix):
 # -- quiver-presented conversion -----------------------------------------
 
 
-def module_from_dimvector(algebra: Algebra, dims, arrow_mats, validate=True):
-    """Module over a quiver-presented algebra from per-vertex dimensions
-    and per-arrow matrices (matrix for a: i->j has shape d_j x d_i)."""
+@memo
+def _quiver_layout(algebra: Algebra):
+    """(arrow names, (source, target) vertex indices per arrow, the
+    arrows into each vertex, each relation as [(coefficient, path)]) of
+    a quiver-presented algebra."""
     qd = algebra.quiver_data
-    if qd is None:
-        raise ModuleError("algebra has no quiver presentation")
     q = qd["quiver"]
-    f = algebra.field
-    nv = len(q.vertices)
-    if len(dims) != nv:
-        raise ModuleError("dimension vector length mismatch")
-    total = sum(dims)
-    offs = []
-    off = 0
-    for d in dims:
-        offs.append(off)
-        off += d
-    src = {a[0]: q.vertex_index(a[1]) for a in q.arrows}
-    tgt = {a[0]: q.vertex_index(a[2]) for a in q.arrows}
-    for name, mat in arrow_mats.items():
-        if mat.rows != dims[tgt[name]] or mat.cols != dims[src[name]]:
-            raise ModuleError(
-                "arrow %s matrix must be %d x %d"
-                % (name, dims[tgt[name]], dims[src[name]])
-            )
-    acts = []
-    for s, arrows in qd["paths"]:
-        big = Matrix(f, total, total)
-        if not arrows:
-            for r in range(dims[s]):
-                big.data[offs[s] + r][offs[s] + r] = f.one()
-        else:
-            prod = None
-            for ai in reversed(arrows):  # apply rightmost arrow first
-                name = q.arrows[ai][0]
-                mat = arrow_mats.get(name)
-                if mat is None:
-                    mat = Matrix(f, dims[tgt[name]], dims[src[name]])
-                prod = mat if prod is None else mat @ prod
-            _place(big, prod, offs[tgt[q.arrows[arrows[0]][0]]], offs[s])
-        acts.append(big)
-    return Module(algebra, acts, validate=validate)
+    names = [a[0] for a in q.arrows]
+    ends = [(q.vertex_index(s), q.vertex_index(t)) for _, s, t in q.arrows]
+    into = [[k for k, (_, t) in enumerate(ends) if t == v]
+            for v in range(len(q.vertices))]
+    index = {name: k for k, name in enumerate(names)}
+    rels = [[(algebra.field.of(c), tuple(index[nm] for nm in p))
+             for c, p in rel.terms] for rel in qd["relations"]]
+    return names, ends, into, rels
+
+
+class _Representation:
+    """Arrow matrices over a quiver-presented algebra, with the matrix of
+    each path built once (a path is a tuple of arrow indices, rightmost
+    first, as in quiver_data["paths"])."""
+
+    def __init__(self, algebra: Algebra, dims, arrow_mats):
+        if algebra.quiver_data is None:
+            raise ModuleError("algebra has no quiver presentation")
+        names, self.ends, self.into, self.rels = _quiver_layout(algebra)
+        if len(dims) != len(self.into):
+            raise ModuleError("dimension vector length mismatch")
+        for name in arrow_mats:
+            if name not in names:
+                raise ModuleError("unknown arrow %r" % (name,))
+        self.algebra = algebra
+        self.dims = dims
+        self.mats = []
+        for name, (s, t) in zip(names, self.ends):
+            mat = arrow_mats.get(name)
+            if mat is None:
+                mat = Matrix(algebra.field, dims[t], dims[s])
+            elif mat.rows != dims[t] or mat.cols != dims[s]:
+                raise ModuleError("arrow %s matrix must be %d x %d"
+                                  % (name, dims[t], dims[s]))
+            self.mats.append(mat)
+        self._paths = {}
+
+    def path(self, arrows):
+        """The matrix of a path of length >= 1."""
+        if len(arrows) == 1:
+            return self.mats[arrows[0]]
+        m = self._paths.get(arrows)
+        if m is None:
+            m = self._paths[arrows] = (self.mats[arrows[0]]
+                                       @ self.path(arrows[1:]))
+        return m
+
+    def check(self):
+        """ModuleError unless every relation and every path of length
+        B = nilpotency_bound act as zero (module_from_dimvector says why
+        that decides validity).  The relations are evaluated path by
+        path.  The paths of length B can be exponentially many, so
+        they are checked through spans instead: S_k(s, t) is the span
+        of the actions of the paths of length k from s to t, and
+        S_{k+1}(s, t) is spanned by a.X for the arrows a: u -> t and X
+        in a spanning list of S_k(s, u).  A list longer than
+        dim Hom(V_s, V_t) = d_s d_t is cut to a basis, so no list grows
+        past (number of arrows) * d_s * d; the zero products are
+        dropped, and once every S_k(s, -) is zero so are the later
+        ones."""
+        qd = self.algebra.quiver_data
+        f = self.algebra.field
+        for rel, terms in zip(qd["relations"], self.rels):
+            acc = None
+            for c, arrows in terms:
+                term = self.path(arrows)
+                if c != 1:
+                    term = term.scale(c)
+                acc = term if acc is None else acc + term
+            if not acc.is_zero():
+                raise ModuleError("relation %s does not act as zero"
+                                  % rel.text(f))
+        B = qd["nilpotency_bound"]
+        dims = self.dims
+        for s in range(len(dims)):
+            # S_1(s, t): the nonzero arrows s -> t
+            span = {}
+            for k, (u, t) in enumerate(self.ends):
+                if u == s and not self.mats[k].is_zero():
+                    span.setdefault(t, []).append(self.mats[k])
+            for _ in range(B - 1):  # S_2, ..., S_B
+                if not span:
+                    break
+                nxt = {}
+                for t, arrows in enumerate(self.into):
+                    gens = [g for k in arrows
+                            for x in span.get(self.ends[k][0], ())
+                            for g in (self.mats[k] @ x,) if not g.is_zero()]
+                    if gens:
+                        nxt[t] = _span_basis(f, gens, dims[s] * dims[t])
+                span = nxt
+            if span:
+                raise ModuleError("a path of length %d (the nilpotency "
+                                  "bound) acts as nonzero" % B)
+
+    def actions(self):
+        """The action matrix of each basis path of the algebra, with no
+        validity check."""
+        f = self.algebra.field
+        dims = self.dims
+        total = sum(dims)
+        offs = [sum(dims[:v]) for v in range(len(dims))]
+        acts = []
+        for s, arrows in self.algebra.quiver_data["paths"]:
+            big = Matrix(f, total, total)
+            if not arrows:
+                one = f.one()
+                for r in range(offs[s], offs[s] + dims[s]):
+                    big.data[r][r] = one
+            else:
+                _place(big, self.path(arrows),
+                       offs[self.ends[arrows[0]][1]], offs[s])
+            acts.append(big)
+        return acts
+
+
+def _span_basis(f, mats, dim):
+    """mats, or a basis of their span chosen among them when there are
+    more than dim (the dimension of the space they live in)."""
+    if len(mats) <= dim:
+        return mats
+    cols = Matrix._adopt(f, dim, len(mats), [list(r) for r in zip(
+        *[[x for row in m.data for x in row] for m in mats])])
+    return [mats[j] for j in cols.rref()[1]]
+
+
+def module_from_dimvector(algebra: Algebra, dims, arrow_mats):
+    """Module over a quiver-presented algebra from per-vertex dimensions
+    and per-arrow matrices (matrix for a: i->j has shape d_j x d_i;
+    omitted arrows act as 0).
+
+    Validity is decided on the arrow matrices, before any d x d action
+    is built.  A representation of Q is a module over kQ/J exactly when
+    the ideal J acts as zero (Assem-Simson-Skowronski, Elements of the
+    Representation Theory of Associative Algebras 1, Ch. III), and it
+    does when its generators do.
+    bound_quiver_algebra rejects an algebra in which a path of length
+    B = nilpotency_bound survives, so the ideal it divides by is
+    J = I + kQ_{>=B}, generated by the relations and the paths of length
+    B (a longer path has a length-B factor).  So the arrow matrices
+    define a module iff (1) every relation evaluates to 0 and (2) every
+    path of length B acts as 0; _Representation.check tests both, and
+    its ModuleError names the failed relation or the path length.  The
+    vertices and arrows are basis elements of the algebra (relations
+    have length >= 2), so the actions of the basis paths built here
+    then satisfy the structure constants: Module.validate accepts them,
+    and rejects them when (1) or (2) fails."""
+    rep = _Representation(algebra, dims, arrow_mats)
+    rep.check()
+    return Module(algebra, rep.actions(), validate=False)
 
 
 def module_to_dimvector(m: Module):
@@ -890,6 +1011,7 @@ def simple_modules(algebra: Algebra):
     return [top_of(p)[0] for p in projective_modules(algebra)]
 
 
+@memo
 def dual_D(m: Module) -> Module:
     """K-dual, a module over the opposite algebra (actions transposed)."""
     op = m.algebra.opposite()
@@ -902,11 +1024,13 @@ def injective_modules(algebra: Algebra):
     return [dual_D(p) for p in projective_modules(algebra.opposite())]
 
 
+@memo
 def projective_cover(m: Module):
     """(P, f: P -> m, summand idempotent indices).
 
     P is the direct sum of P_i^{mult of S_i in top m}; f is surjective
-    with superfluous kernel."""
+    with superfluous kernel.  Memoised on m: read the result, never
+    change it."""
     a = m.algebra
     f = m.field
     if m.dim == 0:

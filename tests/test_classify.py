@@ -45,13 +45,14 @@ from gptau.homalg import is_tau_rigid
 from gptau.memo import entries
 from gptau.tristate import agreement, all_of, no, unknown, yes
 from gptau.module import (
+    Module,
     ModuleError,
+    _Representation,
     _iso_indecomposable,
     direct_sum,
     is_indecomposable,
     is_isomorphic,
     is_projective,
-    module_from_dimvector,
     module_to_dimvector,
     regular_module,
     simple_modules,
@@ -266,8 +267,9 @@ def _two_loops_radical_square_zero(f):
 
 def _reference_sweep(a, cap):
     """Every 0/1 representation of total dimension <= cap with at most
-    SWEEP_BITS entries that is a module (validated, so the relations are
-    checked by the module axioms): no pattern is skipped."""
+    SWEEP_BITS entries that is a module: no pattern is skipped, and the
+    actions of the basis paths are checked against the structure
+    constants (Module.validate), not by module_from_dimvector's rule."""
     q = a.quiver_data["quiver"]
     ends = [(name, q.vertex_index(s), q.vertex_index(t))
             for name, s, t in q.arrows]
@@ -283,10 +285,13 @@ def _reference_sweep(a, cap):
                     for name, s, t in ends}
             for (name, i, j), bit in zip(entries, bits):
                 mats[name].data[i][j] = bit
+            m = Module(a, _Representation(a, list(dims), mats).actions(),
+                       validate=False)
             try:
-                yield module_from_dimvector(a, list(dims), mats)
+                m.validate()
             except ModuleError:
                 continue
+            yield m
 
 
 @pytest.mark.parametrize("build", [_kronecker, example_loop_flag_algebra,
@@ -312,6 +317,32 @@ def test_pruned_sweep_misses_no_class_of_the_full_sweep(build, field):
             for part in full.all:
                 assert any(r.dim_vector() == part.dim_vector()
                            and _iso_indecomposable(part, r) for r in pool)
+
+
+def _x2_minus_x3(f):
+    """One loop x with the non-homogeneous relation x^2 - x^3 at
+    nilpotency bound 3: x^3 = x^4 = 0 forces x^2 = 0, so dim A = 2."""
+    q = Quiver((1,), (("x", 1, 1),))
+    return bound_quiver_algebra(
+        q, [Relation(((1, ("x", "x")), (-1, ("x", "x", "x"))))], 3, f)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["QQ", "GF2", "GF3"])
+def test_sweep_keeps_no_representation_that_only_satisfies_the_relations(
+        field):
+    """x -> [1] satisfies x^2 - x^3 = 0 but x^3 acts as 1, not 0: it is
+    no module.  The classes are the simple and the projective k[x]/x^2."""
+    a = _x2_minus_x3(field)
+    assert a.dim == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small-prime trace form notes
+        cls = enumerate_indecomposables(a, 4)
+    assert len(cls.representatives) == 2
+    assert sorted(m.dim for m in cls.representatives) == [1, 2]
+    for m in cls.representatives:
+        m.validate()
+    for m in _sweep_quiver_modules(a, 4):
+        m.validate()
 
 
 @pytest.mark.parametrize("field,count", [(QQ, 24), (GF(2), 19), (GF(3), 22),

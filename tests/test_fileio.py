@@ -179,8 +179,15 @@ def test_action_axiom_violation_reported(tmp_path):
     ("kind module\ndim 1\naction e_1 : 1\naction 0 : 1\n", 4,
      "repeated action"),
     ("kind quiver-module\ndims 1 1 0\narrow a1 : 1\n", 3, "unknown arrow"),
+    ("kind quiver-module\ndims 1 0 0\naction e_1 : 5\n", 3,
+     "'action' lines do not belong"),
+    ("kind quiver-module\ndim 1\ndims 1 0 0\n", 2, "'dim' lines do not"),
+    ("kind module\ndim 0\narrow a : 1 0 ; 0 1\ndims 4 4\n", 3,
+     "'arrow' lines do not belong"),
+    ("kind module\ndim 0\ndims 4 4\n", 3, "'dims' lines do not belong"),
 ], ids=["arrow-shape", "dims-length", "repeated-arrow", "repeated-action",
-        "unknown-arrow"])
+        "unknown-arrow", "action-in-quiver-module", "dim-in-quiver-module",
+        "arrow-in-module", "dims-in-module"])
 def test_shape_mismatch_reported(tmp_path, text, lineno, msg):
     a3 = parse_algebra_file(fx("a3.alg"))
     p = tmp_path / "bad.mod"

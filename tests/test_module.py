@@ -13,6 +13,7 @@ import pytest
 from gptau.algebra import (
     Algebra,
     Quiver,
+    Relation,
     bound_quiver_algebra,
     cyclic_nakayama,
     example_loop_flag_algebra,
@@ -585,6 +586,77 @@ def test_rebasing_matches_the_conjugation_by_the_adapted_basis(battery, p):
     raw = [table.left_mult_matrix(table._basis_vec(i)) for i in range(3)]
     _assert_adapted(regular_module(table), raw)
     assert not _is_permutation(regular_module(table).from_raw_matrix())
+
+
+def _commutative_square(f):
+    q = Quiver((1, 2, 3, 4),
+               (("a", 1, 2), ("b", 2, 4), ("c", 1, 3), ("d", 3, 4)))
+    return bound_quiver_algebra(
+        q, [Relation(((1, ("b", "a")), (-1, ("d", "c"))))], 3, f)
+
+
+def _two_loops_radical_square_zero(f):
+    q = Quiver((1,), (("x", 1, 1), ("y", 1, 1)))
+    return bound_quiver_algebra(
+        q, [Relation(((1, (u, v)),)) for u in "xy" for v in "xy"], 2, f)
+
+
+def _x2_minus_x3(f):
+    q = Quiver((1,), (("x", 1, 1),))
+    return bound_quiver_algebra(
+        q, [Relation(((1, ("x", "x")), (-1, ("x", "x", "x"))))], 3, f)
+
+
+@pytest.mark.parametrize("build", [
+    lambda f: linear_a_n(3, f), example_loop_flag_algebra, _commutative_square,
+    _two_loops_radical_square_zero, _x2_minus_x3,
+], ids=["A3", "loop-flag", "square", "xy-rad2", "x2-x3"])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["QQ", "GF2", "GF3"])
+def test_arrow_check_agrees_with_the_structure_constants(build, field):
+    """module_from_dimvector (relations and length-B paths on the arrow
+    matrices) accepts exactly the representations whose path actions
+    pass Module.validate, on random 0/1 and small-integer matrices."""
+    a = build(field)
+    f = a.field
+    q = a.quiver_data["quiver"]
+    rng = random.Random(20261019)
+    seen = Counter()
+    for trial in range(80):
+        dims = [rng.randint(0, 3) for _ in q.vertices]
+        values = (0, 1) if trial % 2 else (0, 0, 1, -1, 2)
+        mats = {}
+        for name, s, t in q.arrows:
+            rows, cols = dims[q.vertex_index(t)], dims[q.vertex_index(s)]
+            mats[name] = Matrix(f, rows, cols, [
+                [rng.choice(values) for _ in range(cols)] for _ in range(rows)])
+        oracle = Module(a, _quiver_raw(a, dims, mats), validate=False)
+        try:
+            oracle.validate()
+            valid = True
+        except ModuleError:
+            valid = False
+        try:
+            m = module_from_dimvector(a, dims, mats)
+        except ModuleError:
+            m = None
+        assert (m is not None) == valid, (dims, mats)
+        if m is not None:
+            assert m.actions == oracle.actions
+        seen[valid] += 1
+    assert seen[True] and (seen[False] or a.quiver_data["relations"] == [])
+
+
+def test_arrow_check_names_what_fails(loop_flag):
+    f = loop_flag.field
+    alpha = Matrix(f, 2, 2, [[0, 1], [0, 1]])
+    with pytest.raises(ModuleError, match=r"relation alpha\.alpha does not"):
+        module_from_dimvector(loop_flag, [2, 0], {"alpha": alpha})
+    a = _x2_minus_x3(QQ)
+    with pytest.raises(ModuleError, match="path of length 3"):
+        module_from_dimvector(a, [1], {"x": Matrix(QQ, 1, 1, [[1]])})
+    module_from_dimvector(a, [2], {"x": Matrix(QQ, 2, 2, [[0, 0], [1, 0]])})
+    with pytest.raises(ModuleError, match="unknown arrow"):
+        module_from_dimvector(a, [1], {"y": Matrix(QQ, 1, 1, [[0]])})
 
 
 def test_split_warning_calls_a_small_prime_trace_form_unreliable():
