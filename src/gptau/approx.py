@@ -452,10 +452,11 @@ def bijection_table(e: GeneratorData, bound=None,
     rows = []
     used = [False] * len(right)
     for m in left:
+        # End n = End m is local: Hom(E, -) is fully faithful (E generates)
         n = hom_E(m, g)
         matched = None
         for j, r in enumerate(right):
-            if not used[j] and is_isomorphic(n, r):
+            if not used[j] and _iso_indecomposable(n, r):
                 matched = j
                 break
         if matched is None:

@@ -36,6 +36,7 @@ from .memo import memo
 from .module import (
     Module,
     ModuleError,
+    _Representation,
     _iso_indecomposable,
     direct_sum,
     dual_D,
@@ -43,7 +44,6 @@ from .module import (
     hom_map_surjective,
     injective_modules,
     is_projective,
-    module_from_dimvector,
     module_to_triple,
     projective_modules,
     radical_submodule,
@@ -128,8 +128,9 @@ def _sweep_quiver_modules(a, cap):
     By induction over the sweep order and Krull-Schmidt, every
     indecomposable summand of a skipped pattern is isomorphic to one
     already fed, so skipping changes no class and no representative.
-    The patterns fed are checked by module_from_dimvector on their arrow
-    matrices, relations first."""
+    The patterns fed are checked as module_from_dimvector checks them,
+    on their arrow matrices and relations first, but with no exception
+    raised for the many that fail."""
     qd = a.quiver_data
     if qd is None:
         return
@@ -152,20 +153,13 @@ def _sweep_quiver_modules(a, cap):
             if not _connected(bits, links, total) or any(
                     bits > tuple(map(bits.__getitem__, p)) for p in perms):
                 continue
-            mats = {}
-            pos = 0
-            for k, (r, c) in enumerate(shapes):
-                m = Matrix(f, r, c)
-                for i in range(r):
-                    for j in range(c):
-                        if bits[pos]:
-                            m.data[i][j] = f.one()
-                        pos += 1
-                mats[arrows[k][0]] = m
-            try:
-                yield module_from_dimvector(a, list(dims), mats)
-            except ModuleError:
-                continue
+            it = iter(bits)  # 0 and 1 are field elements of every field
+            mats = {arrows[k][0]: Matrix._adopt(
+                f, r, c, [[next(it) for _ in range(c)] for _ in range(r)])
+                for k, (r, c) in enumerate(shapes)}
+            rep = _Representation(a, list(dims), mats)
+            if rep.failure() is None:
+                yield Module(a, rep.actions(), validate=False)
 
 
 def _pattern_symmetries(dims, src, tgt):

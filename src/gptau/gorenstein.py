@@ -4,7 +4,7 @@ Gorenstein projectivity is decided by the G-dimension-zero criterion:
 the module must be reflexive (evaluation into the double dual is an
 isomorphism) and both Ext^i(M, algebra) and Ext^i(M*, algebra-op) must
 vanish for all positive i.  The Ext conditions are bounded checks
-promoted to certainty through syzygy periodicity.
+promoted to certainty by the graph of syzygy summands (homalg).
 """
 
 from __future__ import annotations

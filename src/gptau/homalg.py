@@ -1,9 +1,9 @@
 """Homological calculus built on minimal projective presentations.
 
 Everything bounded (projective or injective dimension, vanishing of Ext
-in all positive degrees) is reported as a TriState.  Infinite dimensions
-are certified through syzygy periodicity: once a syzygy repeats up to
-isomorphism the resolution cycles forever.
+in all positive degrees) is reported as a TriState, read off one graph
+of non-projective indecomposable syzygy summands; a cycle in it
+certifies an infinite dimension, even while whole syzygies grow.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from .module import (
     Module,
     ModuleMap,
     ModuleError,
+    _iso_indecomposable,
     _proj_embedding,
     direct_sum,
     dual_D,
     hom,
     hom_coords,
-    is_isomorphic,
     is_projective,
     projective_cover,
     projective_modules,
@@ -135,57 +135,74 @@ def ext_dim(m: Module, n: Module, i: int) -> int:
     return ker_dim - img.rank()
 
 
+def _syzygy_layers(m: Module, bound: int):
+    """Yield (layer k, classes, closed) for k = 0, 1, ...: the classes are
+    the non-projective indecomposable syzygy summands met, up to
+    _iso_indecomposable; layer k maps their indices to multiplicities in
+    Omega^k m.  Omega is additive, so layer k + 1 sums the split of Omega X
+    over the X in layer k.  closed: each class has its Omega, so no more
+    syzygies are needed.  Stops at an empty layer, or open at layer `bound`."""
+    reps, edges = [], {}
+
+    def layer_of(mod):
+        out = {}
+        for x in split_indecomposables(mod):
+            if not is_projective(x):
+                c = next((c for c, r in enumerate(reps)
+                          if _iso_indecomposable(x, r)), len(reps))
+                if c == len(reps):
+                    reps.append(x)
+                out[c] = out.get(c, 0) + 1
+        return out
+
+    layer = layer_of(m)
+    while True:
+        yield layer, reps, len(edges) == len(reps)
+        if not layer or (bound <= 0 and len(edges) < len(reps)):
+            return
+        bound -= 1
+        nxt = {}
+        for c, mult in layer.items():
+            if c not in edges:
+                edges[c] = layer_of(_cover_kernel(reps[c])[3])
+            for d, mu in edges[c].items():
+                nxt[d] = nxt.get(d, 0) + mult * mu
+        layer = nxt
+
+
 def ext_vanishes_all_positive(m: Module, n: Module, bound: int) -> TriState:
-    """Does Ext^i(m, n) = 0 for all i >= 1?  Certified-yes when the
-    resolution of m terminates or its syzygies become periodic within
-    the bound; certified-no with the first nonzero degree as witness."""
-    if m.dim == 0 or n.dim == 0:
+    """Does Ext^i(m, n) = 0 for all i >= 1?  Ext^{k+1}(m, n) is read off
+    layer k < bound of _syzygy_layers: its first nonzero degree is the
+    witness of a no.  Yes once the graph closes (an empty layer closes
+    it): each class then sat in an earlier layer, whose Ext^1 was 0."""
+    if n.dim == 0:
         return yes("zero module", bound=bound)
-    cur = m
-    seen = []
-    for i in range(1, bound + 1):
-        d = ext_dim(cur, n, 1)
+    for k, (layer, reps, closed) in enumerate(_syzygy_layers(m, bound)):
+        if closed:
+            return yes("Ext^1 vanishes on all %d syzygy summand classes"
+                       % len(reps), bound=bound)
+        if k == bound:
+            break
+        d = sum(mu * ext_dim(reps[c], n, 1) for c, mu in layer.items())
         if d:
-            return no(
-                "Ext^%d has dimension %d" % (i, d), bound=bound, witness=i,
-                value=d,
-            )
-        nxt = syzygy(cur)
-        if nxt.dim == 0:
-            return yes("resolution terminates at step %d" % i, bound=bound)
-        for j, old in enumerate(seen):
-            if is_isomorphic(nxt, old):
-                return yes(
-                    "syzygies periodic (Omega^%d matches Omega^%d)"
-                    % (i, j), bound=bound,
-                )
-        seen.append(nxt)
-        cur = nxt
+            return no("Ext^%d has dimension %d" % (k + 1, d), bound=bound,
+                      witness=k + 1, value=d)
     return unknown("Ext vanishing unresolved within bound", bound=bound)
 
 
 def proj_dim(m: Module, bound: int | None = None) -> TriState:
-    """Projective dimension as a TriState: value = pd when finite;
-    certified-no means certified infinite (syzygy periodicity)."""
+    """Projective dimension as a TriState: value = pd, the number of
+    non-empty layers of _syzygy_layers.  No (infinite) when a non-empty
+    layer k >= the number of classes: a walk of k Omega steps to it
+    meets some class twice, so that class lies on a cycle."""
     if bound is None:
         bound = 2 * m.algebra.dim + 2
-    if m.dim == 0:
-        return yes("zero module", bound=bound, value=0)
-    if is_projective(m):
-        return yes("projective", bound=bound, value=0)
-    cur = m
-    seen = [m]
-    for k in range(1, bound + 1):
-        cur = syzygy(cur)
-        if cur.dim == 0:
-            return yes("syzygy vanishes", bound=bound, value=k)
-        for j, old in enumerate(seen):
-            if is_isomorphic(cur, old):
-                return no(
-                    "infinite: Omega^%d isomorphic to Omega^%d" % (k, j),
-                    bound=bound, witness=(j, k),
-                )
-        seen.append(cur)
+    for k, (layer, reps, _) in enumerate(_syzygy_layers(m, bound)):
+        if not layer:
+            return yes("Omega^%d vanishes" % k, bound=bound, value=k)
+        if k >= len(reps):
+            return no("infinite: Omega^%d cycles through %d summand class(es)"
+                      % (k, len(reps)), bound=bound, witness=k)
     return unknown("projective dimension exceeds bound", bound=bound)
 
 

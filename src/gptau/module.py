@@ -418,19 +418,18 @@ class _Representation:
                                        @ self.path(arrows[1:]))
         return m
 
-    def check(self):
-        """ModuleError unless every relation and every path of length
+    def failure(self):
+        """None when every relation and every path of length
         B = nilpotency_bound act as zero (module_from_dimvector says why
-        that decides validity).  The relations are evaluated path by
-        path.  The paths of length B can be exponentially many, so
-        they are checked through spans instead: S_k(s, t) is the span
-        of the actions of the paths of length k from s to t, and
-        S_{k+1}(s, t) is spanned by a.X for the arrows a: u -> t and X
-        in a spanning list of S_k(s, u).  A list longer than
-        dim Hom(V_s, V_t) = d_s d_t is cut to a basis, so no list grows
-        past (number of arrows) * d_s * d; the zero products are
-        dropped, and once every S_k(s, -) is zero so are the later
-        ones."""
+        that decides validity), else the first failed relation, or B.
+        Relations are evaluated path by path.  The paths of length B can
+        be exponentially many, so they are checked through spans:
+        S_k(s, t) is the span of the actions of the paths of length k
+        from s to t, and S_{k+1}(s, t) is spanned by a.X for the arrows
+        a: u -> t and X in a spanning list of S_k(s, u).  A list longer
+        than dim Hom(V_s, V_t) = d_s d_t is cut to a basis, so no list
+        grows past (number of arrows) * d_s * d; zero products are
+        dropped, and once every S_k(s, -) is zero so are the later ones."""
         qd = self.algebra.quiver_data
         f = self.algebra.field
         for rel, terms in zip(qd["relations"], self.rels):
@@ -441,8 +440,7 @@ class _Representation:
                     term = term.scale(c)
                 acc = term if acc is None else acc + term
             if not acc.is_zero():
-                raise ModuleError("relation %s does not act as zero"
-                                  % rel.text(f))
+                return rel
         B = qd["nilpotency_bound"]
         dims = self.dims
         for s in range(len(dims)):
@@ -463,8 +461,7 @@ class _Representation:
                         nxt[t] = _span_basis(f, gens, dims[s] * dims[t])
                 span = nxt
             if span:
-                raise ModuleError("a path of length %d (the nilpotency "
-                                  "bound) acts as nonzero" % B)
+                return B
 
     def actions(self):
         """The action matrix of each basis path of the algebra, with no
@@ -512,14 +509,19 @@ def module_from_dimvector(algebra: Algebra, dims, arrow_mats):
     J = I + kQ_{>=B}, generated by the relations and the paths of length
     B (a longer path has a length-B factor).  So the arrow matrices
     define a module iff (1) every relation evaluates to 0 and (2) every
-    path of length B acts as 0; _Representation.check tests both, and
-    its ModuleError names the failed relation or the path length.  The
+    path of length B acts as 0; _Representation.failure tests both, and
+    the ModuleError names the failed relation or the path length.  The
     vertices and arrows are basis elements of the algebra (relations
     have length >= 2), so the actions of the basis paths built here
     then satisfy the structure constants: Module.validate accepts them,
     and rejects them when (1) or (2) fails."""
     rep = _Representation(algebra, dims, arrow_mats)
-    rep.check()
+    bad = rep.failure()
+    if bad is not None:
+        raise ModuleError(
+            "a path of length %d (the nilpotency bound) acts as nonzero"
+            % bad if isinstance(bad, int) else
+            "relation %s does not act as zero" % bad.text(algebra.field))
     return Module(algebra, rep.actions(), validate=False)
 
 

@@ -1,6 +1,11 @@
+import itertools
+
 import pytest
 
 from gptau.algebra import (
+    Quiver,
+    Relation,
+    bound_quiver_algebra,
     cyclic_nakayama,
     example_loop_flag_algebra,
     linear_a_n,
@@ -49,3 +54,11 @@ def battery(a3, loop_flag, kx3, nakayama22, ground_field_algebra):
         "nakayama22": nakayama22,
         "ground_field": ground_field_algebra,
     }
+
+
+def _two_loops_radical_square_zero(f):
+    """k[x, y]/(x, y)^2: one vertex, two loops, every path of length 2
+    zero."""
+    q = Quiver((1,), (("x", 1, 1), ("y", 1, 1)))
+    rels = [Relation(((1, p),)) for p in itertools.product("xy", repeat=2)]
+    return bound_quiver_algebra(q, rels, 2, f)

@@ -12,6 +12,7 @@ import random
 import warnings
 
 import pytest
+from conftest import _two_loops_radical_square_zero
 
 from gptau.classify import (
     SWEEP_BITS,
@@ -255,14 +256,6 @@ def _commutative_square(f):
                (("a", 1, 2), ("b", 2, 4), ("c", 1, 3), ("d", 3, 4)))
     return bound_quiver_algebra(
         q, [Relation(((1, ("b", "a")), (-1, ("d", "c"))))], 3, f)
-
-
-def _two_loops_radical_square_zero(f):
-    """k[x, y]/(x, y)^2: one vertex, two loops, every path of length 2
-    zero."""
-    q = Quiver((1,), (("x", 1, 1), ("y", 1, 1)))
-    rels = [Relation(((1, p),)) for p in itertools.product("xy", repeat=2)]
-    return bound_quiver_algebra(q, rels, 2, f)
 
 
 def _reference_sweep(a, cap):

@@ -44,6 +44,16 @@ def test_algebra_check_self_injective(runner):
     assert rep["global_dimension"]["verdict"] == "certified-no"
 
 
+def test_algebra_check_certifies_growing_syzygies(runner):
+    # Omega S = S + S over k[x, y]/(x, y)^2: the whole syzygies grow,
+    # their summands cycle, so both dimensions are certified infinite
+    r = run(runner, "algebra", "check", fx("kxy2.alg"), "--bound", "4")
+    assert r.exit_code == 0
+    rep = json.loads(r.output)
+    assert rep["gorenstein"]["verdict"] == "certified-no"
+    assert rep["global_dimension"]["verdict"] == "certified-no"
+
+
 def test_module_check_props(runner):
     r = run(
         runner,

@@ -2,15 +2,30 @@
 and the translate tau.
 
 Oracles: hereditary algebras have global dimension 1; self-injective
-algebras have tau = second syzygy up to projectives; syzygy periodicity
-certifies infinite projective dimension on the loop-flag algebra."""
+algebras have tau = second syzygy up to projectives; a cycle of syzygy
+summands certifies infinite projective dimension on the loop-flag
+algebra and on k[x, y]/(x, y)^2, whose whole syzygies keep growing; a
+test-local copy of the whole-syzygy periodicity loops is the reference
+for every verdict it certifies."""
+
+import itertools
 
 import pytest
+from conftest import _two_loops_radical_square_zero
 
-from gptau.algebra import linear_a_n
-from gptau.classify import _extension_middle_terms
+from gptau.algebra import (
+    cyclic_nakayama,
+    example_loop_flag_algebra,
+    linear_a_n,
+    loop_algebra,
+)
+from gptau.classify import _extension_middle_terms, enumerate_indecomposables
+from gptau.field import GF, QQ
+from gptau.gorenstein import gorenstein_algebra
 from gptau.homalg import (
+    _syzygy_layers,
     ext_dim,
+    ext_vanishes_all_positive,
     global_dimension,
     inj_dim,
     is_tau_rigid,
@@ -33,6 +48,7 @@ from gptau.module import (
     regular_module,
     simple_modules,
 )
+from gptau.tristate import no, unknown, yes
 
 
 def test_minimal_presentation_is_exact_and_minimal(loop_flag):
@@ -72,6 +88,88 @@ def test_proj_dim_infinite_certified_by_periodicity(loop_flag):
     pd = proj_dim(simple_modules(loop_flag)[0])
     assert pd.is_no
     assert "Omega" in pd.reason
+
+
+def _reference_ext_vanishes(m, n, bound):
+    """Ext^i(m, n) = 0 for all i >= 1, decided by comparing each whole
+    syzygy with the earlier ones."""
+    if m.dim == 0 or n.dim == 0:
+        return yes("zero module", bound=bound)
+    cur, seen = m, []
+    for i in range(1, bound + 1):
+        d = ext_dim(cur, n, 1)
+        if d:
+            return no("Ext^%d" % i, bound=bound, witness=i, value=d)
+        nxt = syzygy(cur)
+        if nxt.dim == 0 or any(is_isomorphic(nxt, old) for old in seen):
+            return yes("terminates or periodic", bound=bound)
+        seen.append(nxt)
+        cur = nxt
+    return unknown("unresolved", bound=bound)
+
+
+def _reference_proj_dim(m, bound):
+    """pd, certified infinite when a whole syzygy repeats up to
+    isomorphism."""
+    if m.dim == 0 or is_projective(m):
+        return yes("projective", bound=bound, value=0)
+    cur, seen = m, [m]
+    for k in range(1, bound + 1):
+        cur = syzygy(cur)
+        if cur.dim == 0:
+            return yes("vanishes", bound=bound, value=k)
+        if any(is_isomorphic(cur, old) for old in seen):
+            return no("periodic", bound=bound)
+        seen.append(cur)
+    return unknown("exceeds bound", bound=bound)
+
+
+def test_summand_graph_keeps_every_whole_syzygy_verdict():
+    algebras = [linear_a_n(3), example_loop_flag_algebra(),
+                example_loop_flag_algebra(GF(2)), loop_algebra(3),
+                cyclic_nakayama(2, 2), cyclic_nakayama(2, 3)]
+    gained = 0
+    for a in algebras:
+        mods = list(enumerate_indecomposables(a, a.dim).representatives)
+        mods += [direct_sum(a, [x, y])[0] for x, y in zip(mods, mods[1:4])]
+        reg = regular_module(a)
+        for bound in (2, 4, 2 * a.dim + 2):
+            for m in mods:
+                for ref, new in (
+                        (_reference_proj_dim(m, bound), proj_dim(m, bound)),
+                        (_reference_ext_vanishes(m, reg, bound),
+                         ext_vanishes_all_positive(m, reg, bound))):
+                    if ref.is_unknown:
+                        gained += not new.is_unknown
+                        continue
+                    assert new.verdict == ref.verdict
+                    assert new.value == ref.value
+                    if ref.is_no and ref.witness is not None:
+                        assert new.witness == ref.witness
+    # the graph also closes where no whole syzygy repeats
+    assert gained > 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["QQ", "GF2"])
+def test_growing_syzygies_with_cycling_summands_are_certified(field):
+    # Omega S = S + S: Omega^k S has dimension 2^k, so no whole syzygy
+    # repeats, but its one summand class cycles
+    a = _two_loops_radical_square_zero(field)
+    s = simple_modules(a)[0]
+    for bound in range(1, 6):
+        pd = proj_dim(s, bound)
+        assert pd.is_no and "Omega" in pd.reason
+    assert proj_dim(s, 0).is_unknown  # no syzygy step taken
+    # one syzygy step closes the graph; later layers are S^(2^k)
+    layers = itertools.islice(_syzygy_layers(s, 1), 5)
+    assert [layer for layer, _, _ in layers] == [{0: 2 ** k}
+                                                 for k in range(5)]
+    reg = regular_module(a)
+    assert ext_vanishes_all_positive(s, reg, 0).is_unknown
+    ext = ext_vanishes_all_positive(s, reg, 1)
+    assert ext.is_no and (ext.witness, ext.value) == (1, 3)
+    assert gorenstein_algebra(a, 2).is_no
+    assert global_dimension(a, 2).is_no
 
 
 def test_ext_vanishes_on_projectives(a3):
