@@ -2,8 +2,8 @@
 
 An Algebra carries its multiplication table, a complete set of primitive
 orthogonal idempotents, and a radical basis.  Constructors: bound quiver
-presentations, opposite, tensor product, lower triangular matrix
-algebras, plus named builders for the standard test battery.
+presentations, opposite, tensor product, the lower triangular matrix
+algebra T2(A), plus named builders for the standard test battery.
 
 Path composition is right-to-left (function order): the product ``b*a``
 of arrows a: 1->2 and b: 2->3 is the path "first a, then b", written
@@ -475,7 +475,7 @@ def bound_quiver_algebra(
     return alg
 
 
-# -- tensor and triangular constructions ------------------------------------
+# -- tensor and T2 constructions --------------------------------------------
 
 
 def tensor(a: Algebra, b: Algebra) -> Algebra:
@@ -536,126 +536,43 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
     return alg
 
 
-class Bimodule:
-    """B-A-bimodule: left action of B, right action of A, commuting."""
-
-    def __init__(self, left_algebra, right_algebra, dim, left_action, right_action,
-                 validate=True):
-        self.left_algebra = left_algebra
-        self.right_algebra = right_algebra
-        self.dim = dim
-        self.left_action = left_action  # Matrix per basis element of B
-        self.right_action = right_action  # Matrix per basis element of A
-        if validate:
-            self.validate()
-
-    def left_of(self, vec):
-        m = Matrix(self.left_algebra.field, self.dim, self.dim)
-        for c, act in zip(vec, self.left_action):
-            if c:
-                m = m + act.scale(c)
-        return m
-
-    def right_of(self, vec):
-        m = Matrix(self.right_algebra.field, self.dim, self.dim)
-        for c, act in zip(vec, self.right_action):
-            if c:
-                m = m + act.scale(c)
-        return m
-
-    def validate(self):
-        B, A = self.left_algebra, self.right_algebra
-        if B.field != A.field:
-            raise AlgebraError("bimodule algebras must share a field")
-        idm = Matrix.identity(B.field, self.dim)
-        if self.left_of(B.unit) != idm or self.right_of(A.unit) != idm:
-            raise AlgebraError("bimodule unit axiom fails")
-        for i in range(B.dim):
-            for j in range(B.dim):
-                if self.left_action[i] @ self.left_action[j] != self.left_of(
-                    B.mult[i][j]
-                ):
-                    raise AlgebraError("left action violates structure constants")
-        for i in range(A.dim):
-            for j in range(A.dim):
-                # right action is an anti-homomorphism on matrices
-                if self.right_action[j] @ self.right_action[i] != self.right_of(
-                    A.mult[i][j]
-                ):
-                    raise AlgebraError("right action violates structure constants")
-        for i in range(B.dim):
-            for j in range(A.dim):
-                if (
-                    self.left_action[i] @ self.right_action[j]
-                    != self.right_action[j] @ self.left_action[i]
-                ):
-                    raise AlgebraError("left and right actions do not commute")
-
-
-def regular_bimodule(a: Algebra) -> Bimodule:
-    left = [a.left_mult_matrix(a._basis_vec(i)) for i in range(a.dim)]
-    right = [a.right_mult_matrix(a._basis_vec(i)) for i in range(a.dim)]
-    return Bimodule(a, a, a.dim, left, right, validate=False)
-
-
-def triangular(a: Algebra, b: Algebra, m: Bimodule) -> Algebra:
-    """Lower triangular matrix algebra [[A, 0], [M, B]] with product
-    (r, m, s)(r', m', s') = (rr', m r' + s m', s s')."""
-    if a.field != b.field:
-        raise AlgebraError("triangular parts must share a field")
-    if m.right_algebra is not a or m.left_algebra is not b:
-        raise AlgebraError("bimodule must be a B-A-bimodule for the given A, B")
+@memo
+def t2(a: Algebra) -> Algebra:
+    """T_2(a) = [[A, 0], [A, A]]: lower triangular 2x2 matrices over a,
+    with basis (r, m, s) blocks of a's basis each and product
+    (r, m, s)(r', m', s') = (rr', m r' + s m', s s').  Built once per
+    algebra."""
     f = a.field
-    da, dm, db = a.dim, m.dim, b.dim
-    dim = da + dm + db
-    zero = [f.zero()] * dim
+    d = a.dim
+    zero = [f.zero()] * d
 
-    def emb_a(v):
-        return list(v) + [f.zero()] * (dm + db)
+    def emb(block, v):  # block 0, 1, 2 = r, m, s
+        return zero * block + list(v) + zero * (2 - block)
 
-    def emb_m(v):
-        return [f.zero()] * da + list(v) + [f.zero()] * db
-
-    def emb_b(v):
-        return [f.zero()] * (da + dm) + list(v)
-
-    mult = [[zero[:] for _ in range(dim)] for _ in range(dim)]
-    for i in range(da):
-        for j in range(da):
-            mult[i][j] = emb_a(a.mult[i][j])
-    for i in range(db):
-        for j in range(db):
-            mult[da + dm + i][da + dm + j] = emb_b(b.mult[i][j])
-    for i in range(dm):  # m_i * a_j = right action
-        for j in range(da):
-            mult[da + i][j] = emb_m(m.right_action[j].col(i))
-    for i in range(db):  # b_i * m_j = left action
-        for j in range(dm):
-            mult[da + dm + i][da + j] = emb_m(m.left_action[i].col(j))
-    unit = emb_a(a.unit)
-    for i in range(db):
-        unit[da + dm + i] = b.unit[i]
-    idem = [emb_a(e) for e in a.idempotents] + [emb_b(e) for e in b.idempotents]
+    mult = [[zero * 3 for _ in range(3 * d)] for _ in range(3 * d)]
+    for i in range(d):
+        for j in range(d):
+            v = a.mult[i][j]
+            mult[i][j] = emb(0, v)  # r r'
+            mult[d + i][j] = emb(1, v)  # m r'
+            mult[2 * d + i][d + j] = emb(1, v)  # s m'
+            mult[2 * d + i][2 * d + j] = emb(2, v)  # s s'
+    unit = emb(0, a.unit)
+    unit[2 * d:] = a.unit
+    idem = [emb(b, e) for b in (0, 2) for e in a.idempotents]
     radical = (
-        [emb_a(r) for r in a.radical]
-        + [emb_m(v) for v in Matrix.identity(f, dm).data]
-        + [emb_b(r) for r in b.radical]
+        [emb(0, r) for r in a.radical]
+        + [emb(1, a._basis_vec(i)) for i in range(d)]
+        + [emb(2, r) for r in a.radical]
     )
     labels = (
         ["A:%s" % l for l in a.basis_labels]
-        + ["M:%d" % i for i in range(dm)]
-        + ["B:%s" % l for l in b.basis_labels]
+        + ["M:%d" % i for i in range(d)]
+        + ["B:%s" % l for l in a.basis_labels]
     )
     alg = Algebra(f, labels, mult, unit, idem, radical, "triangular")
-    alg.triangular_data = {"a": a, "b": b, "m": m}
+    alg.t2_base = a
     return alg
-
-
-@memo
-def t2(a: Algebra) -> Algebra:
-    """T_2(a): lower triangular 2x2 matrices over a; built once per
-    algebra."""
-    return triangular(a, a, regular_bimodule(a))
 
 
 # -- battery builders --------------------------------------------------------

@@ -235,15 +235,8 @@ def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
 
     while queue:
         m = queue.pop(0)
-        images = []
-        for op in (syzygy, cosyzygy, tau, tau_inverse):
-            try:
-                images.append(op(m))
-            except ModuleError:
-                pass
-        rad, _ = radical_submodule(m)
-        images.append(rad)
-        images.append(top_of(m)[0])
+        images = [syzygy(m), cosyzygy(m), tau(m), tau_inverse(m),
+                  radical_submodule(m)[0], top_of(m)[0]]
         for img in images:
             queue.extend(feed(img))
         # extension middle terms against the simples (both orders)
@@ -426,18 +419,6 @@ def cm_e_free(e, bound=None, max_dim=None) -> TriState:
         + ("" if cls.complete else " (enumeration bound-limited)"),
         bound=cls.max_total_dim,
     )
-
-
-def cm_e_finite(e, bound=None, max_dim=None) -> TriState:
-    """Does the count of E-GP E-rigid classes stabilize within bound?"""
-    members, unknowns, cls = eg_classes(e, bound, max_dim)
-    top_layer = [m for m in members if m.dim == cls.max_total_dim]
-    if cls.complete and not top_layer and not unknowns:
-        return yes("count stabilized within bound: %d classes"
-                   % len(members), bound=cls.max_total_dim,
-                   value=len(members))
-    return unknown("finiteness only observable within bound",
-                   bound=cls.max_total_dim, value=len(members))
 
 
 # -- support tau-tilting pairs -----------------------------------------------

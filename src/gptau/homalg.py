@@ -237,27 +237,22 @@ def star_module(m: Module) -> Module:
 
 
 def star_of_projective_map(f1: ModuleMap, p1_idx, p0_idx):
-    """Hom(f1, regular) for a map between projectives, expressed through
-    the natural identifications (Lambda e_i)* = e_i Lambda.
+    """Hom(f1, regular) for a map between nonzero projectives, expressed
+    through the natural identifications (Lambda e_i)* = e_i Lambda.
 
-    Returns (Q0, Q1, g: Q0 -> Q1) over the opposite algebra, where Q_j
-    is the sum of opposite projectives matching the idempotent indices."""
+    Returns g: Q0 -> Q1 over the opposite algebra, where Q_j is the sum
+    of opposite projectives matching the idempotent indices."""
     a = f1.source.algebra
     op = a.opposite()
     op_projs = projective_modules(op)
     f = a.field
 
     def build(idx):
-        if not idx:
-            return zero_module(op), []
-        mods = [op_projs[i] for i in idx]
-        s, incls, projs = direct_sum(op, mods)
+        s, incls, projs = direct_sum(op, [op_projs[i] for i in idx])
         return s, (incls, projs)
 
-    q0, q0maps = build(list(p0_idx))
-    q1, q1maps = build(list(p1_idx))
-    if q0.dim == 0 or q1.dim == 0:
-        return q0, q1, ModuleMap(q0, q1, Matrix(f, q1.dim, q0.dim))
+    q0, q0maps = build(p0_idx)
+    q1, q1maps = build(p1_idx)
     # (Lambda e_i)* = e_i Lambda = Lambda^op e_i as left op-modules;
     # Hom(f1, -) acts by precomposition, i.e. right multiplication by
     # the matrix of f1 over the algebra.  Extract that matrix blockwise.
@@ -291,7 +286,7 @@ def star_of_projective_map(f1: ModuleMap, p1_idx, p0_idx):
             comp = Matrix.from_cols(f, cols, nrows=tgt_p.dim)
             block = q1incls[c].matrix @ comp @ q0projs[r].matrix
             mat = mat + block
-    return q0, q1, ModuleMap(q0, q1, mat)
+    return ModuleMap(q0, q1, mat)
 
 
 def _map_to_algebra_matrix(f1: ModuleMap, p1_idx, p0_idx):
@@ -351,40 +346,28 @@ def _summand_offsets(projs, idx):
 
 
 def transpose_Tr(m: Module) -> Module:
-    """Auslander-Bridger transpose: coker of Hom(f1, regular), with
-    projective summands stripped (the stable representative)."""
-    a = m.algebra
-    op = a.opposite()
+    """Auslander-Bridger transpose: the cokernel of Hom(f1, regular) on
+    the minimal presentation, a module over the opposite algebra.  It
+    has no projective summand, and Tr(X + P) = Tr X for P projective
+    (Auslander-Reiten-Smalo, Representation Theory of Artin Algebras,
+    IV.1)."""
     pres = minimal_projective_presentation(m)
     if pres.p1.dim == 0:
-        return zero_module(op)
-    q0, q1, g = star_of_projective_map(pres.f1, pres.p1_idx, pres.p0_idx)
-    cok, _ = g.cokernel()
-    return strip_projectives(cok)
+        return zero_module(m.algebra.opposite())
+    g = star_of_projective_map(pres.f1, pres.p1_idx, pres.p0_idx)
+    return g.cokernel()[0]
 
 
 def tau(m: Module) -> Module:
-    """Auslander-Reiten translate: D Tr of the projective-free part."""
-    mp = strip_projectives(m)
-    if mp.dim == 0:
-        return zero_module(m.algebra)
-    tr = transpose_Tr(mp)
-    out = dual_D(tr)
-    if out.algebra is not m.algebra:
-        raise ModuleError("opposite-of-opposite did not return to the algebra")
-    return out
+    """Auslander-Reiten translate D Tr m; projective summands of m
+    vanish in Tr (ARS IV.1)."""
+    return dual_D(transpose_Tr(m))
 
 
 def tau_inverse(m: Module) -> Module:
-    """Tr D of the injective-free part."""
-    from .module import is_injective
-
-    parts = [p for p in split_indecomposables(m) if not is_injective(p)]
-    if not parts:
-        return zero_module(m.algebra)
-    mi = parts[0] if len(parts) == 1 else direct_sum(m.algebra, parts)[0]
-    d = dual_D(mi)  # module over the opposite algebra
-    return transpose_Tr(d)  # transpose returns to the original algebra
+    """Tr D m; injective summands of m vanish, since D of an injective
+    is projective over the opposite algebra (ARS IV.1)."""
+    return transpose_Tr(dual_D(m))
 
 
 def is_tau_rigid(m: Module) -> bool:

@@ -1,6 +1,6 @@
 """Finite-dimensional left modules: Hom spaces, decomposition,
 isomorphism testing, simples/projectives/injectives, duality, and the
-triple form of modules over triangular matrix algebras.
+triple form of modules over T2(A).
 
 A Module is valid when its actions satisfy the structure constants
 (Module.validate).  A quiver representation is checked on its arrows
@@ -1152,20 +1152,14 @@ def tensor_module(m: Module, n: Module, tensor_algebra: Algebra) -> Module:
     return Module(tensor_algebra, acts, validate=False)
 
 
-# -- triangular matrix algebra triples --------------------------------------
+# -- T2(A) module triples ---------------------------------------------------
 
 
 def module_to_triple(m: Module):
-    """Module over a triangular algebra -> (X, Y, phi).
-
-    For t2-style algebras (bimodule = the regular bimodule) phi is a
-    plain map X -> Y.  Only this case is supported."""
-    td = getattr(m.algebra, "triangular_data", None)
-    if td is None:
+    """Module over T2(A) -> (X, Y, phi: X -> Y), X and Y over A."""
+    a = getattr(m.algebra, "t2_base", None)
+    if a is None:
         raise ModuleError("algebra has no triangular provenance")
-    a, b, bim = td["a"], td["b"], td["m"]
-    if a is not b or bim.dim != a.dim:
-        raise ModuleError("triple conversion implemented for t2-style algebras")
     f = m.field
     na = a.n_idempotents
     # X: blocks for the A-part idempotents, Y: for the B-part
@@ -1185,7 +1179,7 @@ def module_to_triple(m: Module):
         if ax is None:
             raise ModuleError("A-part of the module is not invariant")
         x_acts.append(ax)
-        yb = By.solve_matrix(m.actions[a.dim + bim.dim + i] @ By)
+        yb = By.solve_matrix(m.actions[2 * a.dim + i] @ By)
         if yb is None:
             raise ModuleError("B-part of the module is not invariant")
         y_acts.append(yb)
@@ -1206,12 +1200,9 @@ def module_to_triple(m: Module):
 def module_from_triple(t2_algebra: Algebra, x: Module, y: Module,
                        phi: ModuleMap) -> Module:
     """(X, Y, phi: X -> Y) -> module over t2 of the common base algebra."""
-    td = getattr(t2_algebra, "triangular_data", None)
-    if td is None:
+    a = getattr(t2_algebra, "t2_base", None)
+    if a is None:
         raise ModuleError("algebra has no triangular provenance")
-    a, b, bim = td["a"], td["b"], td["m"]
-    if a is not b or bim.dim != a.dim:
-        raise ModuleError("triple construction implemented for t2-style algebras")
     if x.algebra is not a or y.algebra is not a:
         raise ModuleError("triple parts must live over the base algebra")
     if phi.source is not x or phi.target is not y:

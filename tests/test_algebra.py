@@ -12,6 +12,7 @@ from gptau.algebra import (
     Relation,
     bound_quiver_algebra,
     cyclic_nakayama,
+    example_loop_flag_algebra,
     linear_a_n,
     loop_algebra,
     t2,
@@ -89,6 +90,27 @@ def test_t2_dimension_and_idempotents(loop_flag, t2_loop_flag):
     assert t2_loop_flag.n_idempotents == 2 * loop_flag.n_idempotents
     t2_loop_flag.validate()
     assert t2(loop_flag) is t2(loop_flag)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=str)
+def test_t2_follows_the_triangular_product_rule(field):
+    """Basis element k of T2(A) is (r, m, s) with one entry a basis
+    element of A; the product is (rr', m r' + s m', s s')."""
+    for a in (example_loop_flag_algebra(field), cyclic_nakayama(2, 2, field)):
+        t, d = t2(a), a.dim
+
+        def parts(v):
+            return v[:d], v[d:2 * d], v[2 * d:]
+
+        for x in range(t.dim):
+            r, m, s = parts(t._basis_vec(x))
+            for y in range(t.dim):
+                r2, m2, s2 = parts(t._basis_vec(y))
+                mid = [u + w for u, w in zip(a.product(m, r2),
+                                             a.product(s, m2))]
+                want = (a.product(r, r2) + [field.of(c) for c in mid]
+                        + a.product(s, s2))
+                assert t.product(t._basis_vec(x), t._basis_vec(y)) == want
 
 
 def test_prime_field_algebra_builds():

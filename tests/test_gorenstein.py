@@ -5,16 +5,33 @@ the self-injectivity probe.
 Oracles: hereditary algebras are CM-free (GP = projective); K[x]/(x^n)
 is self-injective; the loop-flag algebra is 1-Gorenstein with
 non-projective GP modules; all nine equivalent conditions must agree
-whenever certified."""
+whenever certified; a test-local copy of the double-dual route
+(reflexivity by the evaluation map, Ext on M*) is the reference for
+every GP verdict read off the transpose."""
 
+import os
 import warnings
 
 import pytest
+from conftest import _two_loops_radical_square_zero
 
-from gptau.algebra import Quiver, Relation, bound_quiver_algebra, linear_a_n
+from gptau.algebra import (
+    Quiver,
+    Relation,
+    bound_quiver_algebra,
+    cyclic_nakayama,
+    example_loop_flag_algebra,
+    linear_a_n,
+    t2,
+)
+from gptau.classify import enumerate_indecomposables
 from gptau.field import GF, QQ
+from gptau.fileio import parse_algebra_file
 from gptau.gorenstein import (
+    _CERTIFIED,
     co_regular,
+    default_bound,
+    evaluation_is_isomorphism,
     gorenstein_algebra,
     gorenstein_injective,
     gorenstein_projective,
@@ -25,17 +42,28 @@ from gptau.gorenstein import (
     tilting_modules,
     cotilting_modules,
 )
-from gptau.homalg import is_tau_rigid, proj_dim, syzygy
+from gptau.homalg import (
+    ext_dim,
+    ext_vanishes_all_positive,
+    is_tau_rigid,
+    proj_dim,
+    star_module,
+    syzygy,
+    transpose_Tr,
+)
 from gptau.module import (
     decompose,
+    direct_sum,
     dual_D,
     injective_modules,
     is_faithful,
     is_isomorphic,
+    is_projective,
     projective_modules,
     regular_module,
     simple_modules,
 )
+from gptau.tristate import NO, UNKNOWN, YES
 
 
 def test_self_injectivity_facts(a3, kx3, loop_flag, nakayama22):
@@ -95,6 +123,63 @@ def test_loop_flag_has_nonprojective_gp(loop_flag):
     assert o.dim_vector() == (1, 1)
     assert gorenstein_projective(o).is_yes
     assert semi_gp(o).is_yes
+
+
+def _double_dual_gp(m, bound):
+    """G-dimension zero through M*: semi-GP, the evaluation M -> M** an
+    isomorphism, and Ext^i(M*, algebra-op) = 0 for i >= 1."""
+    if m.dim == 0 or is_projective(m):
+        return YES
+    sp = semi_gp(m, bound)
+    if sp.is_no or not evaluation_is_isomorphism(m):
+        return NO
+    op = m.algebra.opposite()
+    sps = ext_vanishes_all_positive(star_module(m), regular_module(op), bound)
+    if sps.is_no:
+        return NO
+    return YES if sp.is_yes and sps.is_yes else UNKNOWN
+
+
+def _fresh_gp_battery(f):
+    kxy2 = (parse_algebra_file(os.path.join(
+        os.path.dirname(__file__), "..", "fixtures", "kxy2.alg"))
+        if f == QQ else _two_loops_radical_square_zero(f))
+    return [(linear_a_n(3, f), 12), (example_loop_flag_algebra(f), 10),
+            (cyclic_nakayama(2, 3, f), 12), (kxy2, 6),
+            (t2(linear_a_n(2, f)), 12)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=str)
+def test_gp_on_the_transpose_matches_the_double_dual(field):
+    """Fresh algebras, so the certified-Gorenstein fast path never runs:
+    every verdict comes from Ext on M and on Tr M at bound + 2."""
+    for a, max_dim in _fresh_gp_battery(field):
+        classes = enumerate_indecomposables(a, max_dim).representatives
+        rest = [x for x in classes if not is_projective(x)]
+        sums = [direct_sum(a, pair)[0] for pair in zip(rest, rest[1:3])]
+        sums.append(direct_sum(a, [rest[0], projective_modules(a)[0]])[0])
+        for bound in (1, 2, 4, None):
+            for m in classes + sums:
+                g = gorenstein_projective(m, bound)
+                want = default_bound(a) if bound is None else bound
+                assert (g.verdict, g.bound) == (_double_dual_gp(m, want),
+                                                want)
+        assert _CERTIFIED not in a._cache
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=str)
+def test_transpose_ext_is_reflexivity_then_ext_of_the_dual(field):
+    """Auslander-Bridger: Ext^1 and Ext^2 of Tr M into the algebra vanish
+    iff M -> M** is an isomorphism, and Ext^{k+2}(Tr M, -) =
+    Ext^k(M*, -) for k >= 1, the shift behind the bound + 2."""
+    for a, max_dim in _fresh_gp_battery(field):
+        opreg = regular_module(a.opposite())
+        for m in enumerate_indecomposables(a, max_dim).representatives:
+            tr, st = transpose_Tr(m), star_module(m)
+            low = [ext_dim(tr, opreg, i) for i in (1, 2)]
+            assert (low == [0, 0]) == evaluation_is_isomorphism(m)
+            for k in (1, 2):
+                assert ext_dim(tr, opreg, k + 2) == ext_dim(st, opreg, k)
 
 
 def test_semi_gp_is_one_sided(a3):

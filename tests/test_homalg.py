@@ -2,7 +2,8 @@
 and the translate tau.
 
 Oracles: hereditary algebras have global dimension 1; self-injective
-algebras have tau = second syzygy up to projectives; a cycle of syzygy
+algebras have tau = second syzygy up to projectives; Tr of a minimal
+presentation has no projective summand and Tr(X + P) = Tr X (ARS IV.1); a cycle of syzygy
 summands certifies infinite projective dimension on the loop-flag
 algebra and on k[x, y]/(x, y)^2, whose whole syzygies keep growing; a
 test-local copy of the whole-syzygy periodicity loops is the reference
@@ -18,6 +19,7 @@ from gptau.algebra import (
     example_loop_flag_algebra,
     linear_a_n,
     loop_algebra,
+    trivial_algebra,
 )
 from gptau.classify import _extension_middle_terms, enumerate_indecomposables
 from gptau.field import GF, QQ
@@ -47,6 +49,7 @@ from gptau.module import (
     projective_modules,
     regular_module,
     simple_modules,
+    split_indecomposables,
 )
 from gptau.tristate import no, unknown, yes
 
@@ -266,3 +269,25 @@ def test_tau_rigid_direct_sum_criterion(a3):
     assert not is_tau_rigid(m)
     m2, _, _ = direct_sum(a3, [S[0], S[2]])
     assert is_tau_rigid(m2)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=str)
+def test_transpose_and_translates_ignore_projective_summands(field, battery):
+    """ARS IV.1: Tr of a minimal presentation has no projective summand
+    and Tr(X + P) = Tr X, so tau(X + P) = tau X and
+    tau^-1(X + I) = tau^-1 X with no decomposition of the input."""
+    algebras = battery.values() if field == QQ else [
+        linear_a_n(3, field), example_loop_flag_algebra(field),
+        loop_algebra(3, field), cyclic_nakayama(2, 2, field),
+        trivial_algebra(field)]
+    for a in algebras:
+        classes = enumerate_indecomposables(a, 2 * a.dim).representatives
+        for x in classes:
+            assert not any(is_projective(p)
+                           for p in split_indecomposables(transpose_Tr(x)))
+            tx, tix = tau(x), tau_inverse(x)
+            for p in projective_modules(a):
+                assert is_isomorphic(tau(direct_sum(a, [x, p])[0]), tx)
+            for i in injective_modules(a):
+                assert is_isomorphic(tau_inverse(direct_sum(a, [x, i])[0]),
+                                     tix)
