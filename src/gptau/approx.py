@@ -409,15 +409,10 @@ class BijectionTable:
 def eg_classes(e: GeneratorData, bound=None, max_dim=None):
     """(indecomposable E-GP E-rigid classes, E-rigid classes whose
     relative GP check is unresolved, classification used)."""
-    from .classify import enumerate_indecomposables
-    from .gorenstein import default_bound
+    from .classify import enumerate_indecomposables, suite_bounds
 
-    a = e.E.algebra
-    if bound is None:
-        bound = default_bound(a)
-    if max_dim is None:
-        max_dim = 2 * a.dim
-    cls = enumerate_indecomposables(a, max_dim)
+    bound, max_dim = suite_bounds(e.E.algebra, bound, max_dim)
+    cls = enumerate_indecomposables(e.E.algebra, max_dim)
     members, unknowns = [], []
     for m in cls.representatives:
         if not e_rigid(m, e):
@@ -435,17 +430,12 @@ def bijection_table(e: GeneratorData, bound=None,
     """Pair the indecomposable E-GP E-rigid modules with the
     indecomposable GP tau-rigid Gamma-modules through Hom(E, -).  An
     unmatched class on either side is a hard error."""
-    from .classify import gorenstein_projective_tau_rigid_list
-    from .gorenstein import default_bound
+    from .classify import gorenstein_projective_tau_rigid_list, suite_bounds
 
-    a = e.E.algebra
-    if bound is None:
-        bound = default_bound(a)
-    if max_dim is None:
-        max_dim = 2 * a.dim
+    bound, max_dim = suite_bounds(e.E.algebra, bound, max_dim)
     g = cached_gamma(e)
     left, left_unknowns, cls = eg_classes(e, bound, max_dim)
-    gamma_max = max(max_dim, 2 * g.algebra.dim)
+    gamma_max = max(max_dim, suite_bounds(g.algebra)[1])
     right, right_unknowns, _ = gorenstein_projective_tau_rigid_list(
         g.algebra, bound, gamma_max
     )

@@ -366,10 +366,7 @@ def gorenstein_projective_tau_rigid_list(a, bound=None, max_dim=None):
     """(certified GP tau-rigid indecomposable classes, classes whose GP
     check is unresolved, classification used), the shape of
     approx.eg_classes."""
-    if bound is None:
-        bound = default_bound(a)
-    if max_dim is None:
-        max_dim = 2 * a.dim
+    bound, max_dim = suite_bounds(a, bound, max_dim)
     gorenstein_algebra(a, bound)  # cached: enables the GP fast path
     cls = enumerate_indecomposables(a, max_dim)
     members, unknowns = [], []
@@ -440,8 +437,7 @@ def support_tau_tilting_pairs(a, max_dim=None):
 
     A pair is a basic tau-rigid module M plus a projective P with
     Hom(P, M) = 0 and |M| + |P| = number of simples."""
-    if max_dim is None:
-        max_dim = 2 * a.dim
+    max_dim = suite_bounds(a, max_dim=max_dim)[1]
     cls = enumerate_indecomposables(a, max_dim)
     rigid = [m for m in cls.representatives if tau_rigid_test(m)]
     taus = [tau(m) for m in rigid]
@@ -538,7 +534,8 @@ def id_shift_state(ida: TriState, idt: TriState, bound) -> TriState:
 
 
 def suite_bounds(a, bound=None, max_dim=None):
-    """(bound, max_dim) with their defaults default_bound(a), 2 dim a."""
+    """(bound, max_dim) with their defaults default_bound(a), 2 dim a:
+    every default enumeration bound of the package is read here."""
     return (default_bound(a) if bound is None else bound,
             2 * a.dim if max_dim is None else max_dim)
 

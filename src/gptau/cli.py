@@ -192,8 +192,7 @@ def enumerate():
 def enumerate_indec(alg, max_dim, report_path):
     """Indecomposable modules up to the dimension bound."""
     a = _load_algebra(alg)
-    if max_dim is None:
-        max_dim = 2 * a.dim
+    max_dim = _classify.suite_bounds(a, max_dim=max_dim)[1]
     cls = _classify.enumerate_indecomposables(a, max_dim)
     report = {
         "algebra": alg,

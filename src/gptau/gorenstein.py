@@ -28,6 +28,7 @@ from .module import (
     regular_module,
 )
 from .homalg import (
+    default_bound,
     ext_dim,
     ext_vanishes_all_positive,
     inj_dim,
@@ -37,10 +38,6 @@ from .homalg import (
     transpose_Tr,
 )
 from .tristate import TriState, all_of, no, unknown, yes
-
-
-def default_bound(algebra) -> int:
-    return 2 * algebra.dim + 2
 
 
 def semi_gp(m: Module, bound: int | None = None) -> TriState:

@@ -15,6 +15,7 @@ from .module import (
     ModuleMap,
     ModuleError,
     _iso_indecomposable,
+    _map_from_generators,
     _proj_embedding,
     direct_sum,
     dual_D,
@@ -190,13 +191,18 @@ def ext_vanishes_all_positive(m: Module, n: Module, bound: int) -> TriState:
     return unknown("Ext vanishing unresolved within bound", bound=bound)
 
 
+def default_bound(algebra) -> int:
+    """The default degree bound of the bounded homological checks."""
+    return 2 * algebra.dim + 2
+
+
 def proj_dim(m: Module, bound: int | None = None) -> TriState:
     """Projective dimension as a TriState: value = pd, the number of
     non-empty layers of _syzygy_layers.  No (infinite) when a non-empty
     layer k >= the number of classes: a walk of k Omega steps to it
     meets some class twice, so that class lies on a cycle."""
     if bound is None:
-        bound = 2 * m.algebra.dim + 2
+        bound = default_bound(m.algebra)
     for k, (layer, reps, _) in enumerate(_syzygy_layers(m, bound)):
         if not layer:
             return yes("Omega^%d vanishes" % k, bound=bound, value=k)
@@ -238,55 +244,33 @@ def star_module(m: Module) -> Module:
 
 def star_of_projective_map(f1: ModuleMap, p1_idx, p0_idx):
     """Hom(f1, regular) for a map between nonzero projectives, expressed
-    through the natural identifications (Lambda e_i)* = e_i Lambda.
+    through the natural identifications (Lambda e_i)* = e_i Lambda =
+    Lambda^op e_i.
 
     Returns g: Q0 -> Q1 over the opposite algebra, where Q_j is the sum
-    of opposite projectives matching the idempotent indices."""
-    a = f1.source.algebra
-    op = a.opposite()
+    of opposite projectives matching the idempotent indices.  Entry
+    (r, c) of _map_to_algebra_matrix is x in e_{p1_idx[c]} Lambda
+    e_{p0_idx[r]}: the component P_{p1_idx[c]} -> P_{p0_idx[r]} is
+    y -> y x, and Hom(-, regular) turns it into u -> x u from
+    e_{p0_idx[r]} Lambda to e_{p1_idx[c]} Lambda.  So g sends the
+    generator e_{p0_idx[r]} of summand r of Q0 to the sum over c of x in
+    summand c of Q1."""
+    op = f1.source.algebra.opposite()
     op_projs = projective_modules(op)
-    f = a.field
-
-    def build(idx):
-        s, incls, projs = direct_sum(op, [op_projs[i] for i in idx])
-        return s, (incls, projs)
-
-    q0, q0maps = build(p0_idx)
-    q1, q1maps = build(p1_idx)
-    # (Lambda e_i)* = e_i Lambda = Lambda^op e_i as left op-modules;
-    # Hom(f1, -) acts by precomposition, i.e. right multiplication by
-    # the matrix of f1 over the algebra.  Extract that matrix blockwise.
-    lam0 = _map_to_algebra_matrix(f1, p1_idx, p0_idx)
-    # entry (r, c) of lam0 is x in e_{idx1[c]} Lambda e_{idx0[r]}:
-    # the component P_{idx1[c]} -> P_{idx0[r]} is y -> y.x.  The starred
-    # map has (c, r) component e_{idx0[r]} Lambda -> e_{idx1[c]} Lambda,
-    # u -> x.u (a left op-module map).
-    mat = Matrix(f, q1.dim, q0.dim)
-    q0incls, q0projs = q0maps
-    q1incls, q1projs = q1maps
-    for r in range(len(p0_idx)):
-        for c in range(len(p1_idx)):
-            elem = lam0[r][c]
-            if elem is None:
-                continue
-            # component: e_{idx0[r]} Lambda -> e_{idx1[c]} Lambda,
-            # x -> elem . x in the opposite algebra
-            src_p = op_projs[p0_idx[r]]
-            tgt_p = op_projs[p1_idx[c]]
-            emb_s = _proj_embedding(op, p0_idx[r])
-            emb_t = _proj_embedding(op, p1_idx[c])
-            cols = []
-            for j in range(src_p.dim):
-                u = emb_s.col(j)
-                prod = a.product(elem, u)
-                sol = emb_t.solve(prod)
-                if sol is None:
-                    raise ModuleError("starred component escapes the target")
-                cols.append(sol)
-            comp = Matrix.from_cols(f, cols, nrows=tgt_p.dim)
-            block = q1incls[c].matrix @ comp @ q0projs[r].matrix
-            mat = mat + block
-    return ModuleMap(q0, q1, mat)
+    q1 = direct_sum(op, [op_projs[i] for i in p1_idx])[0]
+    # the raw coordinates of Q1 are its summands' coordinates, in order
+    from_raw = q1.from_raw_matrix()
+    gens = []
+    for row in _map_to_algebra_matrix(f1, p1_idx, p0_idx):
+        raw = []
+        for i, x in zip(p1_idx, row):
+            emb = _proj_embedding(op, i)
+            coords = [0] * emb.cols if x is None else emb.solve(x)
+            if coords is None:
+                raise ModuleError("starred component escapes the target")
+            raw += coords
+        gens.append(from_raw.mul_vec(raw))
+    return _map_from_generators(q1, p0_idx, gens)
 
 
 def _map_to_algebra_matrix(f1: ModuleMap, p1_idx, p0_idx):
@@ -294,55 +278,29 @@ def _map_to_algebra_matrix(f1: ModuleMap, p1_idx, p0_idx):
 
     Component (r, c): the image in P_{p0_idx[r]} of the idempotent
     generator of P_{p1_idx[c]}, as an algebra element (right
-    multiplication by it realises the component)."""
+    multiplication by it realises the component), or None when it is
+    zero.  The raw coordinates of a sum of projectives are its summands'
+    coordinates, in order."""
     a = f1.source.algebra
-    f = a.field
-    p1 = f1.source
-    p0 = f1.target
-    projs = projective_modules(a)
-    # summand inclusions/projections were built by direct_sum in
-    # projective_cover; rebuild coordinates from the block layout
-    out = []
-    off0 = _summand_offsets(projs, p0_idx)
-    off1 = _summand_offsets(projs, p1_idx)
-    raw1 = p1.to_raw()
-    raw0 = p0.from_raw_matrix()
-    m_raw = p0.to_raw() @ f1.matrix @ p1.from_raw_matrix()
-    for r in range(len(p0_idx)):
-        row = []
-        for c in range(len(p1_idx)):
-            # generator of summand c: the idempotent e inside P_{idx}
-            i1 = p1_idx[c]
-            emb1 = _proj_embedding(a, i1)
-            gen_local = emb1.solve(a.idempotents[i1])
-            if gen_local is None:
-                raise ModuleError("idempotent missing from its projective")
-            src = projs[i1]
-            vec = [f.zero()] * p1.dim
-            for k in range(src.dim):
-                vec[off1[c] + k] = gen_local[k]
-            img = m_raw.mul_vec(vec)
-            # restrict to summand r and express as an algebra element
-            i0 = p0_idx[r]
-            tgt = projs[i0]
-            local = img[off0[r]: off0[r] + tgt.dim]
-            if all(not x for x in local):
-                row.append(None)
-                continue
-            emb0 = _proj_embedding(a, i0)
-            elem = emb0.mul_vec(local)
-            row.append(elem)
-        out.append(row)
-    return out
-
-
-def _summand_offsets(projs, idx):
-    offs = []
+    m_raw = f1.target.to_raw() @ f1.matrix @ f1.source.from_raw_matrix()
+    images = []
     off = 0
-    for i in idx:
-        offs.append(off)
-        off += projs[i].dim
-    return offs
+    for i in p1_idx:
+        emb = _proj_embedding(a, i)
+        gen = emb.solve(a.idempotents[i])
+        if gen is None:
+            raise ModuleError("idempotent missing from its projective")
+        images.append(m_raw.select_cols(range(off, off + emb.cols))
+                      .mul_vec(gen))
+        off += emb.cols
+    out = []
+    off = 0
+    for i in p0_idx:
+        emb = _proj_embedding(a, i)
+        parts = [img[off:off + emb.cols] for img in images]
+        out.append([emb.mul_vec(x) if any(x) else None for x in parts])
+        off += emb.cols
+    return out
 
 
 def transpose_Tr(m: Module) -> Module:
@@ -385,7 +343,7 @@ def global_dimension(algebra, bound=None) -> TriState:
     from .module import simple_modules
 
     if bound is None:
-        bound = 2 * algebra.dim + 2
+        bound = default_bound(algebra)
     best = 0
     for s in simple_modules(algebra):
         r = proj_dim(s, bound)

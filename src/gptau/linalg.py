@@ -278,10 +278,6 @@ class Matrix:
         return "Matrix(%dx%d over %r)" % (self.rows, self.cols, self.field)
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
 def _integer_row(row):
     """row times the lcm of its denominators, as ints, divided by the
     gcd of its entries (a positive multiple of row)."""

@@ -18,7 +18,11 @@ blocks against the radical generators, which keeps the linear systems
 small.  Every coordinate solve against a Hom basis goes through
 hom_coords.  The algebras are basic (dim A/rad is the number of
 idempotents), so the top of a module counts its projective cover's
-summands and is_projective is a dimension count.
+summands and is_projective is a dimension count.  The top is read off
+the idempotent blocks, one row reduction per block (_top_generators),
+and a map out of a sum of projectives P_i = A e_i is built from the
+images of the generators e_i, since Hom(A e_i, N) = e_i N
+(_map_from_generators).
 
 Two indecomposables are isomorphic iff they have the same dimension
 vector and some element of the hom basis between them is invertible
@@ -1027,60 +1031,65 @@ def injective_modules(algebra: Algebra):
 
 
 @memo
+def _top_generators(m: Module):
+    """[(i, c)]: the coordinates c of m whose unit vectors complete rad m
+    to m, each with its block i, in coordinate order.
+
+    rad m = J m is spanned by the columns of the radical basis' actions,
+    and it is the sum of its blocks e_i rad m, since each e_i acts as the
+    projector onto block i.  So one RREF of [block-i rows of those
+    actions | I] per block picks the unit vectors of the block that lie
+    outside e_i rad m plus the earlier ones: the pivots past the first
+    part.  Their classes form a basis of e_i top m."""
+    rad_acts = [m.action_of(r) for r in m.algebra.radical]
+    k = m.dim * len(rad_acts)
+    out = []
+    for i, (off, d) in enumerate(m.blocks):
+        rows = [[x for a in rad_acts for x in a.data[off + r]]
+                + [int(c == r) for c in range(d)] for r in range(d)]
+        _, pivots = Matrix._adopt(m.field, d, k + d, rows).rref()
+        out.extend((i, off + p - k) for p in pivots if p >= k)
+    return out
+
+
+def _map_from_generators(n: Module, idx, gens):
+    """The map from the sum of the P_i (i in idx) to n that sends the
+    idempotent generator of summand k to gens[k], a vector of e_i n
+    (Hom(A e_i, n) = e_i n, Auslander-Reiten-Smalo, Representation Theory
+    of Artin Algebras, I.4): the basis element v of P_i, an algebra
+    element, goes to v . gens[k]."""
+    a = n.algebra
+    projs = projective_modules(a)
+    P = direct_sum(a, [projs[i] for i in idx])[0]
+    mat = Matrix(n.field, n.dim, 0)
+    for i, x in zip(idx, gens):
+        # column k: b_k . x for the algebra basis b; then v . x for v in P_i
+        acts_x = Matrix.from_cols(n.field,
+                                  [act.mul_vec(x) for act in n.actions],
+                                  nrows=n.dim)
+        mat = mat.hstack(acts_x @ _proj_embedding(a, i))
+    return ModuleMap(P, n, mat @ P.to_raw())
+
+
+@memo
 def projective_cover(m: Module):
     """(P, f: P -> m, summand idempotent indices).
 
-    P is the direct sum of P_i^{mult of S_i in top m}; f is surjective
-    with superfluous kernel.  Memoised on m: read the result, never
-    change it."""
-    a = m.algebra
-    f = m.field
+    P has one summand P_i per top generator (i, c) of m, and f sends its
+    generator to the unit vector e_c; f is surjective with superfluous
+    kernel.  Memoised on m: read the result, never change it."""
     if m.dim == 0:
-        P = zero_module(a)
-        return P, ModuleMap(P, m, Matrix(f, 0, 0)), []
-    rad, inc = radical_submodule(m)
-    T, pi = quotient_module(m, inc.matrix)
-    projs = projective_modules(a)
-    pieces = []
-    piece_idx = []
-    piece_cols = []
-    for i, (toff, tdim) in enumerate(T.blocks):
-        moff, mdim = m.blocks[i]
-        if tdim == 0:
-            continue
-        # preimages inside block i of m for each top basis vector
-        pim = pi.matrix.select_cols(list(range(moff, moff + mdim)))
-        for r in range(tdim):
-            target = [
-                f.one() if k == toff + r else f.zero() for k in range(T.dim)
-            ]
-            x = pim.solve(target)
-            if x is None:
-                raise ModuleError("projective cover lift failed")
-            xfull = [f.zero()] * m.dim
-            for k in range(mdim):
-                xfull[moff + k] = x[k]
-            # map P_i -> m : v |-> action(v) x, columns over the P_i basis
-            p = projs[i]
-            emb = _proj_embedding(a, i)  # columns: algebra elements
-            cols = []
-            for j in range(p.dim):
-                v = emb.col(j)
-                cols.append(m.action_of(v).mul_vec(xfull))
-            pieces.append(p)
-            piece_idx.append(i)
-            piece_cols.append(Matrix.from_cols(f, cols, nrows=m.dim))
-    if not pieces:
+        P = zero_module(m.algebra)
+        return P, ModuleMap(P, m, Matrix(m.field, 0, 0)), []
+    tops = _top_generators(m)
+    if not tops:
         raise ModuleError("nonzero module with zero top")
-    P, incls, _ = direct_sum(a, pieces)
-    big = piece_cols[0]
-    for c in piece_cols[1:]:
-        big = big.hstack(c)
-    mat = big @ P.to_raw()
-    fmap = ModuleMap(P, m, mat)
-    if mat.rank() != m.dim:
+    idx = [i for i, _ in tops]
+    fmap = _map_from_generators(
+        m, idx, [[int(k == c) for k in range(m.dim)] for _, c in tops])
+    if fmap.matrix.rank() != m.dim:
         raise ModuleError("projective cover is not surjective")
-    return P, fmap, piece_idx
+    return fmap.source, fmap, idx
 
 
 @memo
@@ -1098,30 +1107,15 @@ def _proj_embedding(algebra: Algebra, i: int) -> Matrix:
 
 
 def is_projective(m: Module) -> bool:
-    """m is projective iff dim m = sum_i dim(e_i top m) * dim P_i.
+    """m is projective iff its projective cover, one P_i per top
+    generator, has the dimension of m.
 
     The algebra is basic: dim A/rad is the number of idempotents, so each
-    simple S_i is one-dimensional (Algebra.validate rejects a smaller
-    quotient and warns on a larger one).  The projective cover of m is
-    then the sum of dim(e_i top m) copies of each P_i, and it maps onto
-    m, so it is an isomorphism iff the dimensions agree.  dim e_i rad m
-    is the rank of block i's rows of the radical basis' actions, placed
-    side by side, because each e_i acts as the projector onto block i."""
-    if m.dim == 0:
-        return True
-    f = m.field
-    rad_acts = [m.action_of(r) for r in m.algebra.radical]
-    total = 0
-    for (off, d), p in zip(m.blocks, projective_modules(m.algebra)):
-        rows = [[x for a in rad_acts for x in a.data[r]]
-                for r in range(off, off + d)]
-        rad_rows = Matrix._adopt(f, d, m.dim * len(rad_acts), rows)
-        total += (d - rad_rows.rank()) * p.dim
-    return total == m.dim
-
-
-def is_injective(m: Module) -> bool:
-    return is_projective(dual_D(m))
+    simple S_i is one-dimensional (Algebra.validate raises AlgebraError
+    on any other quotient dimension).  The cover maps onto m, so it is
+    an isomorphism iff the dimensions agree."""
+    projs = projective_modules(m.algebra)
+    return sum(projs[i].dim for i, _ in _top_generators(m)) == m.dim
 
 
 def strip_projectives(m: Module) -> Module:

@@ -12,7 +12,7 @@ for every verdict it certifies."""
 import itertools
 
 import pytest
-from conftest import _two_loops_radical_square_zero
+from conftest import _classes_and_sums, _two_loops_radical_square_zero
 
 from gptau.algebra import (
     cyclic_nakayama,
@@ -25,6 +25,7 @@ from gptau.classify import _extension_middle_terms, enumerate_indecomposables
 from gptau.field import GF, QQ
 from gptau.gorenstein import gorenstein_algebra
 from gptau.homalg import (
+    _map_to_algebra_matrix,
     _syzygy_layers,
     ext_dim,
     ext_vanishes_all_positive,
@@ -35,13 +36,16 @@ from gptau.homalg import (
     minimal_projective_resolution,
     proj_dim,
     star_module,
+    star_of_projective_map,
     syzygy,
     tau,
     tau_inverse,
     transpose_Tr,
 )
+from gptau.linalg import Matrix
 from gptau.memo import entries
 from gptau.module import (
+    _proj_embedding,
     direct_sum,
     injective_modules,
     is_isomorphic,
@@ -291,3 +295,77 @@ def test_transpose_and_translates_ignore_projective_summands(field, battery):
             for i in injective_modules(a):
                 assert is_isomorphic(tau_inverse(direct_sum(a, [x, i])[0]),
                                      tix)
+
+
+def _reference_algebra_matrix(f1, p1_idx, p0_idx):
+    """Entry (r, c): the image in P_{p0_idx[r]} of the idempotent
+    generator of P_{p1_idx[c]}, as an algebra element, or None when it is
+    zero; the generator is placed and its image cut out at the summand
+    offsets of the raw coordinates."""
+    a = f1.source.algebra
+    dims = [p.dim for p in projective_modules(a)]
+    off1 = list(itertools.accumulate([dims[i] for i in p1_idx], initial=0))
+    off0 = list(itertools.accumulate([dims[i] for i in p0_idx], initial=0))
+    m_raw = f1.target.to_raw() @ f1.matrix @ f1.source.from_raw_matrix()
+    out = []
+    for r, i0 in enumerate(p0_idx):
+        row = []
+        for c, i1 in enumerate(p1_idx):
+            vec = [0] * f1.source.dim
+            vec[off1[c]:off1[c + 1]] = _proj_embedding(a, i1).solve(
+                a.idempotents[i1])
+            img = m_raw.mul_vec(vec)[off0[r]:off0[r + 1]]
+            row.append(_proj_embedding(a, i0).mul_vec(img) if any(img)
+                       else None)
+        out.append(row)
+    return out
+
+
+def _reference_star(f1, p1_idx, p0_idx):
+    """(Q0, Q1, matrix of Hom(f1, regular)) built one column at a time:
+    the component of entry x is u -> x u, solved for each basis element u
+    of e_{p0_idx[r]} Lambda and placed through the summand projection of
+    Q0 and inclusion into Q1."""
+    a = f1.source.algebra
+    op = a.opposite()
+    op_projs = projective_modules(op)
+    q0, _, q0projs = direct_sum(op, [op_projs[i] for i in p0_idx])
+    q1, q1incls, _ = direct_sum(op, [op_projs[i] for i in p1_idx])
+    mat = Matrix(a.field, q1.dim, q0.dim)
+    for r, row in enumerate(_reference_algebra_matrix(f1, p1_idx, p0_idx)):
+        emb_s = _proj_embedding(op, p0_idx[r])
+        for c, x in enumerate(row):
+            if x is None:
+                continue
+            emb_t = _proj_embedding(op, p1_idx[c])
+            comp = Matrix.from_cols(
+                a.field, [emb_t.solve(a.product(x, emb_s.col(j)))
+                          for j in range(emb_s.cols)], nrows=emb_t.cols)
+            mat = mat + q1incls[c].matrix @ comp @ q0projs[r].matrix
+    return q0, q1, mat
+
+
+@pytest.mark.filterwarnings("ignore:radical via trace form:UserWarning")
+@pytest.mark.filterwarnings("ignore:no splitting found over GF:UserWarning")
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_starred_map_from_generator_images_matches_columns(field):
+    """Hom(f1, regular) built from the images of the generators of Q0
+    equals, entry for entry, the one built column by column, and so does
+    the matrix of algebra elements it is read from, on every minimal
+    presentation with P1 nonzero."""
+    seen = 0
+    for a, mods in _classes_and_sums(field):
+        for m in mods:
+            pres = minimal_projective_presentation(m)
+            if pres.p1.dim == 0:
+                continue
+            args = pres.f1, pres.p1_idx, pres.p0_idx
+            assert _map_to_algebra_matrix(*args) == \
+                _reference_algebra_matrix(*args)
+            g = star_of_projective_map(*args)
+            q0, q1, mat = _reference_star(*args)
+            assert g.source.content_key() == q0.content_key()
+            assert g.target.content_key() == q1.content_key()
+            assert g.matrix == mat
+            seen += 1
+    assert seen > 20

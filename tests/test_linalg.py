@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from gptau.field import GF, QQ
-from gptau.linalg import Matrix, rank
+from gptau.linalg import Matrix
 from gptau.algebra import linear_a_n
 from gptau.module import (
     hom,
@@ -81,11 +81,6 @@ def test_kron_dimensions_and_values():
     k = a.kron(b)
     assert (k.rows, k.cols) == (2, 2)
     assert [[str(x) for x in r] for r in k.data] == [["3", "6"], ["4", "8"]]
-
-
-def test_rank_helper_matches_method(f):
-    a = mat(f, [[1, 1], [1, 2], [2, 3]])
-    assert rank(a) == a.rank() == 2
 
 
 def test_gf_division_by_zero_raises():

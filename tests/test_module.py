@@ -9,6 +9,7 @@ import warnings
 from collections import Counter
 
 import pytest
+from conftest import _classes_and_sums
 
 from gptau.algebra import (
     Algebra,
@@ -29,6 +30,7 @@ from gptau.module import (
     Module,
     ModuleError,
     _iso_indecomposable,
+    _proj_embedding,
     decompose,
     direct_sum,
     dual_D,
@@ -37,7 +39,6 @@ from gptau.module import (
     hom_dim,
     injective_modules,
     is_indecomposable,
-    is_injective,
     is_isomorphic,
     is_projective,
     module_from_dimvector,
@@ -46,6 +47,7 @@ from gptau.module import (
     module_to_triple,
     projective_cover,
     projective_modules,
+    quotient_module,
     rad_end,
     radical_submodule,
     regular_module,
@@ -448,8 +450,9 @@ def _covered_injectively(m):
 @pytest.mark.parametrize("p", [None, 7, 2])
 def test_is_projective_and_injective_match_the_cover_kernel(battery, p):
     """is_projective(m) iff the projective cover of m has zero kernel, and
-    is_injective(m) iff that holds for the dual of m; on the battery, the
-    zero module and seeded sums with and without projective summands."""
+    the same holds for the dual of m (m is injective iff D m is
+    projective); on the battery, the zero module and seeded sums with and
+    without projective summands."""
     rng = random.Random(20241102)
     seen = set()
     for a in _algebras_over(battery, p):
@@ -467,9 +470,51 @@ def test_is_projective_and_injective_match_the_cover_kernel(battery, p):
         for m in mods:
             verdict = is_projective(m)
             assert verdict == _covered_injectively(m)
-            assert is_injective(m) == _covered_injectively(dual_D(m))
+            assert (is_projective(dual_D(m))
+                    == _covered_injectively(dual_D(m)))
             seen.add(verdict)
     assert seen == {True, False}
+
+
+def _reference_projective_cover(m):
+    """(P, matrix of P -> m, idx) built from rad m and top m: each basis
+    vector of the top quotient is lifted into its block of m by a solve,
+    and P_i -> m sends the basis element v of P_i to v . lift."""
+    a = m.algebra
+    _, inc = radical_submodule(m)
+    T, pi = quotient_module(m, inc.matrix)
+    pieces, idx, cols = [], [], []
+    for i, (toff, tdim) in enumerate(T.blocks):
+        moff, mdim = m.blocks[i]
+        pim = pi.matrix.select_cols(list(range(moff, moff + mdim)))
+        emb = _proj_embedding(a, i)
+        for r in range(tdim):
+            x = pim.solve([int(k == toff + r) for k in range(T.dim)])
+            x = [0] * moff + x + [0] * (m.dim - moff - mdim)
+            cols += [m.action_of(emb.col(j)).mul_vec(x)
+                     for j in range(emb.cols)]
+            pieces.append(projective_modules(a)[i])
+            idx.append(i)
+    P = direct_sum(a, pieces)[0]
+    return P, Matrix.from_cols(m.field, cols, nrows=m.dim) @ P.to_raw(), idx
+
+
+@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
+@pytest.mark.filterwarnings(SMALL_PRIME_SPLIT_WARNING)
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_projective_cover_matches_the_radical_quotient_route(p):
+    """The cover read off the idempotent blocks equals, entry for entry,
+    the one lifted from the top quotient m / rad m: same P, same map
+    matrix, same summand indices; so the unit vectors completing rad m
+    are the first ones, block by block."""
+    for a, mods in _classes_and_sums(QQ if p is None else GF(p)):
+        for m in mods:
+            P, fmap, idx = projective_cover(m)
+            ref_p, ref_mat, ref_idx = _reference_projective_cover(m)
+            assert P.content_key() == ref_p.content_key()
+            assert fmap.matrix == ref_mat
+            assert list(idx) == ref_idx
+            assert is_projective(m) == (ref_p.dim == m.dim)
 
 
 def _combination(actions, vec):

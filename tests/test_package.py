@@ -1,5 +1,9 @@
 """The package namespace: every name in gptau.__all__ is defined, so a
-deleted function cannot leave a stale export behind."""
+deleted function cannot leave a stale export behind; and every private
+helper has a caller, so a dead one cannot stay behind either."""
+
+import ast
+import pathlib
 
 import gptau
 
@@ -14,3 +18,29 @@ def test_star_import():
     ns = {}
     exec("from gptau import *", ns)
     assert set(gptau.__all__) <= set(ns)
+
+
+def test_every_private_helper_is_referenced():
+    """Every private function and class of the package is referred to by
+    name (a call, an attribute or an import) outside its own definition:
+    a helper whose last caller is gone is deleted with it."""
+    defs, refs = [], []
+    for path in sorted(pathlib.Path(gptau.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defs.append((path, node))
+            elif isinstance(node, ast.Name):
+                refs.append((path, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.attr, node.lineno))
+            elif isinstance(node, ast.alias):
+                refs.append((path, node.name, node.lineno))
+    unused = [
+        "%s.%s" % (path.stem, d.name) for path, d in defs
+        if not any(name == d.name
+                   and (p != path or not d.lineno <= line <= d.end_lineno)
+                   for p, name, line in refs)]
+    assert defs
+    assert unused == []
