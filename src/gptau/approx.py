@@ -296,7 +296,7 @@ def _lift_presentation(g: GammaData, pres: Presentation):
     e = g.e
     a = e.E.algebra
     fld = a.field
-    lam = _map_to_algebra_matrix(pres.f1, pres.p1_idx, pres.p0_idx)
+    lam = _map_to_algebra_matrix(pres.f1)
     mods0 = [e.basic[g.idem_of_class[i]] for i in pres.p0_idx]
     mods1 = [e.basic[g.idem_of_class[i]] for i in pres.p1_idx]
     if not mods1:

@@ -17,13 +17,12 @@ from .module import (
     _iso_indecomposable,
     _map_from_generators,
     _proj_embedding,
-    direct_sum,
+    _projective_sum,
     dual_D,
     hom,
     hom_coords,
     is_projective,
     projective_cover,
-    projective_modules,
     regular_module,
     split_indecomposables,
     strip_projectives,
@@ -57,12 +56,6 @@ def _cover_kernel(m: Module):
 
 @memo
 def minimal_projective_presentation(m: Module) -> Presentation:
-    if m.dim == 0:
-        z = zero_module(m.algebra)
-        return Presentation(
-            m, z, ModuleMap(z, m, Matrix(m.field, 0, 0)),
-            z, ModuleMap(z, z, Matrix(m.field, 0, 0)), [], []
-        )
     p0, f0, idx0, ker, inc = _cover_kernel(m)
     p1, g, idx1 = projective_cover(ker)
     f1 = ModuleMap(p1, p0, inc.matrix @ g.matrix)
@@ -110,7 +103,13 @@ def minimal_projective_resolution(m: Module, length: int):
 
 def ext_dim(m: Module, n: Module, i: int) -> int:
     """dim Ext^i(m, n), computed from the minimal projective resolution
-    of m: Ext^i = ker Hom(d_{i+1}) / im Hom(d_i)."""
+    of m: Ext^i = ker Hom(d_{i+1}, n) / im Hom(d_i, n).
+
+    For i >= 1 it is read off the complex of the e_j n.  Hom(P_j, n) is
+    the sum over the summands k of P_j of e_{idx_j[k]} n, the images of
+    the generators (ARS I.4), and Hom(d_j, n) is the block matrix H_j of
+    _hom_of_differential.  So dim Ext^i = sum_k dim e_{idx_i[k]} n
+    - rank H_i - rank H_{i+1}, with no Hom basis solved for."""
     if i < 0:
         raise ValueError("Ext degree must be nonnegative")
     if m.dim == 0 or n.dim == 0:
@@ -120,20 +119,40 @@ def ext_dim(m: Module, n: Module, i: int) -> int:
     res = minimal_projective_resolution(m, i + 1)
     if len(res) <= i:
         return 0
-    p_i, d_i = res[i]  # d_i: P_i -> P_{i-1}
-    homs_i = hom(p_i, n)
-    if not homs_i:
+    dim_hom = sum(n.blocks[j][1] for j, _, _ in res[i][0].summands)
+    if dim_hom == 0:
         return 0
-    # Hom(d_i): Hom(P_{i-1}, N) -> Hom(P_i, N), g -> g o d_i
-    img = hom_coords(p_i, n, [g.matrix @ d_i.matrix
-                              for g in hom(res[i - 1][0], n)])
-    ker_dim = len(homs_i)
+    out = dim_hom - _hom_of_differential(res[i][1], n).rank()
     if len(res) > i + 1:
-        # kernel of Hom(d_{i+1}): h -> h o d_{i+1}
-        p_next, d_next = res[i + 1]
-        ker_dim -= hom_coords(p_next, n, [h.matrix @ d_next.matrix
-                                          for h in homs_i]).rank()
-    return ker_dim - img.rank()
+        out -= _hom_of_differential(res[i + 1][1], n).rank()
+    return out
+
+
+def _hom_of_differential(d: ModuleMap, n: Module) -> Matrix:
+    """Hom(d, n): Hom(Q0, n) -> Hom(Q1, n) for d: Q1 -> Q0 between sums
+    of projectives, in generator coordinates (the e_i n of each summand).
+    g o d sends generator c of Q1 to the sum over r of x_rc . g(generator
+    r), x = _map_to_algebra_matrix(d).  So block (c, r) is the action on
+    n of x_rc, cut to the rows of block idx1[c] and the columns of block
+    idx0[r]."""
+    src, dst = d.source.summands, d.target.summands
+    xs = _map_to_algebra_matrix(d)
+    ncols = sum(n.blocks[i][1] for i, _, _ in dst)
+    rows = []
+    for c, (ic, _, _) in enumerate(src):
+        ro, rd = n.blocks[ic]
+        block = [[] for _ in range(rd)]
+        for r, (ir, _, _) in enumerate(dst):
+            co, cd = n.blocks[ir]
+            if xs[r][c] is None:
+                for row in block:
+                    row += [0] * cd
+            else:
+                act = n.action_of(xs[r][c])
+                for row, arow in zip(block, act.data[ro:ro + rd]):
+                    row += arow[co:co + cd]
+        rows += block
+    return Matrix._adopt(n.field, len(rows), ncols, rows)
 
 
 def _syzygy_layers(m: Module, bound: int):
@@ -256,50 +275,39 @@ def star_of_projective_map(f1: ModuleMap, p1_idx, p0_idx):
     generator e_{p0_idx[r]} of summand r of Q0 to the sum over c of x in
     summand c of Q1."""
     op = f1.source.algebra.opposite()
-    op_projs = projective_modules(op)
-    q1 = direct_sum(op, [op_projs[i] for i in p1_idx])[0]
-    # the raw coordinates of Q1 are its summands' coordinates, in order
-    from_raw = q1.from_raw_matrix()
+    q1 = _projective_sum(op, tuple(p1_idx))
     gens = []
-    for row in _map_to_algebra_matrix(f1, p1_idx, p0_idx):
-        raw = []
-        for i, x in zip(p1_idx, row):
-            emb = _proj_embedding(op, i)
-            coords = [0] * emb.cols if x is None else emb.solve(x)
+    for row in _map_to_algebra_matrix(f1):
+        y = [0] * q1.dim
+        for (i, cols, _), x in zip(q1.summands, row):
+            if x is None:
+                continue
+            coords = _proj_embedding(op, i).solve(x)
             if coords is None:
                 raise ModuleError("starred component escapes the target")
-            raw += coords
-        gens.append(from_raw.mul_vec(raw))
+            for c, v in zip(cols, coords):
+                y[c] = v
+        gens.append(y)
     return _map_from_generators(q1, p0_idx, gens)
 
 
-def _map_to_algebra_matrix(f1: ModuleMap, p1_idx, p0_idx):
-    """Matrix of algebra elements for a map between sums of projectives.
+def _map_to_algebra_matrix(f1: ModuleMap):
+    """Matrix of algebra elements for a map f1 between sums of projectives
+    built by _projective_sum, with summand indices p1_idx (source) and
+    p0_idx (target).
 
     Component (r, c): the image in P_{p0_idx[r]} of the idempotent
     generator of P_{p1_idx[c]}, as an algebra element (right
     multiplication by it realises the component), or None when it is
-    zero.  The raw coordinates of a sum of projectives are its summands'
-    coordinates, in order."""
+    zero.  The generators and the summand coordinates are read off
+    f1.source.summands and f1.target.summands."""
     a = f1.source.algebra
-    m_raw = f1.target.to_raw() @ f1.matrix @ f1.source.from_raw_matrix()
-    images = []
-    off = 0
-    for i in p1_idx:
-        emb = _proj_embedding(a, i)
-        gen = emb.solve(a.idempotents[i])
-        if gen is None:
-            raise ModuleError("idempotent missing from its projective")
-        images.append(m_raw.select_cols(range(off, off + emb.cols))
-                      .mul_vec(gen))
-        off += emb.cols
+    images = [f1.matrix.mul_vec(gen) for _, _, gen in f1.source.summands]
     out = []
-    off = 0
-    for i in p0_idx:
+    for i, cols, _ in f1.target.summands:
         emb = _proj_embedding(a, i)
-        parts = [img[off:off + emb.cols] for img in images]
+        parts = [[img[c] for c in cols] for img in images]
         out.append([emb.mul_vec(x) if any(x) else None for x in parts])
-        off += emb.cols
     return out
 
 

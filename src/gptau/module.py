@@ -19,10 +19,13 @@ small.  Every coordinate solve against a Hom basis goes through
 hom_coords.  The algebras are basic (dim A/rad is the number of
 idempotents), so the top of a module counts its projective cover's
 summands and is_projective is a dimension count.  The top is read off
-the idempotent blocks, one row reduction per block (_top_generators),
-and a map out of a sum of projectives P_i = A e_i is built from the
-images of the generators e_i, since Hom(A e_i, N) = e_i N
-(_map_from_generators).
+the idempotent blocks, one row reduction per block (_top_generators).
+A sum of projectives P = sum of the P_i = A e_i is built once per
+algebra and summand tuple (_projective_sum) and carries the coordinates
+of its generators e_i (Module.summands).  Since Hom(A e_i, N) = e_i N,
+a map out of P is given by the images of the generators
+(_map_from_generators), and hom and hom_coords out of P read those
+images instead of solving a linear system.
 
 Two indecomposables are isomorphic iff they have the same dimension
 vector and some element of the hom basis between them is invertible
@@ -34,7 +37,9 @@ decompositions with the indecomposable rule.
 Modules and maps are immutable.  Expensive results are memoised with
 memo.memo on the object they are computed from; a module argument is
 keyed by its content (Module.content_key), so hom(m, n) answers a fresh
-copy of n from m's entry and the cache never holds n itself.
+copy of n from m's entry and the cache never holds n itself.  Hom out of
+a _projective_sum is not memoised: that P lives as long as its algebra,
+and one entry per partner n would pile up on it.
 """
 
 from __future__ import annotations
@@ -56,6 +61,11 @@ class ModuleError(ValueError):
 
 
 class Module(Keyed):
+    # a sum of projectives built by _projective_sum: per summand k, the
+    # tuple (i, the coordinates carrying its P_i in order, the coordinate
+    # vector of its generator e_i); None for every other module
+    summands = None
+
     def __init__(self, algebra: Algebra, actions, validate=True):
         """actions: one (d x d) Matrix per algebra basis element, in any
         basis; the constructor re-bases to idempotent-adapted coordinates."""
@@ -555,8 +565,27 @@ def module_to_dimvector(m: Module):
 
 
 def hom(m: Module, n: Module):
-    """Basis of Hom(m, n) as a list of ModuleMaps from m to n."""
-    return [ModuleMap(m, n, x) for x in _hom_matrices(m, n)]
+    """Basis of Hom(m, n) as a list of ModuleMaps from m to n.
+
+    Out of a sum of projectives built by _projective_sum it is read off
+    the generators, since Hom(A e_i, n) = e_i n: one map per summand k
+    and per coordinate c of block idx[k] of n, sending generator k to
+    the unit vector e_c and the other generators to 0.  That basis is
+    not memoised: P is shared by the whole algebra and would collect an
+    entry per partner n.  Any other m takes one memoised kernel solve
+    (_hom_matrices)."""
+    if m.summands is None:
+        return [ModuleMap(m, n, x) for x in _hom_matrices(m, n)]
+    if m.algebra is not n.algebra:
+        raise ModuleError("hom requires modules over the same algebra")
+    out = []
+    for k, (i, _, _) in enumerate(m.summands):
+        off, d = n.blocks[i]
+        for c in range(off, off + d):
+            images = [[0] * n.dim for _ in m.summands]
+            images[k][c] = 1
+            out.append(ModuleMap(m, n, _generator_map(m, n, images)))
+    return out
 
 
 @memo
@@ -646,17 +675,35 @@ def _flat(mat: Matrix):
 
 def hom_coords(m: Module, n: Module, mats) -> Matrix:
     """Coordinates of the m -> n matrices mats in the hom(m, n) basis,
-    one column per map, from one solve against the stacked basis.
-    Raises ModuleError when a matrix is not in Hom(m, n)."""
-    stack = _hom_stack(m, n)
+    one column per map.  Out of a sum of projectives built by
+    _projective_sum they are the block-idx[k] entries of the image of
+    generator k, and the map rebuilt from them must be the matrix;
+    otherwise one solve against the stacked basis.  Raises ModuleError
+    when a matrix is not in Hom(m, n)."""
     if any(a.rows != n.dim or a.cols != m.dim for a in mats):
         raise ModuleError("map matrix has the wrong shape")
-    x = stack.solve_matrix(
-        Matrix.from_cols(m.field, [_flat(a) for a in mats], nrows=stack.rows)
-    )
-    if x is None:
-        raise ModuleError("matrix is not in Hom of the given modules")
-    return x
+    if m.summands is None:
+        stack = _hom_stack(m, n)
+        x = stack.solve_matrix(Matrix.from_cols(
+            m.field, [_flat(a) for a in mats], nrows=stack.rows))
+        if x is None:
+            raise ModuleError("matrix is not in Hom of the given modules")
+        return x
+    if m.algebra is not n.algebra:
+        raise ModuleError("hom requires modules over the same algebra")
+    cols = []
+    for a in mats:
+        images, coords = [], []
+        for i, _, gen in m.summands:
+            off, d = n.blocks[i]
+            y = a.mul_vec(gen)
+            coords += y[off:off + d]
+            images.append([0] * off + y[off:off + d] + [0] * (n.dim - off - d))
+        if _generator_map(m, n, images) != a:
+            raise ModuleError("matrix is not in Hom of the given modules")
+        cols.append(coords)
+    return Matrix.from_cols(m.field, cols, nrows=sum(
+        n.blocks[i][1] for i, _, _ in m.summands))
 
 
 @memo
@@ -1052,23 +1099,54 @@ def _top_generators(m: Module):
     return out
 
 
+@memo
+def _projective_sum(algebra: Algebra, idx) -> Module:
+    """The sum P of the P_i = A e_i for i in the tuple idx, built once per
+    algebra and idx and shared by every cover with these summands.
+    P.summands gives per summand k (idx[k], the coordinates of P that
+    carry P_{idx[k]}, the coordinates of its generator e_{idx[k]}).  The
+    P_i are in adapted coordinates, so their sum is re-based by a
+    permutation and each inclusion is a set of unit columns."""
+    projs = projective_modules(algebra)
+    P, incls, _ = direct_sum(algebra, [projs[i] for i in idx])
+    summands = []
+    for i, inc in zip(idx, incls):
+        cols = [next(r for r in range(P.dim) if inc.matrix.data[r][j])
+                for j in range(inc.matrix.cols)]
+        gen = _proj_embedding(algebra, i).solve(algebra.idempotents[i])
+        if gen is None:
+            raise ModuleError("idempotent missing from its projective")
+        summands.append((i, cols, inc.matrix.mul_vec(gen)))
+    P.summands = tuple(summands)
+    return P
+
+
+def _generator_map(p: Module, n: Module, images) -> Matrix:
+    """The matrix of the map from p, built by _projective_sum, to n that
+    sends the generator of summand k to images[k], a vector of e_i n
+    (Hom(A e_i, n) = e_i n, Auslander-Reiten-Smalo, Representation
+    Theory of Artin Algebras, I.4): the basis element v of P_i, an
+    algebra element, goes to v . images[k]."""
+    mat = Matrix(n.field, n.dim, p.dim)
+    for (i, cols, _), x in zip(p.summands, images):
+        if any(x):
+            # column b: b . x for the algebra basis b; then v . x on P_i,
+            # written into the columns of P that carry P_i
+            acts_x = Matrix.from_cols(n.field,
+                                      [act.mul_vec(x) for act in n.actions],
+                                      nrows=n.dim)
+            for row, vrow in zip(mat.data,
+                                 (acts_x @ _proj_embedding(n.algebra, i)).data):
+                for c, v in zip(cols, vrow):
+                    row[c] = v
+    return mat
+
+
 def _map_from_generators(n: Module, idx, gens):
     """The map from the sum of the P_i (i in idx) to n that sends the
-    idempotent generator of summand k to gens[k], a vector of e_i n
-    (Hom(A e_i, n) = e_i n, Auslander-Reiten-Smalo, Representation Theory
-    of Artin Algebras, I.4): the basis element v of P_i, an algebra
-    element, goes to v . gens[k]."""
-    a = n.algebra
-    projs = projective_modules(a)
-    P = direct_sum(a, [projs[i] for i in idx])[0]
-    mat = Matrix(n.field, n.dim, 0)
-    for i, x in zip(idx, gens):
-        # column k: b_k . x for the algebra basis b; then v . x for v in P_i
-        acts_x = Matrix.from_cols(n.field,
-                                  [act.mul_vec(x) for act in n.actions],
-                                  nrows=n.dim)
-        mat = mat.hstack(acts_x @ _proj_embedding(a, i))
-    return ModuleMap(P, n, mat @ P.to_raw())
+    idempotent generator of summand k to gens[k], a vector of e_i n."""
+    P = _projective_sum(n.algebra, tuple(idx))
+    return ModuleMap(P, n, _generator_map(P, n, gens))
 
 
 @memo
@@ -1079,7 +1157,7 @@ def projective_cover(m: Module):
     generator to the unit vector e_c; f is surjective with superfluous
     kernel.  Memoised on m: read the result, never change it."""
     if m.dim == 0:
-        P = zero_module(m.algebra)
+        P = _projective_sum(m.algebra, ())
         return P, ModuleMap(P, m, Matrix(m.field, 0, 0)), []
     tops = _top_generators(m)
     if not tops:

@@ -8,8 +8,6 @@ end of the criterion body."""
 import random
 import time
 
-import pytest
-
 from gptau.algebra import (
     cyclic_nakayama,
     linear_a_n,

@@ -33,7 +33,6 @@ from gptau.module import (
     Module,
     ModuleMap,
     direct_sum,
-    hom_dim,
     injective_modules,
     is_isomorphic,
     projective_modules,

@@ -17,7 +17,6 @@ from conftest import _two_loops_radical_square_zero
 from gptau.classify import (
     SWEEP_BITS,
     SWEEP_CAP,
-    CriteriaDisagreement,
     _ClassSet,
     _sweep_quiver_modules,
     cm_e_free,
@@ -56,7 +55,6 @@ from gptau.module import (
     is_projective,
     module_to_dimvector,
     regular_module,
-    simple_modules,
     split_indecomposables,
 )
 

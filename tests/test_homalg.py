@@ -45,8 +45,11 @@ from gptau.homalg import (
 from gptau.linalg import Matrix
 from gptau.memo import entries
 from gptau.module import (
+    Module,
     _proj_embedding,
     direct_sum,
+    hom,
+    hom_coords,
     injective_modules,
     is_isomorphic,
     is_projective,
@@ -360,7 +363,7 @@ def test_starred_map_from_generator_images_matches_columns(field):
             if pres.p1.dim == 0:
                 continue
             args = pres.f1, pres.p1_idx, pres.p0_idx
-            assert _map_to_algebra_matrix(*args) == \
+            assert _map_to_algebra_matrix(pres.f1) == \
                 _reference_algebra_matrix(*args)
             g = star_of_projective_map(*args)
             q0, q1, mat = _reference_star(*args)
@@ -369,3 +372,49 @@ def test_starred_map_from_generator_images_matches_columns(field):
             assert g.matrix == mat
             seen += 1
     assert seen > 20
+
+
+def _plain(p):
+    """p as a module built by no _projective_sum, in the same coordinates,
+    so that hom and hom_coords out of it take the kernel route."""
+    return Module(p.algebra, p.actions, validate=False)
+
+
+def _reference_ext_dim(m, n, i):
+    """dim Ext^i(m, n) for i >= 1 from Hom bases: the kernel of
+    Hom(d_{i+1}, n) modulo the image of Hom(d_i, n), each composite
+    solved for in a Hom basis out of a plain copy of the cover domain."""
+    res = minimal_projective_resolution(m, i + 1)
+    if len(res) <= i:
+        return 0
+    p_i, d_i = res[i]
+    homs_i = hom(_plain(p_i), n)
+    if not homs_i:
+        return 0
+    img = hom_coords(_plain(p_i), n, [g.matrix @ d_i.matrix for g in
+                                      hom(_plain(res[i - 1][0]), n)])
+    ker_dim = len(homs_i)
+    if len(res) > i + 1:
+        p_next, d_next = res[i + 1]
+        ker_dim -= hom_coords(_plain(p_next), n, [
+            h.matrix @ d_next.matrix for h in homs_i]).rank()
+    return ker_dim - img.rank()
+
+
+@pytest.mark.filterwarnings("ignore:radical via trace form:UserWarning")
+@pytest.mark.filterwarnings("ignore:no splitting found over GF:UserWarning")
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_ext_from_the_generator_complex_matches_hom_bases(field):
+    """ext_dim read off the complex of the e_i n equals the Hom-basis
+    route for i = 1, 2, 3, from every class and random-basis sum to the
+    simples, the regular module and the sums."""
+    nonzero = 0
+    for a, mods in _classes_and_sums(field):
+        partners = simple_modules(a) + [regular_module(a)] + mods[-3:]
+        for m in mods:
+            for n in partners:
+                for i in (1, 2, 3):
+                    d = ext_dim(m, n, i)
+                    assert d == _reference_ext_dim(m, n, i), (a, m, n, i)
+                    nonzero += d > 0
+    assert nonzero > 50

@@ -1,7 +1,9 @@
-"""The memo cache: module arguments are keyed by content, and memo is the
-only cache mechanism in the library."""
+"""The memo cache: module arguments are keyed by content, memo is the
+only cache mechanism in the library, and a cover domain shared by the
+whole algebra keeps no entry per partner module."""
 
 import pathlib
+import random
 import re
 
 import pytest
@@ -9,15 +11,20 @@ import pytest
 import gptau
 from gptau.algebra import linear_a_n
 from gptau.field import GF, QQ
+from gptau.homalg import ext_dim
+from gptau.linalg import Matrix
 from gptau.memo import entries
 from gptau.module import (
     Module,
     ModuleError,
     _hom_matrices,
+    _projective_sum,
+    direct_sum,
     hom,
     hom_coords,
     projective_modules,
     regular_module,
+    simple_modules,
 )
 
 
@@ -45,6 +52,42 @@ def test_hom_answers_a_copy_with_equal_content(p):
     with pytest.raises(ModuleError):
         hom_coords(m, n3, [])
     assert entries(m, _hom_matrices) == [(n.content_key(),)]
+
+
+def _fresh_partner(a, rng):
+    """A sum of two simples and a projective in a random basis."""
+    S, P = simple_modules(a), projective_modules(a)
+    s = direct_sum(a, [rng.choice(S), rng.choice(S), rng.choice(P)])[0]
+    while True:
+        U = Matrix(a.field, s.dim, s.dim,
+                   [[rng.randint(-2, 2) for _ in range(s.dim)]
+                    for _ in range(s.dim)])
+        if U.is_invertible():
+            break
+    Uinv = U.inverse()
+    return Module(a, [Uinv @ x @ U for x in s.actions])
+
+
+def test_shared_cover_domain_keeps_no_entry_per_partner():
+    """hom, hom_coords and ext_dim between one _projective_sum P and 20
+    fresh modules leave P with the memo entries one partner leaves: P
+    lives as long as its algebra, so per-partner entries would pile up."""
+    a = linear_a_n(3)
+    P = _projective_sum(a, (0, 1, 1))
+    rng = random.Random(5)
+
+    def touch(n):
+        hs = hom(P, n)
+        hom_coords(P, n, [h.matrix for h in hs])
+        for i in (1, 2):
+            ext_dim(P, n, i)
+            ext_dim(n, P, i)
+
+    touch(_fresh_partner(a, rng))
+    before = entries(P)
+    for _ in range(20):
+        touch(_fresh_partner(a, rng))
+    assert entries(P) == before
 
 
 # gorenstein_algebra keeps only certified verdicts, by hand, under one key

@@ -30,7 +30,9 @@ from gptau.module import (
     Module,
     ModuleError,
     _iso_indecomposable,
+    _hom_matrices,
     _proj_embedding,
+    _projective_sum,
     decompose,
     direct_sum,
     dual_D,
@@ -515,6 +517,57 @@ def test_projective_cover_matches_the_radical_quotient_route(p):
             assert fmap.matrix == ref_mat
             assert list(idx) == ref_idx
             assert is_projective(m) == (ref_p.dim == m.dim)
+
+
+def _span_rref(f, mats, cols):
+    """The RREF of the flattened matrices stacked as rows: a canonical
+    form of their span."""
+    return Matrix(f, len(mats), cols, [_flat(x) for x in mats]).rref()[0]
+
+
+@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
+@pytest.mark.filterwarnings(SMALL_PRIME_SPLIT_WARNING)
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_hom_out_of_a_projective_sum_reads_the_generators(p):
+    """On a _projective_sum P, the Hom basis read off the generator images
+    has dim e_i n elements per summand and spans the same space as the
+    kernel-route basis (_hom_matrices on a plain copy of P, so that the
+    shared P keeps no entry).  hom_coords returns the coefficients of
+    each combination of it, and raises ModuleError on a matrix of the
+    wrong shape and on one outside Hom(P, n)."""
+    rng = random.Random(20241121)
+    rejected = 0
+    for a, mods in _classes_and_sums(QQ if p is None else GF(p)):
+        f = a.field
+        k = a.n_idempotents
+        tuples = [(i,) for i in range(k)]
+        tuples.append(tuple(sorted(rng.choice(range(k)) for _ in range(3))))
+        for idx in tuples:
+            P = _projective_sum(a, idx)
+            assert [i for i, _, _ in P.summands] == list(idx)
+            plain = Module(a, P.actions, validate=False)
+            for n in mods:
+                hs = [h.matrix for h in hom(P, n)]
+                assert len(hs) == sum(n.blocks[i][1] for i in idx)
+                assert (_span_rref(f, hs, n.dim * P.dim)
+                        == _span_rref(f, _hom_matrices(plain, n),
+                                      n.dim * P.dim))
+                coeffs = [[rng.randint(-3, 3) for _ in hs] for _ in range(2)]
+                mats = [_combination(hs, cs) if hs else Matrix(f, n.dim, P.dim)
+                        for cs in coeffs]
+                x = hom_coords(P, n, mats)
+                assert (x.rows, x.cols) == (len(hs), 2)
+                for j, cs in enumerate(coeffs):
+                    assert x.col(j) == [f.of(c) for c in cs]
+                with pytest.raises(ModuleError):
+                    hom_coords(P, n, [Matrix(f, n.dim, P.dim + 1)])
+                unit = Matrix(f, n.dim, P.dim)
+                unit.data[rng.randrange(n.dim)][rng.randrange(P.dim)] = 1
+                if _span_rref(f, hs + [unit], n.dim * P.dim).rank() > len(hs):
+                    with pytest.raises(ModuleError):
+                        hom_coords(P, n, [unit])
+                    rejected += 1
+    assert rejected > 20
 
 
 def _combination(actions, vec):

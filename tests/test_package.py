@@ -44,3 +44,29 @@ def test_every_private_helper_is_referenced():
                    for p, name, line in refs)]
     assert defs
     assert unused == []
+
+
+def _unused_imports(path):
+    """The names a module imports and never refers to."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[(a.asname or a.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return ["%s:%d: %s" % (path.name, line, name)
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    """Every name imported by a library module (the package __init__
+    re-exports and is left out) or by a test module is used in it."""
+    src = pathlib.Path(gptau.__file__).parent
+    paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    unused = [u for p in paths for u in _unused_imports(p)]
+    assert unused == []
