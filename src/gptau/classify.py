@@ -12,6 +12,7 @@ for exceeding the bound.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -38,10 +39,10 @@ from .module import (
     ModuleError,
     _Representation,
     _iso_indecomposable,
+    _quiver_layout,
     direct_sum,
     dual_D,
     hom,
-    hom_map_surjective,
     injective_modules,
     is_projective,
     module_to_triple,
@@ -54,6 +55,7 @@ from .module import (
     top_of,
 )
 from .homalg import (
+    _hom_of_differential,
     cosyzygy,
     ext_dim,
     inj_dim,
@@ -114,10 +116,10 @@ def _sweep_quiver_modules(a, cap):
     total dimension <= cap.  Independent of the closure constructions.
 
     A pattern is the bit tuple of the entries (arrow, row, col), arrow by
-    arrow, rows then columns.  It sits on the coordinates: the basis
-    vectors of the vertex spaces, where a set bit joins its arrow's
-    target coordinate `row` to its source coordinate `col`.  Two kinds
-    of pattern are skipped before any matrix is built or checked:
+    arrow, rows then columns: a block of bits per arrow.  It sits on the
+    coordinates: the basis vectors of the vertex spaces, where a set bit
+    joins its arrow's target coordinate `row` to its source coordinate
+    `col`.  Two kinds of pattern are never fed:
     - a disconnected coordinate graph: each component is a pattern of a
       smaller dimension vector (so swept earlier) with no more bits, and
       is a module when the pattern is, because paths act
@@ -130,7 +132,26 @@ def _sweep_quiver_modules(a, cap):
     already fed, so skipping changes no class and no representative.
     The patterns fed are checked as module_from_dimvector checks them,
     on their arrow matrices and relations first, but with no exception
-    raised for the many that fail."""
+    raised for the many that fail.
+
+    The patterns are grown block by block (_block_patterns), which
+    visits them in the lexicographic order of their bit tuples, and two
+    kinds of block are cut with every pattern that extends them:
+    (a) a permutation of the coordinates within vertices maps each
+        arrow's block onto itself, so a pattern is greater than its
+        image exactly when, at the first block where the two differ,
+        its block is the greater.  A block greater than its image under
+        a permutation that fixed every earlier block makes every
+        extension non-canonical; a block smaller than its image frees
+        every extension from that permutation.  This is the canonicity
+        test above, decided block by block.
+    (b) a relation whose paths are all powers of one loop, and that
+        loop to the power B = nilpotency_bound, are polynomials in the
+        loop's block alone; when one is nonzero there, every extension
+        fails _Representation.failure.
+    The connectivity test and failure() still run on every pattern
+    built, so the modules fed and their order are those of the full
+    product of 0/1 patterns."""
     qd = a.quiver_data
     if qd is None:
         return
@@ -140,44 +161,119 @@ def _sweep_quiver_modules(a, cap):
     src = [q.vertex_index(x[1]) for x in arrows]
     tgt = [q.vertex_index(x[2]) for x in arrows]
     f = a.field
+    loop_ok = _loop_block_test(a)
     for dims in itertools.product(range(cap + 1), repeat=nv):
         total = sum(dims)
         if total == 0 or total > cap:
             continue
         shapes = [(dims[tgt[k]], dims[src[k]]) for k in range(len(arrows))]
-        nbits = sum(r * c for r, c in shapes)
-        if nbits > SWEEP_BITS:
+        if sum(r * c for r, c in shapes) > SWEEP_BITS:
             continue  # keep the sweep bounded
         links, perms = _pattern_symmetries(dims, src, tgt)
-        for bits in itertools.product((0, 1), repeat=nbits):
-            if not _connected(bits, links, total) or any(
-                    bits > tuple(map(bits.__getitem__, p)) for p in perms):
+        for blocks in _block_patterns(shapes, perms, loop_ok):
+            if not _connected(itertools.chain(*blocks), links, total):
                 continue
-            it = iter(bits)  # 0 and 1 are field elements of every field
+            # 0 and 1 are field elements of every field
             mats = {arrows[k][0]: Matrix._adopt(
-                f, r, c, [[next(it) for _ in range(c)] for _ in range(r)])
-                for k, (r, c) in enumerate(shapes)}
+                f, r, c, [list(b[i * c:i * c + c]) for i in range(r)])
+                for k, ((r, c), b) in enumerate(zip(shapes, blocks))}
             rep = _Representation(a, list(dims), mats)
             if rep.failure() is None:
                 yield Module(a, rep.actions(), validate=False)
 
 
+def _block_patterns(shapes, perms, admissible):
+    """The patterns of the given arrow block shapes, as tuples of blocks
+    in lexicographic order, that are canonical under perms and whose
+    blocks pass admissible(arrow, block).  A pattern is grown block by
+    block and carries the permutations that fixed its blocks so far."""
+    chosen = [()] * len(shapes)
+
+    def grow(k, live):
+        if k == len(shapes):
+            yield tuple(chosen)
+            return
+        r, c = shapes[k]
+        for block in itertools.product((0, 1), repeat=r * c):
+            keep = []
+            for p in live:
+                image = tuple(map(block.__getitem__, p[k]))
+                if block > image:
+                    break
+                if block == image:
+                    keep.append(p)
+            else:
+                if admissible(k, block):
+                    chosen[k] = block
+                    yield from grow(k + 1, keep)
+
+    return grow(0, perms)
+
+
+def _loop_block_test(a):
+    """admissible(arrow, block): False when the arrow is a loop and its
+    block, as a d x d matrix, does not annihilate the loop to the power
+    B = nilpotency_bound or a relation in powers of that loop alone.
+    Answers are kept per (arrow, block) in this closure only, so they
+    live for one sweep of one algebra."""
+    _, ends, _, rels = _quiver_layout(a)
+    B = a.quiver_data["nilpotency_bound"]
+    own = {k: [terms for terms in rels
+               if terms and all(set(p) == {k} for _, p in terms)]
+           for k, (s, t) in enumerate(ends) if s == t}
+    seen = {}
+
+    def admissible(k, block):
+        if k not in own:
+            return True
+        ok = seen.get((k, block))
+        if ok is None:
+            ok = seen[k, block] = _annihilates(a.field, block, own[k], B)
+        return ok
+
+    return admissible
+
+
+def _annihilates(f, block, rels, B):
+    """Do x^B and each relation [(coefficient, path of one loop)] act as
+    zero on the square 0/1 matrix x with row-major entries block?"""
+    d = math.isqrt(len(block))
+    x = Matrix._adopt(f, d, d, [list(block[i * d:i * d + d])
+                                for i in range(d)])
+    powers = [None, x]
+    top = max([B] + [len(p) for terms in rels for _, p in terms])
+    for _ in range(top - 1):
+        powers.append(powers[-1] @ x)
+    if not powers[B].is_zero():
+        return False
+    for terms in rels:
+        acc = None
+        for c, p in terms:
+            term = powers[len(p)] if c == 1 else powers[len(p)].scale(c)
+            acc = term if acc is None else acc + term
+        if not acc.is_zero():
+            return False
+    return True
+
+
 def _pattern_symmetries(dims, src, tgt):
     """For the patterns of dimension vector dims: per bit, the pair of
-    coordinates it joins, and the bit-index maps of the non-identity
-    permutations of the coordinates within each vertex (p[i] is the bit
-    that the permuted pattern reads at position i)."""
+    coordinates it joins, and the non-identity permutations of the
+    coordinates within each vertex as maps of the arrow blocks (p[k][i]
+    is the entry of block k that the permuted pattern reads at entry i
+    of that block)."""
     offs = [sum(dims[:v]) for v in range(len(dims))]
-    entries = [(k, i, j) for k in range(len(src))
-               for i in range(dims[tgt[k]]) for j in range(dims[src[k]])]
-    links = [(offs[tgt[k]] + i, offs[src[k]] + j) for k, i, j in entries]
-    index = {e: n for n, e in enumerate(entries)}
+    links = [(offs[tgt[k]] + i, offs[src[k]] + j) for k in range(len(src))
+             for i in range(dims[tgt[k]]) for j in range(dims[src[k]])]
     perms = set()
     for sigma in itertools.product(*(itertools.permutations(range(d))
                                      for d in dims)):
-        perms.add(tuple(index[k, sigma[tgt[k]][i], sigma[src[k]][j]]
-                        for k, i, j in entries))
-    perms.discard(tuple(range(len(entries))))
+        perms.add(tuple(
+            tuple(sigma[tgt[k]][i] * dims[src[k]] + sigma[src[k]][j]
+                  for i in range(dims[tgt[k]]) for j in range(dims[src[k]]))
+            for k in range(len(src))))
+    perms.discard(tuple(tuple(range(dims[tgt[k]] * dims[src[k]]))
+                        for k in range(len(src))))
     return links, list(perms)
 
 
@@ -295,7 +391,6 @@ def _extension_middle_terms(m, n):
     from .module import quotient_module
 
     a = m.algebra
-    f = a.field
     if ext_dim(m, n, 1) == 0:
         return []
     res = minimal_projective_resolution(m, 2)
@@ -303,22 +398,16 @@ def _extension_middle_terms(m, n):
         return []
     p0, d0 = res[0]
     p1, d1 = res[1]
-    homs = hom(p1, n)
     out = []
     d2mat = res[2][1].matrix if len(res) > 2 else None
-    for h in homs:
+    # pushout of n <.h. p1 .d1.> p0: X = (n (+) p0) / {(h(x), -d1(x))}
+    s, incls, _ = direct_sum(a, [n, p0])
+    into_n = incls[0].matrix
+    minus_d1 = incls[1].matrix @ -d1.matrix
+    for h in hom(p1, n):
         if d2mat is not None and not (h.matrix @ d2mat).is_zero():
             continue  # not a cocycle
-        # pushout of n <.h. p1 .d1.> p0: X = (n (+) p0) / {(h(x), -d1(x))}
-        s, incls, _ = direct_sum(a, [n, p0])
-        cols = []
-        for j in range(p1.dim):
-            v1 = h.matrix.col(j)
-            v2 = d1.matrix.col(j)
-            big = incls[0].matrix.mul_vec(v1)
-            big2 = incls[1].matrix.mul_vec([-x for x in v2])
-            cols.append([x + y for x, y in zip(big, big2)])
-        sub = Matrix.from_cols(f, cols, nrows=s.dim)
+        sub = into_n @ h.matrix + minus_d1
         x, _ = quotient_module(s, sub.image_basis())
         if x.dim == m.dim + n.dim:
             out.append(x)
@@ -336,8 +425,9 @@ def tau_rigid_test(m: Module) -> bool:
         return True
     t = tau(m)
     crit_hom = t.dim == 0 or len(hom(m, t)) == 0
-    pres = minimal_projective_presentation(m)
-    crit_surj = hom_map_surjective(pres.f1, m)
+    # Hom(f1, m) in generator coordinates: onto when of full row rank
+    h = _hom_of_differential(minimal_projective_presentation(m).f1, m)
+    crit_surj = h.rank() == h.rows
     if crit_hom != crit_surj:
         raise CriteriaDisagreement(
             "tau-rigidity criteria disagree on a module with dimension "

@@ -8,16 +8,19 @@ uniserials), the brute-force support-pair count for A3 (14), and an
 unpruned 0/1 sweep kept here as the reference for the pruned one."""
 
 import itertools
+import os
 import random
 import warnings
 
 import pytest
 from conftest import _two_loops_radical_square_zero
 
+import gptau.classify
 from gptau.classify import (
     SWEEP_BITS,
     SWEEP_CAP,
     _ClassSet,
+    _connected,
     _sweep_quiver_modules,
     cm_e_free,
     cm_tau_tilting_free,
@@ -39,6 +42,7 @@ from gptau.algebra import (
     t2,
 )
 from gptau.field import GF, QQ
+from gptau.fileio import parse_algebra_file
 from gptau.linalg import Matrix
 from gptau.approx import generator_data
 from gptau.homalg import is_tau_rigid
@@ -357,3 +361,108 @@ def test_sweep_skips_disconnected_and_permuted_patterns():
     # the zero representation of dimension vector (1, 1) is S1 + S2
     assert ([1, 1], [[0]], [[0]]) not in patterns
     assert ([1, 1], [[1]], [[0]]) in patterns
+
+
+def _product_sweep(a, cap):
+    """The sweep as it ran over the full product of 0/1 patterns: every
+    pattern is built, its connectivity and canonicity are tested on the
+    whole bit tuple, and the survivors are checked by failure().  The
+    reference for the yields of the block-by-block sweep."""
+    q = a.quiver_data["quiver"]
+    arrows = q.arrows
+    src = [q.vertex_index(x[1]) for x in arrows]
+    tgt = [q.vertex_index(x[2]) for x in arrows]
+    for dims in itertools.product(range(cap + 1), repeat=len(q.vertices)):
+        total = sum(dims)
+        if total == 0 or total > cap:
+            continue
+        shapes = [(dims[tgt[k]], dims[src[k]]) for k in range(len(arrows))]
+        nbits = sum(r * c for r, c in shapes)
+        if nbits > SWEEP_BITS:
+            continue
+        offs = [sum(dims[:v]) for v in range(len(dims))]
+        entries = [(k, i, j) for k in range(len(src))
+                   for i in range(dims[tgt[k]]) for j in range(dims[src[k]])]
+        links = [(offs[tgt[k]] + i, offs[src[k]] + j) for k, i, j in entries]
+        index = {e: n for n, e in enumerate(entries)}
+        perms = {tuple(index[k, sigma[tgt[k]][i], sigma[src[k]][j]]
+                       for k, i, j in entries)
+                 for sigma in itertools.product(
+                     *(itertools.permutations(range(d)) for d in dims))}
+        perms.discard(tuple(range(len(entries))))
+        for bits in itertools.product((0, 1), repeat=nbits):
+            if not _connected(bits, links, total) or any(
+                    bits > tuple(map(bits.__getitem__, p)) for p in perms):
+                continue
+            it = iter(bits)
+            mats = {arrows[k][0]: Matrix(a.field, r, c, [
+                [next(it) for _ in range(c)] for _ in range(r)])
+                for k, (r, c) in enumerate(shapes)}
+            rep = _Representation(a, list(dims), mats)
+            if rep.failure() is None:
+                yield Module(a, rep.actions(), validate=False)
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+_BUILDERS = {b.__name__: b for b in (
+    _kronecker, example_loop_flag_algebra, _two_loops_radical_square_zero,
+    _commutative_square, _x2_minus_x3)}
+
+
+@pytest.mark.parametrize("cap", [3, 4])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)],
+                         ids=["QQ", "GF2", "GF3"])
+@pytest.mark.parametrize("name", list(_BUILDERS) + [
+    "loop_flag.alg", "kxy2.alg", "kx3.alg", "a3.alg"])
+def test_block_sweep_yields_the_product_sweep_in_order(name, field, cap,
+                                                       tmp_path):
+    if name in _BUILDERS:
+        a = _BUILDERS[name](field)
+    else:  # a fixture, over the field of the case
+        with open(os.path.join(FIXTURES, name)) as fh:
+            text = fh.read()
+        path = tmp_path / name
+        path.write_text(text.replace("field QQ", "field " + (
+            "QQ" if field.kind == "rationals" else "GF %d" % field.p)))
+        a = parse_algebra_file(str(path))
+    got = [m.content_key() for m in _sweep_quiver_modules(a, cap)]
+    want = [m.content_key() for m in _product_sweep(a, cap)]
+    assert got and got == want
+
+
+def _one_loop(power, f=QQ):
+    q = Quiver((1,), (("x", 1, 1),))
+    return bound_quiver_algebra(q, [Relation(((1, ("x",) * power),))],
+                                power + 1, f)
+
+
+def test_sweep_block_answers_do_not_outlive_their_sweep():
+    """x^2 = 0 and x^3 = 0 differ only in the relation: a block answer
+    kept past one sweep, or not keyed by the algebra, would cut the
+    Jordan block of size 3 from the second or keep it in the first."""
+    kx2, kx3 = _one_loop(2), _one_loop(3)
+    want = {a: [m.content_key() for m in _product_sweep(a, 4)]
+            for a in (kx2, kx3)}
+    assert len(want[kx2]) < len(want[kx3])
+    for a in (kx2, kx3, kx2):
+        got = [m.content_key() for m in _sweep_quiver_modules(a, 4)]
+        assert got == want[a]
+
+
+def test_sweep_builds_few_representations_on_loop_flag(monkeypatch):
+    """Counts, not time: the sweep cuts non-canonical and loop-violating
+    blocks before a pattern is built.  The full product built 753
+    representations on loop_flag at cap 4 for 34 modules."""
+    built = []
+
+    class Counted(_Representation):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(gptau.classify, "_Representation", Counted)
+    a = parse_algebra_file(os.path.join(FIXTURES, "loop_flag.alg"))
+    yields = len(list(_sweep_quiver_modules(a, 4)))
+    assert yields == 34
+    assert len(built) <= 2 * yields
+
