@@ -1,14 +1,23 @@
-"""Relative approximation theory for a fixed generator E: minimal right
-add-E approximations and presentations, E-rigidity, the endomorphism
-algebra Gamma = (End E)^op with its transport dictionaries, the functor
-Hom(E, -), relative Gorenstein projectivity, and the bijection table
-pairing indecomposable E-GP E-rigid modules with GP tau-rigid
-Gamma-modules.
+"""Relative approximation theory for a fixed generator E.
+
+Everything is read off Gamma = (End E)^op.  For a generator E the functor
+Hom(E, -) sends add E onto the projective Gamma-modules and is fully
+faithful on it, with Hom(E_j, E_i) = e_j Gamma e_i for the basic
+summands E_i (Auslander-Reiten-Smalo, Representation Theory of Artin
+Algebras, II.2; Kong-Zhang, "From CM-finite to CM-free", J. Pure Appl.
+Algebra 220, 2016).  So the minimal add-E presentation of M is the lift
+of the minimal projective presentation of Hom(E, M), and M is E-rigid
+exactly when Hom(E, M) passes the surjectivity criterion of
+tau-rigidity over Gamma.  On top of that: the functor Hom(E, -),
+relative Gorenstein projectivity, and the bijection table pairing
+indecomposable E-GP E-rigid modules with GP tau-rigid Gamma-modules.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .algebra import Algebra, AlgebraError
 from .linalg import Matrix
@@ -18,20 +27,18 @@ from .module import (
     ModuleError,
     ModuleMap,
     _iso_indecomposable,
+    _trace_form_exact,
     decompose,
     direct_sum,
     hom,
     hom_coords,
-    hom_dim,
-    hom_map_surjective,
     is_isomorphic,
-    is_right_minimal,
     projective_modules,
     rad_end,
     zero_module,
 )
 from .homalg import Presentation, minimal_projective_presentation, \
-    _map_to_algebra_matrix
+    _hom_of_differential, _map_to_algebra_matrix
 from .tristate import TriState, no, unknown, yes
 
 
@@ -81,116 +88,52 @@ def in_add(x: Module, e: GeneratorData) -> bool:
     return True
 
 
-def _assemble_approx(x: Module, e: GeneratorData, picks):
-    """Map from the direct sum of the picked (class index, hom map)
-    pairs to x.  Returns the ModuleMap with summand metadata."""
-    a = x.algebra
-    f = x.field
-    if not picks:
-        z = zero_module(a)
-        mm = ModuleMap(z, x, Matrix(f, x.dim, 0))
-        mm.summand_classes = ()
-        return mm
-    mods = [e.basic[ci] for ci, _ in picks]
-    dom, incls, projs = direct_sum(a, mods) if len(mods) > 1 else (
-        mods[0], None, None
-    )
-    if len(mods) == 1:
-        mm = ModuleMap(mods[0], x, picks[0][1].matrix)
-        mm.summand_classes = (picks[0][0],)
-        return mm
-    total = Matrix(f, x.dim, dom.dim)
-    for (ci, h), pr in zip(picks, projs):
-        total = total + h.matrix @ pr.matrix
-    mm = ModuleMap(dom, x, total)
-    mm.summand_classes = tuple(ci for ci, _ in picks)
-    return mm
-
-
-def minimal_right_approx(x: Module, e: GeneratorData) -> ModuleMap:
-    """Minimal right add-E approximation of x: the evaluation map from
-    one copy of E_i per basis element of hom(E_i, x), greedily reduced
-    by deleting summands that are not needed for every hom(E_j, -) to
-    stay surjective.  The result is certified right-minimal."""
-    if not e.is_generator:
-        raise AlgebraError("E is not a generator")
-    if x.dim == 0:
-        return _assemble_approx(x, e, [])
-    picks = []
-    for ci, b in enumerate(e.basic):
-        for h in hom(b, x):
-            picks.append((ci, h))
-    # greedy deletion in fixed summand order
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(picks)):
-            trial = picks[:k] + picks[k + 1:]
-            cand = _assemble_approx(x, e, trial)
-            if _is_approximation(cand, x, e):
-                picks = trial
-                changed = True
-                break
-    out = _assemble_approx(x, e, picks)
-    if not _is_approximation(out, x, e):
-        raise ModuleError("approximation property lost during reduction")
-    if not is_right_minimal(out):
-        raise ModuleError("greedy reduction did not reach right minimality")
-    return out
-
-
-def _is_approximation(f: ModuleMap, x: Module, e: GeneratorData) -> bool:
-    """Every map E_j -> x factors through f, for every basic summand."""
-    return all(
-        hom_coords(b, x, [f.matrix @ g.matrix for g in hom(b, f.source)])
-        .rank() == hom_dim(b, x)
-        for b in e.basic
-    )
-
-
-def minimal_addE_presentation(m: Module, e: GeneratorData) -> Presentation:
-    """E1 -> E0 -> m -> 0 with both maps minimal right add-E
-    approximations; exactness validated."""
-    f0 = minimal_right_approx(m, e)
-    if f0.matrix.rank() != m.dim:
-        raise ModuleError("approximation is not surjective; E is no generator")
-    ker, inc = f0.kernel()
-    g = minimal_right_approx(ker, e)
-    f1 = ModuleMap(g.source, f0.source, inc.matrix @ g.matrix)
-    # exactness: im f1 = ker f0
-    if f1.matrix.image_basis().cols != ker.dim:
-        raise ModuleError("add-E presentation is not exact")
-    pres = Presentation(m, f0.source, f0, f1.source, f1,
-                        f0.summand_classes, g.summand_classes)
-    return pres
-
-
-def e_rigid(m: Module, e: GeneratorData) -> bool:
-    """Surjectivity of Hom(f1, m) on the minimal add-E presentation."""
-    if m.dim == 0:
-        return True
-    pres = minimal_addE_presentation(m, e)
-    if pres.p1.dim == 0:
-        return True
-    return hom_map_surjective(pres.f1, m)
-
-
 # -- Gamma = (End E)^op ------------------------------------------------------
 
 
 @dataclass
 class GammaData:
-    algebra: Algebra
+    algebra: Algebra  # its idempotent i is the identity of the basic E_i
     e: GeneratorData
     hom_bases: dict  # (i, j) -> list of ModuleMaps E_i -> E_j
     offsets: dict  # (i, j) -> first Gamma basis index of that block
-    idem_of_class: list  # class index -> Gamma idempotent index
+
+
+def _rad_end_of_summand(b: Module, ends):
+    """rad End(b) for an indecomposable b, as coefficient vectors over
+    the basis ends = hom(b, b).  Where the trace form is exact this is
+    rad_end.  Over GF(p) with p <= dim b it is not, so End(b), which is
+    local, is split as h = lambda(h) . 1 + nilpotent, assuming End/rad
+    is the ground field: then h^q = lambda(h) . 1 for a power q of p
+    with q >= dim b (Frobenius is additive on commuting terms and fixes
+    lambda), and rad = ker lambda.  A power that is not scalar means
+    End/rad is larger than the ground field: AlgebraError."""
+    if _trace_form_exact(b):
+        return rad_end(b)[0]
+    f = b.field
+    lam = []
+    for h in ends:
+        x, q = h.matrix, 1
+        while q < b.dim:
+            x, q = reduce(operator.matmul, [x] * f.p), q * f.p
+        c = x.data[0][0]
+        if x != Matrix.identity(f, b.dim).scale(c):
+            raise AlgebraError(
+                "End/rad of a summand of E with dimension vector %s is not "
+                "the ground field" % (b.dim_vector(),))
+        lam.append(c)
+    ker = Matrix(f, 1, len(lam), [lam]).kernel_basis()
+    return [ker.col(j) for j in range(ker.cols)]
 
 
 def gamma(e: GeneratorData) -> GammaData:
-    """Gamma built on the basic form of E: basis = union of the
+    """Gamma = (End E)^op on the basic form of E: basis = union of the
     hom(E_i, E_j) bases, product = reversed composition, idempotents =
-    the identity maps of the E_i."""
+    the identity maps of the E_i.  Its block (i, j) is Hom(E_i, E_j) =
+    e_i Gamma e_j, so by Yoneda Gamma e_j = Hom(E, E_j): the projective
+    Gamma-modules are Hom(E, -) of add E, which is what lets an add-E
+    presentation be lifted from a projective one over Gamma.  The
+    radical is the off-diagonal blocks plus each rad End(E_i)."""
     if not e.is_generator:
         raise AlgebraError("E is not a generator")
     basic = e.basic
@@ -227,30 +170,17 @@ def gamma(e: GeneratorData) -> GammaData:
                 for k2 in range(x.cols):
                     row[offsets[(j1, j2)] + k2] = embed(x.col(k2), i1, j2)
     idem = []
-    idem_of_class = []
     unit = zero_vec[:]
     for i in range(n):
         ident = Matrix.identity(f, basic[i].dim)
         vec = embed(hom_coords(basic[i], basic[i], [ident]).col(0), i, i)
         unit = [u + c for u, c in zip(unit, vec)]
         idem.append(vec)
-        idem_of_class.append(i)
     radical = []
-    for i in range(n):
-        for j in range(n):
-            off = offsets[(i, j)]
-            if i != j:
-                for k in range(len(hom_bases[(i, j)])):
-                    v = zero_vec[:]
-                    v[off + k] = f.one()
-                    radical.append(v)
-            else:
-                rad_coeffs, _ = rad_end(basic[i])
-                for rc in rad_coeffs:
-                    v = zero_vec[:]
-                    for k, c in enumerate(rc):
-                        v[off + k] = c
-                    radical.append(v)
+    for (i, j), hb in hom_bases.items():
+        coeffs = (_rad_end_of_summand(basic[i], hb) if i == j
+                  else Matrix.identity(f, len(hb)).data)
+        radical += [embed(c, i, j) for c in coeffs]
     labels = [
         "h(%d->%d)#%d" % (i + 1, j + 1, k)
         for i in range(n)
@@ -258,13 +188,19 @@ def gamma(e: GeneratorData) -> GammaData:
         for k in range(len(hom_bases[(i, j)]))
     ]
     alg = Algebra(f, labels, mult, unit, idem, radical, "endomorphism")
-    return GammaData(alg, e, hom_bases, offsets, idem_of_class)
+    return GammaData(alg, e, hom_bases, offsets)
+
+
+@memo
+def cached_gamma(e: GeneratorData) -> GammaData:
+    return gamma(e)
 
 
 def hom_E(m: Module, g: GammaData) -> Module:
     """Hom(E, m) as a left Gamma-module: underlying space is the union
-    of the hom(E_i, m) bases; the action of a map gamma: E_i -> E_j
-    sends f in hom(E_j, m) to f o gamma in hom(E_i, m)."""
+    of the hom(E_i, m) bases, so block i is e_i Hom(E, m) = hom(E_i, m);
+    the action of a map gamma: E_i -> E_j sends f in hom(E_j, m) to
+    f o gamma in hom(E_i, m)."""
     basic = g.e.basic
     blocks = [hom(b, m) for b in basic]
     offs = [0]
@@ -286,72 +222,86 @@ def hom_E(m: Module, g: GammaData) -> Module:
     return Module(g.algebra, acts, validate=False)
 
 
-# -- relative Gorenstein projectivity ----------------------------------------
+# -- add-E presentations and E-rigidity ---------------------------------------
 
 
-def _lift_presentation(g: GammaData, pres: Presentation):
-    """Lift a minimal projective presentation over Gamma back to an
-    add-E map over the base algebra, using the block identification
-    e_j Gamma e_i = hom(E_j, E_i)."""
-    e = g.e
-    a = e.E.algebra
-    fld = a.field
-    lam = _map_to_algebra_matrix(pres.f1)
-    mods0 = [e.basic[g.idem_of_class[i]] for i in pres.p0_idx]
-    mods1 = [e.basic[g.idem_of_class[i]] for i in pres.p1_idx]
-    if not mods1:
-        z = zero_module(a)
-        if len(mods0) == 1:
-            e0 = mods0[0]
-        else:
-            e0 = direct_sum(a, mods0)[0]
-        return e0, z, ModuleMap(z, e0, Matrix(fld, e0.dim, 0)), \
-            tuple(pres.p0_idx), ()
-    e0, incls0, projs0 = (
-        direct_sum(a, mods0) if len(mods0) > 1
-        else (mods0[0], None, None)
-    )
-    e1, incls1, projs1 = (
-        direct_sum(a, mods1) if len(mods1) > 1
-        else (mods1[0], None, None)
-    )
-    mat = Matrix(fld, e0.dim, e1.dim)
-    for r in range(len(pres.p0_idx)):
-        for c in range(len(pres.p1_idx)):
-            elem = lam[r][c]
+def _combination(maps, coords) -> Matrix:
+    """The matrix of sum_k coords[k] . maps[k], for a nonempty list of
+    ModuleMaps with a common source and target."""
+    out = maps[0].matrix.scale(coords[0])
+    for h, c in zip(maps[1:], coords[1:]):
+        if c:
+            out = out + h.matrix.scale(c)
+    return out
+
+
+def _lift_presentation(g: GammaData, m: Module, n: Module) -> Presentation:
+    """The minimal projective presentation of n = Hom(E, m) over Gamma,
+    lifted to add E.  Summand r of P0 over e_i becomes E_i, and its
+    generator, a vector of e_i n = hom(E_i, m), becomes the map
+    E_i -> m with those coordinates.  Entry (r, c) of f1 is a Gamma
+    element of e_j Gamma e_i = Hom(E_j, E_i) (j the idempotent of
+    summand c of P1) and becomes that map.  Raises ModuleError when an
+    entry leaves its Yoneda block, or the lift is not onto m or not
+    exact."""
+    pres = minimal_projective_presentation(n)
+    a = m.algebra
+    basic = g.e.basic
+    e0, incls0, projs0 = direct_sum(a, [basic[i] for i in pres.p0_idx])
+    e1, _, projs1 = direct_sum(a, [basic[i] for i in pres.p1_idx])
+    f0 = Matrix(m.field, m.dim, e0.dim)
+    for (i, _, gen), pr in zip(pres.p0.summands, projs0):
+        off, d = n.blocks[i]
+        coords = pres.f0.matrix.mul_vec(gen)[off:off + d]
+        f0 = f0 + _combination(hom(basic[i], m), coords) @ pr.matrix
+    f1 = Matrix(m.field, e0.dim, e1.dim)
+    for r, row in enumerate(_map_to_algebra_matrix(pres.f1)):
+        for c, elem in enumerate(row):
             if elem is None:
                 continue
-            # decode the Gamma element into a base-algebra map
-            # E_{p1_idx[c]} -> E_{p0_idx[r]}
-            jcls = g.idem_of_class[pres.p1_idx[c]]
-            icls = g.idem_of_class[pres.p0_idx[r]]
-            hb = g.hom_bases[(jcls, icls)]
-            off = g.offsets[(jcls, icls)]
-            comp = Matrix(fld, e.basic[icls].dim, e.basic[jcls].dim)
-            for k, h in enumerate(hb):
-                cv = elem[off + k]
-                if cv:
-                    comp = comp + h.matrix.scale(cv)
-            # other blocks of elem must vanish
-            for (bi, bj), boff in g.offsets.items():
-                if (bi, bj) == (jcls, icls):
-                    continue
-                for k in range(len(g.hom_bases[(bi, bj)])):
-                    if elem[boff + k]:
-                        raise ModuleError(
-                            "Gamma element leaves its Yoneda block"
-                        )
-            if len(mods0) > 1:
-                left = incls0[r].matrix
-            else:
-                left = Matrix.identity(fld, e0.dim)
-            if len(mods1) > 1:
-                right = projs1[c].matrix
-            else:
-                right = Matrix.identity(fld, e1.dim)
-            mat = mat + left @ comp @ right
-    return e0, e1, ModuleMap(e1, e0, mat), tuple(pres.p0_idx), \
-        tuple(pres.p1_idx)
+            block = (pres.p1_idx[c], pres.p0_idx[r])
+            off, hb = g.offsets[block], g.hom_bases[block]
+            if any(elem[:off]) or any(elem[off + len(hb):]):
+                raise ModuleError("Gamma element leaves its Yoneda block")
+            comp = _combination(hb, elem[off:off + len(hb)])
+            f1 = f1 + incls0[r].matrix @ comp @ projs1[c].matrix
+    if f0.rank() != m.dim:
+        raise ModuleError("lifted add-E cover is not onto the module")
+    if not (f0 @ f1).is_zero() or f1.rank() != e0.dim - m.dim:
+        raise ModuleError("add-E presentation is not exact")
+    return Presentation(m, e0, ModuleMap(e0, m, f0), e1,
+                        ModuleMap(e1, e0, f1), pres.p0_idx, pres.p1_idx)
+
+
+def minimal_addE_presentation(m: Module, e: GeneratorData) -> Presentation:
+    """E1 --f1--> E0 --f0--> m -> 0 with f0 and E1 -> ker f0 minimal right
+    add-E approximations; p0_idx and p1_idx name the basic summands E_i.
+
+    Hom(E, -) is an equivalence from add E onto the projective
+    Gamma-modules (gamma), and it is left exact, so it sends this
+    presentation to the minimal projective presentation of Hom(E, m):
+    the presentation is that one, lifted (_lift_presentation, which
+    checks that the lift is onto and exact).  Raises AlgebraError when E
+    is not a generator."""
+    g = cached_gamma(e)
+    return _lift_presentation(g, m, hom_E(m, g))
+
+
+def e_rigid(m: Module, e: GeneratorData) -> bool:
+    """Is Hom(f1, m) onto, for f1 of the minimal add-E presentation?  By
+    Yoneda, Hom(E_i, m) = e_i Hom(E, m) and Hom(f1, m) is Hom(f1', Hom(E,
+    m)) for the Gamma presentation f1' that f1 lifts: tau_rigid_test's
+    surjectivity criterion for Hom(E, m) over Gamma, read off the
+    generator complex (homalg._hom_of_differential)."""
+    if m.dim == 0:
+        return True
+    g = cached_gamma(e)
+    n = hom_E(m, g)
+    h = _hom_of_differential(minimal_projective_presentation(n).f1, n)
+    return h.rank() == h.rows
+
+
+# -- relative Gorenstein projectivity ----------------------------------------
 
 
 def e_gorenstein_projective(m: Module, e: GeneratorData,
@@ -374,19 +324,12 @@ def e_gorenstein_projective(m: Module, e: GeneratorData,
                   + verdict.reason, bound=bound, witness=verdict.witness)
     if verdict.is_unknown:
         return unknown("Gamma-side check unresolved", bound=bound)
-    pres = minimal_projective_presentation(n)
-    e0, e1, f1, _, _ = _lift_presentation(g, pres)
-    cok, _ = f1.cokernel()
+    cok, _ = _lift_presentation(g, m, n).f1.cokernel()
     if is_isomorphic(cok, m):
         return yes("Gamma-side certificate with matching lifted cokernel",
                    bound=bound)
     return no("lifted presentation cokernel differs from the module",
               bound=bound, witness=cok.dim_vector())
-
-
-@memo
-def cached_gamma(e: GeneratorData) -> GammaData:
-    return gamma(e)
 
 
 # -- the bijection table ------------------------------------------------------

@@ -714,13 +714,6 @@ def _hom_stack(m: Module, n: Module) -> Matrix:
                             nrows=n.dim * m.dim)
 
 
-def hom_map_surjective(f: ModuleMap, m: Module) -> bool:
-    """Is Hom(f, m): Hom(target, m) -> Hom(source, m) surjective?"""
-    img = hom_coords(f.source, m,
-                     [g.matrix @ f.matrix for g in hom(f.target, m)])
-    return img.rank() == img.rows
-
-
 def _trace_form_exact(m: Module) -> bool:
     """Is the trace-form radical of End(m) exact?  Over the rationals, or
     over GF(p) with p > dim m: there tr(x^k) = 0 for k <= dim m forces x
@@ -767,16 +760,6 @@ def rad_end(m: Module):
     ker = gram.kernel_basis()
     rad_coeffs = [ker.col(j) for j in range(ker.cols)]
     return rad_coeffs, k - len(rad_coeffs)
-
-
-def end_rad_membership(m: Module, mat: Matrix):
-    """Is the endomorphism mat in rad End(m)?"""
-    coords = hom_coords(m, m, [mat]).col(0)
-    rad_coeffs, _ = rad_end(m)
-    if not rad_coeffs:
-        return all(not c for c in coords)
-    span = Matrix.from_cols(m.field, rad_coeffs, nrows=len(coords))
-    return span.solve(coords) is not None
 
 
 # -- decomposition --------------------------------------------------------
@@ -1291,29 +1274,6 @@ def module_from_triple(t2_algebra: Algebra, x: Module, y: Module,
     for i in range(a.dim):  # (0, 0, b_i): (x, y) -> (0, b_i y)
         acts.append(_place(Matrix(f, total, total), y.actions[i], dx, dx))
     return Module(t2_algebra, acts, validate=False)
-
-
-def is_right_minimal(f: ModuleMap) -> bool:
-    """f is right minimal iff every g with f.g = f is invertible,
-    equivalently {g : f.g = 0} lies in rad End(source)."""
-    src = f.source
-    if src.dim == 0:
-        return True
-    ends = hom(src, src)
-    ff = f.matrix
-    field = src.field
-    cols = [_flat(ff @ e.matrix) for e in ends]
-    sysm = Matrix.from_cols(field, cols, nrows=ff.rows * ff.cols)
-    ker = sysm.kernel_basis()
-    for j in range(ker.cols):
-        coeffs = ker.col(j)
-        g = Matrix(field, src.dim, src.dim)
-        for c, e in zip(coeffs, ends):
-            if c:
-                g = g + e.matrix.scale(c)
-        if not end_rad_membership(src, g):
-            return False
-    return True
 
 
 def is_faithful(m: Module) -> bool:

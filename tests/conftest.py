@@ -68,6 +68,12 @@ def _two_loops_radical_square_zero(f):
     return bound_quiver_algebra(q, rels, 2, f)
 
 
+def _battery_algebras(f):
+    """The battery algebras over the field f."""
+    return [linear_a_n(3, f), example_loop_flag_algebra(f), loop_algebra(3, f),
+            cyclic_nakayama(2, 2, f), trivial_algebra(f)]
+
+
 def _classes_and_sums(f):
     """[(algebra, modules)] for the battery algebras over the field f and
     their opposites: the classes enumerated to 2 dim A, and three seeded
@@ -76,9 +82,7 @@ def _classes_and_sums(f):
     (its branch for idempotents that do not act diagonally)."""
     rng = random.Random(20241109)
     out = []
-    for base in (linear_a_n(3, f), example_loop_flag_algebra(f),
-                 loop_algebra(3, f), cyclic_nakayama(2, 2, f),
-                 trivial_algebra(f)):
+    for base in _battery_algebras(f):
         for a in (base, base.opposite()):
             mods = list(enumerate_indecomposables(a, 2 * a.dim)
                         .representatives)

@@ -70,3 +70,44 @@ def test_no_unused_imports():
     paths += sorted(pathlib.Path(__file__).parent.glob("*.py"))
     unused = [u for p in paths for u in _unused_imports(p)]
     assert unused == []
+
+
+def _is_click_command(node):
+    """Is the function decorated as a click command or group?"""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Attribute) and target.attr in (
+                "command", "group"):
+            return True
+    return False
+
+
+def test_every_public_function_is_referenced():
+    """Every public top-level function and class of the package is
+    referred to by name outside its own definition, in the package or
+    in the tests: a public function nobody calls is deleted.  The click
+    commands are called by the command line and are left out."""
+    src = pathlib.Path(gptau.__file__).parent
+    tests = pathlib.Path(__file__).parent
+    defs, refs = [], []
+    for path in sorted(src.glob("*.py")) + sorted(tests.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.parent == src:
+            defs += [(path, node) for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and not node.name.startswith("_")
+                     and not _is_click_command(node)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.attr, node.lineno))
+            elif isinstance(node, ast.alias) and path.name != "__init__.py":
+                refs.append((path, node.name, node.lineno))
+    unused = [
+        "%s.%s" % (path.stem, d.name) for path, d in defs
+        if not any(name == d.name
+                   and (p != path or not d.lineno <= line <= d.end_lineno)
+                   for p, name, line in refs)]
+    assert defs
+    assert unused == []
