@@ -220,44 +220,24 @@ class Algebra:
 
     @memo
     def generators(self):
-        """Small generating set: idempotents plus lifts of rad/rad^2,
-        completed with extra basis vectors if needed."""
+        """The idempotents plus radical basis vectors that complete rad^2
+        to rad: a set that generates the algebra.
+
+        validate makes dim A/rad the number of idempotents.  Their classes
+        in A/rad are nonzero orthogonal idempotents, hence independent, so
+        A = span(e_i) + rad.  The radical vectors chosen span a V with
+        rad = V + rad^2, so rad^2 = V^2 + rad^3 and rad = V + V^2 + rad^3,
+        and so on up to rad = V + V^2 + ... + V^(N-1) where rad^N = 0: the
+        products of the generators span A."""
         f = self.field
         gens = list(self.idempotents)
-        if self.radical:
-            j2 = []
-            for x in self.radical:
-                for y in self.radical:
-                    j2.append(self.product(x, y))
-            m = Matrix.from_cols(f, j2, nrows=self.dim)
-            acc = m.image_basis()
-            for r in self.radical:
-                if acc.solve(r) is None:
-                    gens.append(r)
-                    acc = acc.hstack(Matrix.from_cols(f, [r], nrows=self.dim))
-        # verify generation; append missing basis vectors if the algebra is
-        # not generated by idempotents and radical (non-split quotient)
-        span = Matrix.from_cols(f, gens + [self.unit], nrows=self.dim)
-        span = span.image_basis()
-        changed = True
-        while changed:
-            changed = False
-            cur = [span.col(j) for j in range(span.cols)]
-            prods = [self.product(x, y) for x in cur for y in cur]
-            bigger = span.hstack(
-                Matrix.from_cols(f, prods, nrows=self.dim)
-            ).image_basis()
-            if bigger.cols > span.cols:
-                span = bigger
-                changed = True
-        if span.cols < self.dim:
-            for i in range(self.dim):
-                v = self._basis_vec(i)
-                if span.solve(v) is None:
-                    gens.append(v)
-                    span = span.hstack(
-                        Matrix.from_cols(f, [v], nrows=self.dim)
-                    ).image_basis()
+        acc = Matrix.from_cols(f, [self.product(x, y) for x in self.radical
+                                   for y in self.radical],
+                               nrows=self.dim).image_basis()
+        for r in self.radical:
+            if acc.solve(r) is None:
+                gens.append(r)
+                acc = acc.hstack(Matrix.from_cols(f, [r], nrows=self.dim))
         return gens
 
     def opposite(self):

@@ -15,9 +15,7 @@ indecomposable E-GP E-rigid modules with GP tau-rigid Gamma-modules.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .algebra import Algebra, AlgebraError
 from .linalg import Matrix
@@ -27,7 +25,6 @@ from .module import (
     ModuleError,
     ModuleMap,
     _iso_indecomposable,
-    _trace_form_exact,
     decompose,
     direct_sum,
     hom,
@@ -99,33 +96,6 @@ class GammaData:
     offsets: dict  # (i, j) -> first Gamma basis index of that block
 
 
-def _rad_end_of_summand(b: Module, ends):
-    """rad End(b) for an indecomposable b, as coefficient vectors over
-    the basis ends = hom(b, b).  Where the trace form is exact this is
-    rad_end.  Over GF(p) with p <= dim b it is not, so End(b), which is
-    local, is split as h = lambda(h) . 1 + nilpotent, assuming End/rad
-    is the ground field: then h^q = lambda(h) . 1 for a power q of p
-    with q >= dim b (Frobenius is additive on commuting terms and fixes
-    lambda), and rad = ker lambda.  A power that is not scalar means
-    End/rad is larger than the ground field: AlgebraError."""
-    if _trace_form_exact(b):
-        return rad_end(b)[0]
-    f = b.field
-    lam = []
-    for h in ends:
-        x, q = h.matrix, 1
-        while q < b.dim:
-            x, q = reduce(operator.matmul, [x] * f.p), q * f.p
-        c = x.data[0][0]
-        if x != Matrix.identity(f, b.dim).scale(c):
-            raise AlgebraError(
-                "End/rad of a summand of E with dimension vector %s is not "
-                "the ground field" % (b.dim_vector(),))
-        lam.append(c)
-    ker = Matrix(f, 1, len(lam), [lam]).kernel_basis()
-    return [ker.col(j) for j in range(ker.cols)]
-
-
 def gamma(e: GeneratorData) -> GammaData:
     """Gamma = (End E)^op on the basic form of E: basis = union of the
     hom(E_i, E_j) bases, product = reversed composition, idempotents =
@@ -133,7 +103,9 @@ def gamma(e: GeneratorData) -> GammaData:
     e_i Gamma e_j, so by Yoneda Gamma e_j = Hom(E, E_j): the projective
     Gamma-modules are Hom(E, -) of add E, which is what lets an add-E
     presentation be lifted from a projective one over Gamma.  The
-    radical is the off-diagonal blocks plus each rad End(E_i)."""
+    radical is the off-diagonal blocks plus each rad End(E_i) (rad_end);
+    an E_i whose End/rad is larger than the ground field makes Gamma
+    non-split: AlgebraError."""
     if not e.is_generator:
         raise AlgebraError("E is not a generator")
     basic = e.basic
@@ -178,8 +150,14 @@ def gamma(e: GeneratorData) -> GammaData:
         idem.append(vec)
     radical = []
     for (i, j), hb in hom_bases.items():
-        coeffs = (_rad_end_of_summand(basic[i], hb) if i == j
-                  else Matrix.identity(f, len(hb)).data)
+        if i == j:
+            coeffs, sdim = rad_end(basic[i])
+            if sdim != 1:
+                raise AlgebraError(
+                    "End/rad of a summand of E with dimension vector %s is "
+                    "not the ground field" % (basic[i].dim_vector(),))
+        else:
+            coeffs = Matrix.identity(f, len(hb)).data
         radical += [embed(c, i, j) for c in coeffs]
     labels = [
         "h(%d->%d)#%d" % (i + 1, j + 1, k)

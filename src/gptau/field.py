@@ -43,10 +43,9 @@ def _is_prime(p: int) -> bool:
 class FieldSpec:
     """Ground field: the rationals, or GF(p) for a prime p.
 
-    Prime fields with small p can misreport radicals of endomorphism
-    algebras computed through the trace form; p > module dimension is
-    the documented safe regime (module.rad_end).  The rationals are the
-    default everywhere.
+    Every prime is supported: module.rad_end reads radicals of
+    endomorphism algebras exactly also for p <= the module dimension.
+    The rationals are the default everywhere.
     """
 
     def __init__(self, kind: str, p: int | None = None):

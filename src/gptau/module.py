@@ -30,9 +30,13 @@ images instead of solving a linear system.
 Two indecomposables are isomorphic iff they have the same dimension
 vector and some element of the hom basis between them is invertible
 (_iso_indecomposable proves this from Fitting's lemma).  is_isomorphic
-decides arbitrary modules: an invertible basis element or seeded
-combination certifies yes, and otherwise it matches the Krull-Schmidt
-decompositions with the indecomposable rule.
+decides arbitrary modules: an invertible basis element or one of three
+seeded combinations certifies yes, and otherwise it matches the
+Krull-Schmidt decompositions with the indecomposable rule.
+
+Decomposition reads rad End(M) first (rad_end, exact over every field),
+then takes deterministic Fitting and primary splits, in one order on
+every field (_split_once).
 
 Modules and maps are immutable.  Expensive results are memoised with
 memo.memo on the object they are computed from; a module argument is
@@ -48,11 +52,12 @@ import random
 import warnings
 
 from .algebra import Algebra
+from .field import QQ
 from .linalg import Matrix
 from .memo import Keyed, memo
 
-# the one seed of the random candidates tried in splitting and in
-# is_isomorphic; every result is reproducible run to run
+# the seed of the combinations that is_isomorphic draws; every result is
+# reproducible run to run
 DEFAULT_SEED = 20240915
 
 
@@ -714,31 +719,19 @@ def _hom_stack(m: Module, n: Module) -> Matrix:
                             nrows=n.dim * m.dim)
 
 
-def _trace_form_exact(m: Module) -> bool:
-    """Is the trace-form radical of End(m) exact?  Over the rationals, or
-    over GF(p) with p > dim m: there tr(x^k) = 0 for k <= dim m forces x
-    to be nilpotent."""
-    f = m.field
-    return f.kind == "rationals" or f.p > m.dim
-
-
 @memo
 def rad_end(m: Module):
-    """(radical coefficient vectors over the End basis, dim End/rad).
+    """(radical coefficient vectors over the End basis, dim End/rad),
+    exact over every field.
 
-    The radical is the kernel of the trace form (a, b) -> tr(ab) of the
-    action on m.  That is exact over the rationals and over GF(p) with
-    p > dim m.  For p <= dim m the kernel can be larger than the radical
-    (a summand whose dimension p divides loses its idempotent), so
-    dim End/rad can read too small; a warning says so."""
+    I_0 is the kernel of the trace form (a, b) -> tr(ab) of the action
+    on m.  Over the rationals, and over GF(p) with p > dim m, it is the
+    radical.  For p <= dim m it can be larger (a summand whose dimension
+    p divides loses its idempotent), and _small_prime_radical cuts it
+    down to the radical."""
     ends = hom(m, m)
     k = len(ends)
     f = m.field
-    if not _trace_form_exact(m):
-        warnings.warn(
-            "radical via trace form over GF(%d) with module dimension %d "
-            "may be unreliable" % (f.p, m.dim)
-        )
     # tr(AB) = sum of A[r][c] * B[c][r], over the nonzero entries of A
     nonzero = [
         [(r, c, x) for r, row in enumerate(e.matrix.data)
@@ -758,8 +751,77 @@ def rad_end(m: Module):
             gram.data[i][j] = t
             gram.data[j][i] = t
     ker = gram.kernel_basis()
-    rad_coeffs = [ker.col(j) for j in range(ker.cols)]
-    return rad_coeffs, k - len(rad_coeffs)
+    rad = [ker.col(j) for j in range(ker.cols)]
+    if f.p and rad and f.p <= m.dim:
+        rad = _small_prime_radical(m, [e.matrix for e in ends], rad)
+    return rad, k - len(rad)
+
+
+def _small_prime_radical(m: Module, mats, rad):
+    """rad End(m) over GF(p), p <= dim m, from I_0 = rad, the trace-form
+    kernel, as coefficient vectors over the End basis mats.
+
+    Cohen-Ivanyos-Wales ("Finding the radical of an algebra of linear
+    transformations", J. Pure Appl. Algebra 117-118, 1997): for each
+    q = p^i <= dim m, I_i is the set of a in I_{i-1} with
+    tr(X^q)/q = 0 mod p for X the integer lift of ab, for every End basis
+    element b.  That map is linear on I_{i-1}, q divides the trace there,
+    and the last I_i is the radical.  Every endomorphism commutes with
+    the idempotents, which project onto the blocks, so ab and X^q are
+    block diagonal, and X^q is taken block by block where a and b are
+    both nonzero."""
+    f = m.field
+    p = q = f.p
+
+    def diagonal(x):
+        out = {}
+        for i, (o, d) in enumerate(m.blocks):
+            blk = [r[o:o + d] for r in x.data[o:o + d]]
+            if any(map(any, blk)):
+                out[i] = Matrix._adopt(f, d, d, blk)
+        return out
+
+    ends_diag = [diagonal(x) for x in mats]
+    while rad and q <= m.dim:
+        # row s: tr(X^q)/q mod p for X the lift of a_s b, b in the End basis
+        rows = []
+        for a in rad:
+            a_diag = diagonal(_combine(f, m.dim, mats, a))
+            row = []
+            for b_diag in ends_diag:
+                t = 0
+                for i, y in b_diag.items():
+                    if i in a_diag:
+                        xy = (a_diag[i] @ y).data
+                        if any(map(any, xy)):
+                            t += _power_trace(xy, q)
+                if t % q:
+                    raise ModuleError("lifted trace %d is not divisible by %d"
+                                      % (t, q))
+                row.append(t // q % p)
+            rows.append(row)
+        # I_i: the combinations sum c_s a_s that every b sends to 0
+        cut = Matrix._adopt(f, len(mats), len(rad),
+                            [list(col) for col in zip(*rows)]).kernel_basis()
+        coords = list(zip(*rad))
+        rad = [[sum(c * x for c, x in zip(col, xs)) % p for xs in coords]
+               for col in map(cut.col, range(cut.cols))]
+        q *= p
+    return rad
+
+
+def _power_trace(data, q):
+    """tr(X^q), q >= 2, for the integer matrix X with rows data: X^h for
+    h = q // 2 by square-and-multiply, then the trace of X^h X^(q - h)
+    summed entry by entry without forming that last product."""
+    x = y = Matrix._adopt(QQ, len(data), len(data), data)
+    for bit in bin(q // 2)[3:]:
+        y = y @ y
+        if bit == "1":
+            y = y @ x
+    z = (y @ x if q % 2 else y).data
+    return sum(a * z[c][r] for r, row in enumerate(y.data)
+               for c, a in enumerate(row) if a)
 
 
 # -- decomposition --------------------------------------------------------
@@ -793,9 +855,13 @@ def _min_poly(mat: Matrix):
         powers.append(nxt)
 
 
-def _min_poly_split_candidate(m: Module, s: Matrix):
-    """If the minimal polynomial of s has two distinct irreducible
-    factors, return a Fitting split along one primary component."""
+def _min_poly_split_candidate(m: Module, s: Matrix, sdim: int):
+    """A Fitting split along one primary component of s when its minimal
+    polynomial has two distinct irreducible factors.  True when it is a
+    power f^e of one irreducible f of degree sdim = dim End/rad: then the
+    class of s in End/rad has minimal polynomial f^e' with e' deg f <= sdim,
+    so e' = 1 and k[s] = k[t]/(f) is a field filling End/rad, End(m) is
+    local and m is indecomposable.  None otherwise."""
     import sympy
 
     f = m.field
@@ -808,105 +874,84 @@ def _min_poly_split_candidate(m: Module, s: Matrix):
         )
         factors = sympy.factor_list(poly)[1]
     else:
+        # sorted by hand: sympy.factor_list's own sort compares modular
+        # integers, which sympy deprecates
         poly = sympy.Poly(list(reversed(coeffs)), t, modulus=f.p)
-        factors = sympy.factor_list(poly, modulus=f.p)[1]
+        factors = sorted(poly.factor_list()[1], key=lambda fm: (
+            fm[0].degree(), fm[1], [int(c) for c in fm[0].all_coeffs()]))
     if len(factors) < 2:
-        return None
+        return factors[0][0].degree() == sdim or None
     fac, mult = factors[0]
     fac_coeffs = [f.of(str(c)) for c in reversed(fac.all_coeffs())]
-    g = Matrix(f, m.dim, m.dim)
+    g1 = Matrix(f, m.dim, m.dim)  # fac(s)
     p = Matrix.identity(f, m.dim)
     for c in fac_coeffs:
         if c:
-            g = g + p.scale(c)
+            g1 = g1 + p.scale(c)
         p = p @ s
+    g = g1
     for _ in range(mult - 1):
-        g2 = Matrix(f, m.dim, m.dim)
-        p = Matrix.identity(f, m.dim)
-        for c in fac_coeffs:
-            if c:
-                g2 = g2 + p.scale(c)
-            p = p @ s
-        g = g @ g2
+        g = g @ g1
     return _fitting_split(m, g)
 
 
-def _split_candidates(m: Module, ends):
+def _split_candidates(ends):
     """Endomorphisms to try a Fitting split on, built one at a time: the
-    End basis, its pairwise sums, then 24 seeded random combinations."""
+    End basis, then its pairwise sums."""
     for e in ends:
         yield e.matrix
     for i in range(len(ends)):
         for j in range(i + 1, len(ends)):
             yield ends[i].matrix + ends[j].matrix
-    rng = random.Random(DEFAULT_SEED)
-    for _ in range(24):
-        mat = Matrix(m.field, m.dim, m.dim)
-        for e in ends:
-            mat = mat + e.matrix.scale(rng.randint(-3, 3))
-        yield mat
 
 
 def _split_once(m: Module):
-    """One nontrivial direct-sum split of m, or None if m is taken to be
-    indecomposable.
+    """One nontrivial direct-sum split of m, or None when m is found
+    indecomposable; the same order on every field.
 
-    Where the trace form is exact (over the rationals, or over GF(p) with
-    p > dim m), dim End/rad = 1 certifies m indecomposable before any
-    candidate is built.  For p <= dim m that reading can be too small, so
-    the Fitting candidates come first and rad_end only afterwards.  When
-    no split is found past a reading of 1, None comes with a warning:
-    that End/rad has dimension > 1 where the trace form is exact, and
-    that the reading is unreliable where it is not."""
+    rad_end is exact, so dim End/rad = 1 certifies m indecomposable
+    before any candidate is built.  Otherwise the Fitting splits of the
+    End basis and its pairwise sums come first, then the primary splits
+    of lifts of an End/rad basis and of sums of two of them
+    (_min_poly_split_candidate).  A lift whose minimal polynomial is a
+    power of one irreducible of degree dim End/rad certifies that
+    End/rad is a field, so m is indecomposable.  Only when none of these
+    decides does None come with a warning."""
     ends = hom(m, m)
     if len(ends) <= 1:
         return None
-    if _trace_form_exact(m) and rad_end(m)[1] == 1:
+    rad_coeffs, sdim = rad_end(m)
+    if sdim == 1:
         return None
     idm = Matrix.identity(m.field, m.dim)
-    for s in _split_candidates(m, ends):
+    for s in _split_candidates(ends):
         if s.is_zero() or (s - idm.scale(s.data[0][0])).is_zero():
             continue
         split = _fitting_split(m, s)
         if split:
             return split
-    rad_coeffs, sdim = rad_end(m)
-    if sdim == 1:
-        return None
-    # lift a basis of End/rad and look for reducible minimal polynomials
-    rad_span = (
-        Matrix.from_cols(m.field, rad_coeffs, nrows=len(ends))
-        if rad_coeffs
-        else Matrix(m.field, len(ends), 0)
-    )
-    lifts = []
-    acc = rad_span
-    for i, e in enumerate(ends):
-        v = [m.field.one() if k == i else m.field.zero() for k in range(len(ends))]
-        if acc.solve(v) is None:
-            lifts.append(e.matrix)
-            acc = acc.hstack(Matrix.from_cols(m.field, [v], nrows=len(ends)))
+    # lift a basis of End/rad: the End basis elements whose unit vectors
+    # are pivots of [rad | I], and look at the minimal polynomials
+    k, r = len(ends), len(rad_coeffs)
+    _, pivots = Matrix.from_cols(m.field, rad_coeffs + [
+        [int(i == j) for i in range(k)] for j in range(k)], nrows=k).rref()
+    lifts = [ends[j - r].matrix for j in pivots if j >= r]
     pool = list(lifts)
     for i in range(len(lifts)):
         for j in range(i + 1, len(lifts)):
             for c in (1, 2, 3):
                 pool.append(lifts[i] + lifts[j].scale(c))
     for s in pool:
-        split = _min_poly_split_candidate(m, s)
+        split = _min_poly_split_candidate(m, s, sdim)
+        if split is True:
+            return None
         if split:
             return split
-    if _trace_form_exact(m):
-        warnings.warn(
-            "End/rad has dimension %d > 1 with no splitting found over %r; "
-            "treating the module as indecomposable (it may split over a "
-            "field extension)" % (sdim, m.field)
-        )
-    else:
-        warnings.warn(
-            "no splitting found over %r for a module of dimension %d >= p, "
-            "where the trace form reading dim End/rad = %d is unreliable; "
-            "treating the module as indecomposable" % (m.field, m.dim, sdim)
-        )
+    warnings.warn(
+        "End/rad has dimension %d > 1 with no splitting found over %r; "
+        "treating the module as indecomposable (it may split over a "
+        "field extension)" % (sdim, m.field)
+    )
     return None
 
 
@@ -940,12 +985,8 @@ def decompose(m: Module):
 
 
 def is_indecomposable(m: Module):
-    """(bool, dim End/rad).
-
-    dim End/rad is read from the trace form (rad_end): exact over the
-    rationals and over GF(p) with p > dim m.  For p <= dim m it can read
-    below the true value, and the bool rests on the Fitting candidates
-    that _split_once tries before it reads rad_end."""
+    """(bool, dim End/rad), with dim End/rad exact over every field
+    (rad_end) and the bool from split_indecomposables."""
     if m.dim == 0:
         return False, 0
     parts = split_indecomposables(m)
@@ -974,8 +1015,9 @@ def is_isomorphic(m: Module, n: Module) -> bool:
     """Exact isomorphism test for arbitrary modules.
 
     An invertible map m -> n certifies yes: first the hom(m, n) basis
-    elements, then 30 seeded combinations of them, a shortcut that
-    spares most isomorphic sums their decomposition.  Failing that, the
+    elements, then 3 seeded combinations of them, a shortcut that
+    spares most isomorphic sums their decomposition (nearly every hit
+    comes at the first or second draw).  Failing that, the
     Krull-Schmidt decompositions are matched summand by summand with
     _iso_indecomposable, which certifies yes and no."""
     if m.algebra is not n.algebra:
@@ -992,7 +1034,7 @@ def is_isomorphic(m: Module, n: Module) -> bool:
     if any(mat.is_invertible() for mat in mats):
         return True
     rng = random.Random(DEFAULT_SEED)
-    for _ in range(30):
+    for _ in range(3):
         coeffs = [rng.randint(-4, 4) for _ in mats]
         if _combine(m.field, m.dim, mats, coeffs).is_invertible():
             return True

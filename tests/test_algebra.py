@@ -17,8 +17,12 @@ from gptau.algebra import (
     loop_algebra,
     t2,
     tensor,
+    trivial_algebra,
 )
+from gptau.approx import gamma, generator_data
 from gptau.field import GF, QQ
+from gptau.linalg import Matrix
+from gptau.module import direct_sum, dual_D, regular_module
 
 
 def test_builder_dimensions(a3, loop_flag, kx3, nakayama22, ground_field_algebra):
@@ -160,3 +164,34 @@ def test_non_split_algebra_rejected():
     a = Algebra(GF(2), ["1", "x"], mult, [1, 0], [[1, 0]], [[1, 1]],
                 provenance="test")
     assert a.dim == 2
+
+
+def _closure_dim(a):
+    """Dimension of the span of all products of the generators."""
+    f = a.field
+    span = Matrix.from_cols(f, a.generators(), nrows=a.dim).image_basis()
+    while True:
+        cur = [span.col(j) for j in range(span.cols)]
+        prods = [a.product(x, y) for x in cur for y in cur]
+        bigger = span.hstack(
+            Matrix.from_cols(f, prods, nrows=a.dim)).image_basis()
+        if bigger.cols == span.cols:
+            return span.cols
+        span = bigger
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_generators_generate_the_algebra(field):
+    """The idempotents and the radical lifts of rad/rad^2 generate A, on
+    the battery, its opposites, T2, a tensor product and a Gamma."""
+    battery = [linear_a_n(3, field), example_loop_flag_algebra(field),
+               loop_algebra(3, field), cyclic_nakayama(2, 2, field),
+               trivial_algebra(field)]
+    a3 = battery[0]
+    e = generator_data(direct_sum(
+        a3, [regular_module(a3), dual_D(regular_module(a3.opposite()))])[0])
+    algebras = (battery + [a.opposite() for a in battery]
+                + [t2(battery[1]), tensor(battery[2], linear_a_n(2, field)),
+                   gamma(e).algebra])
+    for a in algebras:
+        assert _closure_dim(a) == a.dim, a

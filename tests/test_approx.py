@@ -11,7 +11,6 @@ add-E presentation P2 -> I2 -> S1 -> 0; Gamma has dimension 9 and four
 simples; the class bijection matches 4 = 4 within bound 12."""
 
 import gc
-import warnings
 import weakref
 
 import pytest
@@ -205,23 +204,20 @@ def _generators(field):
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
 def test_presentation_matches_the_greedy_reference(field):
     cases = 0
-    with warnings.catch_warnings():
-        # the trace-form warning of the decomposition over GF(p)
-        warnings.simplefilter("ignore")
-        for a, E in _generators(field):
-            e = generator_data(E)
-            mods = enumerate_indecomposables(a, 2 * a.dim).representatives
-            for m in list(mods) + [zero_module(a)]:
-                pres = minimal_addE_presentation(m, e)
-                got = (pres.p0.dim_vector(), pres.p1.dim_vector(),
-                       pres.p0_idx, pres.p1_idx, e_rigid(m, e))
-                assert got == _greedy_shape(m, e), m.dim_vector()
-                pres.f0.validate()
-                pres.f1.validate()
-                assert pres.f0.matrix.rank() == m.dim
-                assert (pres.f0.matrix @ pres.f1.matrix).is_zero()
-                assert pres.f1.matrix.rank() == pres.p0.dim - m.dim
-                cases += 1
+    for a, E in _generators(field):
+        e = generator_data(E)
+        mods = enumerate_indecomposables(a, 2 * a.dim).representatives
+        for m in list(mods) + [zero_module(a)]:
+            pres = minimal_addE_presentation(m, e)
+            got = (pres.p0.dim_vector(), pres.p1.dim_vector(),
+                   pres.p0_idx, pres.p1_idx, e_rigid(m, e))
+            assert got == _greedy_shape(m, e), m.dim_vector()
+            pres.f0.validate()
+            pres.f1.validate()
+            assert pres.f0.matrix.rank() == m.dim
+            assert (pres.f0.matrix @ pres.f1.matrix).is_zero()
+            assert pres.f1.matrix.rank() == pres.p0.dim - m.dim
+            cases += 1
     assert cases >= 50
 
 
@@ -244,15 +240,13 @@ def test_regular_generator_over_small_primes(field):
     GP, also where p divides the dimension of a projective (the trace
     form of End(P_i) then takes the identity into its kernel)."""
     classes = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for a in _battery_algebras(field) + [linear_a_n(2, field)]:
-            e = generator_data(regular_module(a))
-            for m in enumerate_indecomposables(a, 2 * a.dim).representatives:
-                assert e_rigid(m, e) == tau_rigid_test(m)
-                assert (e_gorenstein_projective(m, e).verdict
-                        == gorenstein_projective(m).verdict)
-                classes += 1
+    for a in _battery_algebras(field) + [linear_a_n(2, field)]:
+        e = generator_data(regular_module(a))
+        for m in enumerate_indecomposables(a, 2 * a.dim).representatives:
+            assert e_rigid(m, e) == tau_rigid_test(m)
+            assert (e_gorenstein_projective(m, e).verdict
+                    == gorenstein_projective(m).verdict)
+            classes += 1
     assert classes > 20
 
 
@@ -263,16 +257,14 @@ def test_cm_e_free_over_gf2():
 
 def test_gamma_refuses_a_summand_with_a_larger_residue_field():
     """The Kronecker module over GF(2) with b the companion matrix of
-    t^2 + t + 1 has End = GF(4): Gamma would not be split, and its
-    radical cannot be read off lambda."""
+    t^2 + t + 1 has End = GF(4): E decomposes with no warning, and
+    gamma refuses it, since Gamma would not be split."""
     f = GF(2)
     a = bound_quiver_algebra(
         Quiver((1, 2), (("a", 1, 2), ("b", 1, 2))), [], 2, f)
     m = module_from_dimvector(a, [2, 2], {
         "a": Matrix.identity(f, 2), "b": Matrix(f, 2, 2, [[0, 1], [1, 1]])})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        e = generator_data(direct_sum(a, [regular_module(a), m])[0])
+    e = generator_data(direct_sum(a, [regular_module(a), m])[0])
     assert e.is_generator
     with pytest.raises(AlgebraError, match="not the ground field"):
         gamma(e)

@@ -10,7 +10,6 @@ unpruned 0/1 sweep kept here as the reference for the pruned one."""
 import itertools
 import os
 import random
-import warnings
 
 import pytest
 from conftest import _two_loops_radical_square_zero
@@ -299,19 +298,17 @@ def test_pruned_sweep_misses_no_class_of_the_full_sweep(build, field):
     summand class the reference builds is a production class, and is
     already a summand class of the patterns the pruned sweep feeds."""
     a = build(field)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # End/rad and small-prime notes
-        reps = enumerate_indecomposables(a, SWEEP_CAP).representatives
-        swept = [part for m in _sweep_quiver_modules(a, SWEEP_CAP)
-                 for part in split_indecomposables(m)]
-        full = _ClassSet()
-        for m in _reference_sweep(a, SWEEP_CAP):
-            for part in split_indecomposables(m):
-                full.add(part)
-        for pool in (reps, swept):
-            for part in full.all:
-                assert any(r.dim_vector() == part.dim_vector()
-                           and _iso_indecomposable(part, r) for r in pool)
+    reps = enumerate_indecomposables(a, SWEEP_CAP).representatives
+    swept = [part for m in _sweep_quiver_modules(a, SWEEP_CAP)
+             for part in split_indecomposables(m)]
+    full = _ClassSet()
+    for m in _reference_sweep(a, SWEEP_CAP):
+        for part in split_indecomposables(m):
+            full.add(part)
+    for pool in (reps, swept):
+        for part in full.all:
+            assert any(r.dim_vector() == part.dim_vector()
+                       and _iso_indecomposable(part, r) for r in pool)
 
 
 def _x2_minus_x3(f):
@@ -329,9 +326,7 @@ def test_sweep_keeps_no_representation_that_only_satisfies_the_relations(
     no module.  The classes are the simple and the projective k[x]/x^2."""
     a = _x2_minus_x3(field)
     assert a.dim == 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # small-prime trace form notes
-        cls = enumerate_indecomposables(a, 4)
+    cls = enumerate_indecomposables(a, 4)
     assert len(cls.representatives) == 2
     assert sorted(m.dim for m in cls.representatives) == [1, 2]
     for m in cls.representatives:
@@ -343,9 +338,7 @@ def test_sweep_keeps_no_representation_that_only_satisfies_the_relations(
 @pytest.mark.parametrize("field,count", [(QQ, 24), (GF(2), 19), (GF(3), 22),
                                          (GF(7), 25)])
 def test_kronecker_class_counts_at_bound_8(field, count):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cls = enumerate_indecomposables(_kronecker(field), 8)
+    cls = enumerate_indecomposables(_kronecker(field), 8)
     assert len(cls.representatives) == count
     assert not cls.complete
 

@@ -348,8 +348,6 @@ def _reference_star(f1, p1_idx, p0_idx):
     return q0, q1, mat
 
 
-@pytest.mark.filterwarnings("ignore:radical via trace form:UserWarning")
-@pytest.mark.filterwarnings("ignore:no splitting found over GF:UserWarning")
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
 def test_starred_map_from_generator_images_matches_columns(field):
     """Hom(f1, regular) built from the images of the generators of Q0
@@ -401,8 +399,6 @@ def _reference_ext_dim(m, n, i):
     return ker_dim - img.rank()
 
 
-@pytest.mark.filterwarnings("ignore:radical via trace form:UserWarning")
-@pytest.mark.filterwarnings("ignore:no splitting found over GF:UserWarning")
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
 def test_ext_from_the_generator_complex_matches_hom_bases(field):
     """ext_dim read off the complex of the e_i n equals the Hom-basis

@@ -367,7 +367,6 @@ def assert_reduced(v, p):
     assert all(type(x) is int and 0 <= x < p for x in v), (v, p)
 
 
-@pytest.mark.filterwarnings("ignore:radical via trace form:UserWarning")
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_gf_outputs_are_reduced(p):
     """Every matrix, vector and structure constant built over GF(p) holds

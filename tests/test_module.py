@@ -4,12 +4,15 @@ simples/projectives/injectives, duality, triples.
 Oracles: dimension formulas dim Hom(P_i, M) = dim e_i M for projectives,
 hand-known dimension vectors, and structural identities."""
 
+import itertools
+import operator
 import random
 import warnings
 from collections import Counter
+from functools import reduce
 
 import pytest
-from conftest import _classes_and_sums
+from conftest import _classes_and_sums, _two_loops_radical_square_zero
 
 from gptau.algebra import (
     Algebra,
@@ -263,10 +266,6 @@ def test_hom_coords_matches_per_vector_solve(battery, p):
     assert rejected
 
 
-TRACE_FORM_WARNING = r"ignore:radical via trace form:UserWarning"
-SMALL_PRIME_SPLIT_WARNING = r"ignore:no splitting found over GF:UserWarning"
-
-
 def _battery_over(battery, p):
     """The battery algebras over QQ (p None) or over GF(p)."""
     if p is None:
@@ -294,30 +293,27 @@ def _in_random_basis(m, rng):
     return Module(m.algebra, _random_basis_actions(m, rng))
 
 
-@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
 @pytest.mark.parametrize("p", [2, 3])
 def test_split_survives_trace_form_blind_spot(p):
-    """Over GF(p) with p <= dim the trace form can lose the idempotent of
-    a summand whose dimension p divides, so dim End/rad reads 1 on a
-    decomposable sum; that reading must not stop the split."""
+    """Over GF(p) with p <= dim the trace form alone can lose the
+    idempotent of a summand whose dimension p divides (P1+S2 and P0+P1
+    over GF(2), P0+S_j over GF(3) read 1 from it).  rad_end is exact:
+    every P_i+P_j and P_i+S_j reads 2 when its summands are not
+    isomorphic and 4 (End = M_2(k)) when they are, and splits into
+    pieces of its summands' dimensions."""
     a = linear_a_n(3, GF(p))
     P, S = projective_modules(a), simple_modules(a)
     pairs = {"P%d+P%d" % (i, j): (P[i], P[j])
              for i in range(3) for j in range(i + 1, 3)}
     pairs.update({"P%d+S%d" % (i, j): (P[i], S[j])
                   for i in range(3) for j in range(3)})
-    reads_one = set()
     for name, (x, y) in pairs.items():
         m, _, _ = direct_sum(a, [x, y])
-        if rad_end(m)[1] == 1:
-            reads_one.add(name)
+        assert rad_end(m)[1] == (4 if _iso_indecomposable(x, y) else 2), name
         pieces = split_indecomposables(m)
         assert sorted(q.dim for q in pieces) == sorted([x.dim, y.dim]), name
-    named = {2: {"P1+S2", "P0+P1"}, 3: {"P0+S0", "P0+S1", "P0+S2"}}[p]
-    assert named <= reads_one
 
 
-@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
 @pytest.mark.parametrize("p", [None, 7])
 def test_decomposition_recovers_random_basis_sums(battery, p):
     """Sums of 1-3 indecomposables in a random basis split back into
@@ -342,15 +338,18 @@ def test_decomposition_recovers_random_basis_sums(battery, p):
             assert got == Counter(idx)
 
 
-@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
-@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("p", [None, 7, 5, 3])
 def test_rad_end_matches_trace_form_of_products(battery, p):
     """rad_end against the trace form built here from full products:
-    the kernel of (tr(e_i e_j)) gives the same vectors and dim End/rad."""
+    over QQ, and over GF(p) on the modules of dimension < p, the kernel
+    of (tr(e_i e_j)) gives the same vectors and dim End/rad."""
+    compared = 0
     for a in _battery_over(battery, p):
         f = a.field
         for m in (projective_modules(a) + simple_modules(a)
                   + [regular_module(a)]):
+            if p and m.dim >= p:
+                continue
             ends = hom(m, m)
             k = len(ends)
             gram = Matrix(f, k, k)
@@ -365,6 +364,149 @@ def test_rad_end_matches_trace_form_of_products(battery, p):
             rad_coeffs, sdim = rad_end(m)
             assert rad_coeffs == [ker.col(j) for j in range(ker.cols)]
             assert sdim == k - ker.cols
+            compared += 1
+    assert compared >= 10
+
+
+def _nilpotent(x):
+    """x^(2^j) = 0 for the first 2^j >= dim: x is nilpotent."""
+    n = 1
+    while n < x.rows:
+        x, n = x @ x, 2 * n
+    return x.is_zero()
+
+
+def _row_span(f, vecs, k):
+    """The RREF of the length-k vectors stacked as rows: a canonical form
+    of their span."""
+    return Matrix(f, len(vecs), k, vecs).rref()[0]
+
+
+def _small_prime_modules(p):
+    """[(algebra, modules)] over GF(p) for the battery and the fresh-GP
+    battery algebras: projectives, simples, injectives, the regular
+    module, two seeded random-basis sums (_test_modules) and X + X for
+    each of the first four of dimension <= 3."""
+    f = GF(p)
+    rng = random.Random(20241201 + p)
+    algebras = [linear_a_n(3, f), example_loop_flag_algebra(f),
+                loop_algebra(3, f), cyclic_nakayama(2, 2, f),
+                trivial_algebra(f), cyclic_nakayama(2, 3, f),
+                _two_loops_radical_square_zero(f), t2(linear_a_n(2, f))]
+    out = []
+    for a in algebras:
+        mods = _test_modules(a, rng)
+        mods += [direct_sum(a, [x, x])[0] for x in mods[:4] if x.dim <= 3]
+        out.append((a, mods))
+    return out
+
+
+def _ideal_and_nilpotent(m, rad_mats, ends):
+    """Is the span of rad_mats a two-sided ideal of End(m) (ends, its
+    basis) with some power zero?"""
+    f, d = m.field, m.dim
+    if not rad_mats:
+        return True
+    stack = Matrix.from_cols(f, [_flat(x) for x in rad_mats], nrows=d * d)
+    for r in rad_mats:
+        for b in ends:
+            for prod in (r @ b, b @ r):
+                if stack.solve(_flat(prod)) is None:
+                    return False
+    power = rad_mats
+    for _ in range(d):
+        rows = [_flat(x @ r) for x in power for r in rad_mats]
+        red, pivots = Matrix(f, len(rows), d * d, rows).rref()
+        power = [Matrix(f, d, d, [red.data[i][r * d:(r + 1) * d]
+                                  for r in range(d)])
+                 for i in range(len(pivots))]
+        if not power:
+            return True
+    return False
+
+
+def _no_larger_nilpotent_ideal(m, rad_coeffs, ends):
+    """Brute force over all of End(m): each nonzero class x modulo the
+    radical found (a nilpotent ideal, so inside the true radical J) has
+    some b with b x not nilpotent, so x lies outside
+    J = {x : b x is nilpotent for every b}."""
+    f = m.field
+    k = len(ends)
+    lifts, vecs = [], list(rad_coeffs)
+    for i, e in enumerate(ends):
+        v = [int(j == i) for j in range(k)]
+        if Matrix(f, len(vecs) + 1, k, vecs + [v]).rank() > len(vecs):
+            vecs.append(v)
+            lifts.append(e)
+
+    def elements():
+        """All of End(m), the identity and the basis first, where a
+        witness b is most often found."""
+        yield Matrix.identity(f, m.dim)
+        yield from ends
+        for c in itertools.product(range(f.p), repeat=k):
+            yield _combination(ends, c)
+
+    for c in itertools.product(range(f.p), repeat=len(lifts)):
+        if any(c):
+            x = _combination(lifts, c)
+            if all(_nilpotent(b @ x) for b in elements()):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rad_end_is_the_largest_nilpotent_ideal(p):
+    """Over GF(2) and GF(3), where the trace form alone can overshoot:
+    the radical read is a nilpotent two-sided ideal of End(m), and where
+    End(m) has at most 4096 elements no larger one exists."""
+    maximal = 0
+    for a, mods in _small_prime_modules(p):
+        for m in mods:
+            ends = [h.matrix for h in hom(m, m)]
+            rad_coeffs, sdim = rad_end(m)
+            assert sdim == len(ends) - len(rad_coeffs)
+            rad_mats = [_combination(ends, c) for c in rad_coeffs]
+            assert _ideal_and_nilpotent(m, rad_mats, ends), m
+            if p ** len(ends) <= 4096:
+                assert _no_larger_nilpotent_ideal(m, rad_coeffs, ends), m
+                maximal += 1
+    assert maximal >= 80
+
+
+def _lambda_radical(b):
+    """Reference rad End(b) for an indecomposable b with End/rad the
+    ground field GF(p): h^q = lambda(h) . 1 for a power q >= dim b of p
+    (Frobenius is additive on commuting terms and fixes lambda), and the
+    radical is ker lambda."""
+    f = b.field
+    lam = []
+    for h in hom(b, b):
+        x, q = h.matrix, 1
+        while q < b.dim:
+            x, q = reduce(operator.matmul, [x] * f.p), q * f.p
+        c = x.data[0][0]
+        assert x == Matrix.identity(f, b.dim).scale(c)
+        lam.append(c)
+    ker = Matrix(f, 1, len(lam), [lam]).kernel_basis()
+    return [ker.col(j) for j in range(ker.cols)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rad_end_is_the_kernel_of_lambda_on_indecomposables(p):
+    """On the enumerated classes of the battery and the fresh-GP battery
+    over GF(p), End/rad is the ground field and rad_end spans ker lambda,
+    also where p divides the dimension."""
+    divisible = 0
+    for a, mods in _small_prime_modules(p):
+        for m in enumerate_indecomposables(a, 6).representatives:
+            k = len(hom(m, m))
+            rad_coeffs, sdim = rad_end(m)
+            assert sdim == 1
+            assert (_row_span(m.field, rad_coeffs, k)
+                    == _row_span(m.field, _lambda_radical(m), k))
+            divisible += m.dim % p == 0
+    assert divisible >= 10
 
 
 def _table_a2(f):
@@ -421,8 +563,6 @@ def _intertwiner_kernel(m, n):
     return Matrix(f, len(rows), dn * dm, rows).kernel_basis()
 
 
-@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
-@pytest.mark.filterwarnings(SMALL_PRIME_SPLIT_WARNING)
 @pytest.mark.parametrize("p", [None, 7, 2])
 def test_hom_spans_the_full_intertwiner_kernel(battery, p):
     """hom(m, n) against the intertwiner system over all matrices F and
@@ -447,8 +587,6 @@ def _covered_injectively(m):
     return projective_cover(m)[1].matrix.kernel_basis().cols == 0
 
 
-@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
-@pytest.mark.filterwarnings(SMALL_PRIME_SPLIT_WARNING)
 @pytest.mark.parametrize("p", [None, 7, 2])
 def test_is_projective_and_injective_match_the_cover_kernel(battery, p):
     """is_projective(m) iff the projective cover of m has zero kernel, and
@@ -501,8 +639,6 @@ def _reference_projective_cover(m):
     return P, Matrix.from_cols(m.field, cols, nrows=m.dim) @ P.to_raw(), idx
 
 
-@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
-@pytest.mark.filterwarnings(SMALL_PRIME_SPLIT_WARNING)
 @pytest.mark.parametrize("p", [None, 2, 3])
 def test_projective_cover_matches_the_radical_quotient_route(p):
     """The cover read off the idempotent blocks equals, entry for entry,
@@ -525,8 +661,6 @@ def _span_rref(f, mats, cols):
     return Matrix(f, len(mats), cols, [_flat(x) for x in mats]).rref()[0]
 
 
-@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
-@pytest.mark.filterwarnings(SMALL_PRIME_SPLIT_WARNING)
 @pytest.mark.parametrize("p", [None, 2, 3])
 def test_hom_out_of_a_projective_sum_reads_the_generators(p):
     """On a _projective_sum P, the Hom basis read off the generator images
@@ -757,24 +891,20 @@ def test_arrow_check_names_what_fails(loop_flag):
         module_from_dimvector(a, [1], {"y": Matrix(QQ, 1, 1, [[0]])})
 
 
-def test_split_warning_calls_a_small_prime_trace_form_unreliable():
-    """rad P_0 = k[x]/(x^2) over k[x]/(x^3), k = GF(2), is uniserial but
-    its trace form reads dim End/rad = 0: no split is found, and the
-    warning says that reading is unreliable instead of calling it > 1."""
+def test_small_prime_radical_keeps_a_uniserial_module_whole():
+    """rad P_0 = k[x]/(x^2) over k[x]/(x^3), k = GF(2), is uniserial and
+    its trace form alone reads dim End/rad = 0.  The refined radical
+    reads 1 (x spans it), which certifies the module indecomposable:
+    it stays whole with no warning."""
     a = loop_algebra(3, GF(2))
     r, _ = radical_submodule(projective_modules(a)[0])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        assert rad_end(r)[1] == 1
         assert split_indecomposables(r) == [r]
-    messages = [str(w.message) for w in caught]
-    assert ("no splitting found over GF(2) for a module of dimension 2 >= p, "
-            "where the trace form reading dim End/rad = 0 is unreliable; "
-            "treating the module as indecomposable") in messages
-    assert not any("> 1" in msg for msg in messages)
+    assert not caught
 
 
-@pytest.mark.filterwarnings(TRACE_FORM_WARNING)
-@pytest.mark.filterwarnings(SMALL_PRIME_SPLIT_WARNING)
 @pytest.mark.parametrize("p", [None, 7, 2])
 def test_iso_rule_separates_the_enumerated_classes(battery, p):
     """Each class of the battery and of T2(linear A2) is isomorphic to its
@@ -815,19 +945,44 @@ def _kronecker_module(a, c):
 
 
 def test_iso_rule_over_a_division_endomorphism_algebra():
-    """The Kronecker module with b^2 = -1 over QQ has End = QQ(i): it is
-    kept whole with the End/rad warning, is isomorphic to its random-basis
-    copy and not to the module with b^2 = -2."""
+    """The Kronecker module with b^2 = -1 over QQ has End = QQ(i): b has
+    the irreducible minimal polynomial t^2 + 1 of degree dim End/rad, so
+    End/rad is certified a field and m is kept whole with no warning.  It
+    is isomorphic to its random-basis copy and not to the module with
+    b^2 = -2."""
     a = _kronecker(QQ)
     m = _kronecker_module(a, 1)
-    with pytest.warns(UserWarning, match="End/rad has dimension 2"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert split_indecomposables(m) == [m]
+    assert not caught
     assert rad_end(m) == ([], 2)
     copy = _in_random_basis(m, random.Random(20241105))
     other = _kronecker_module(a, 2)
     assert _iso_indecomposable(m, copy) and _iso_indecomposable(copy, m)
     assert is_isomorphic(copy, m)
     assert not _iso_indecomposable(m, other) and not is_isomorphic(m, other)
+
+
+def test_kronecker_module_with_end_gf4_stays_whole():
+    """Over GF(2), b the companion matrix of t^2 + t + 1 gives End = GF(4):
+    rad_end reads ([], 2), no Fitting candidate splits, and b's minimal
+    polynomial, irreducible of degree 2, certifies End/rad a field.  The
+    module stays whole with no warning, while the one with b = diag(0, 1)
+    splits in two."""
+    a = _kronecker(GF(2))
+    f = a.field
+    m = module_from_dimvector(a, [2, 2], {
+        "a": Matrix.identity(f, 2), "b": Matrix(f, 2, 2, [[0, 1], [1, 1]])})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert rad_end(m) == ([], 2)
+        assert split_indecomposables(m) == [m]
+    assert not caught
+    other = module_from_dimvector(a, [2, 2], {
+        "a": Matrix.identity(f, 2), "b": Matrix(f, 2, 2, [[0, 0], [0, 1]])})
+    assert sorted(q.dim_vector() for q in split_indecomposables(other)) == [
+        (1, 1), (1, 1)]
 
 
 @pytest.mark.parametrize("p", [None, 7, 2])
@@ -881,8 +1036,6 @@ def test_library_leaves_the_global_random_state_alone():
     copy = _in_random_basis(m, random.Random(20241107))
     assert is_isomorphic(m, copy)
     assert len(decompose(copy)) == len(reps)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        decompose(_kronecker_module(_kronecker(QQ), 1))
+    decompose(_kronecker_module(_kronecker(QQ), 1))
     consistency_suites(a)
     assert random.getstate() == state
