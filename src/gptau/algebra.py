@@ -150,6 +150,11 @@ class Algebra:
     # -- validation ----------------------------------------------------
 
     def validate(self):
+        """Check the structure constants and that the algebra is basic and
+        split: the N idempotents are orthogonal, nonzero modulo the given
+        nilpotent ideal J, and dim A/J = N.  So A/J = k^N, J = rad A, and
+        each e_i A e_i is local with residue field k: every e_i is
+        primitive, with no further check (tensor relies on this)."""
         f = self.field
         # associativity on all basis triples
         for i in range(self.dim):
@@ -503,17 +508,8 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
     labels = [
         "%s(x)%s" % (la, lb) for la in a.basis_labels for lb in b.basis_labels
     ]
-    alg = Algebra(f, labels, mult, unit, idem, radical, "tensor")
-    # primitivity of the paired idempotents, via the module machinery
-    from .module import projective_modules, is_indecomposable
-
-    for k, p in enumerate(projective_modules(alg)):
-        ok, enddim = is_indecomposable(p)
-        if not ok:
-            raise AlgebraError(
-                "tensor idempotent %d is not primitive over this field" % k
-            )
-    return alg
+    # Algebra.validate proves the paired idempotents primitive
+    return Algebra(f, labels, mult, unit, idem, radical, "tensor")
 
 
 @memo

@@ -34,8 +34,9 @@ from .module import (
     rad_end,
     zero_module,
 )
+from .gorenstein import default_bound, gorenstein_projective
 from .homalg import Presentation, minimal_projective_presentation, \
-    _hom_of_differential, _map_to_algebra_matrix
+    _f1_onto, _map_to_algebra_matrix
 from .tristate import TriState, no, unknown, yes
 
 
@@ -268,15 +269,12 @@ def minimal_addE_presentation(m: Module, e: GeneratorData) -> Presentation:
 def e_rigid(m: Module, e: GeneratorData) -> bool:
     """Is Hom(f1, m) onto, for f1 of the minimal add-E presentation?  By
     Yoneda, Hom(E_i, m) = e_i Hom(E, m) and Hom(f1, m) is Hom(f1', Hom(E,
-    m)) for the Gamma presentation f1' that f1 lifts: tau_rigid_test's
-    surjectivity criterion for Hom(E, m) over Gamma, read off the
-    generator complex (homalg._hom_of_differential)."""
+    m)) for the Gamma presentation f1' that f1 lifts: the surjectivity
+    criterion of tau-rigidity (homalg._f1_onto) for Hom(E, m) over
+    Gamma."""
     if m.dim == 0:
         return True
-    g = cached_gamma(e)
-    n = hom_E(m, g)
-    h = _hom_of_differential(minimal_projective_presentation(n).f1, n)
-    return h.rank() == h.rows
+    return _f1_onto(hom_E(m, cached_gamma(e)))
 
 
 # -- relative Gorenstein projectivity ----------------------------------------
@@ -287,8 +285,6 @@ def e_gorenstein_projective(m: Module, e: GeneratorData,
     """Relative Gorenstein projectivity through the Hom(E, -) reduction:
     transport m to Gamma, test plain Gorenstein projectivity there, and
     on success lift the Gamma presentation back and compare cokernels."""
-    from .gorenstein import default_bound, gorenstein_projective
-
     a = m.algebra
     if bound is None:
         bound = default_bound(a)

@@ -1,7 +1,11 @@
-"""Bounded enumeration of indecomposables, tau-rigidity testing with a
-built-in cross-check, support tau-tilting pairs and their exchange
-graph, the CM-freeness certificates, and the registry of theorem-suite
-checks behind `gptau verify` and consistency_suites.
+"""Bounded enumeration of indecomposables, support tau-tilting pairs and
+their exchange graph, the CM-freeness certificates, and the registry of
+theorem-suite checks behind `gptau verify` and consistency_suites.
+
+Production code decides tau-rigidity by one rule, homalg.is_tau_rigid
+(Hom(M, tau M) = 0).  tau_rigid_test also runs the surjectivity
+criterion and traps a disagreement; only the prop-2.5 check
+(_tau_criteria) calls it.
 
 Enumeration is never claimed complete beyond its bound: the
 BoundedClassification carries a completeness flag that is set only when
@@ -14,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import warnings
 from dataclasses import dataclass
 
 from .algebra import t2, tensor, trivial_algebra
@@ -28,7 +33,6 @@ from .gorenstein import (
     default_bound,
     gorenstein_algebra,
     gorenstein_projective,
-    is_tau_inverse_rigid,
     tachikawa_probe,
     theorem_report,
 )
@@ -41,25 +45,26 @@ from .module import (
     _iso_indecomposable,
     _quiver_layout,
     direct_sum,
-    dual_D,
     hom,
     injective_modules,
     is_projective,
     module_to_triple,
     projective_modules,
+    quotient_module,
     radical_submodule,
     regular_module,
     simple_modules,
     split_indecomposables,
+    submodule,
     tensor_module,
     top_of,
 )
 from .homalg import (
-    _hom_of_differential,
+    _f1_onto,
     cosyzygy,
     ext_dim,
     inj_dim,
-    minimal_projective_presentation,
+    is_tau_rigid,
     minimal_projective_resolution,
     syzygy,
     tau,
@@ -365,8 +370,6 @@ def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
 def _radical_layers(p):
     """[(rad^k p, p/rad^k p)] for k = 1, 2, ... as submodule/quotient
     pairs of p, until the radical power vanishes."""
-    from .module import quotient_module, submodule
-
     a = p.algebra
     f = p.field
     basis = Matrix.identity(f, p.dim)
@@ -388,8 +391,6 @@ def _extension_middle_terms(m, n):
     """Middle terms of extensions 0 -> n -> X -> m -> 0, one per basis
     element of Ext^1(m, n), realised through pushouts along the
     presentation of m."""
-    from .module import quotient_module
-
     a = m.algebra
     if ext_dim(m, n, 1) == 0:
         return []
@@ -418,16 +419,11 @@ def _extension_middle_terms(m, n):
 
 
 def tau_rigid_test(m: Module) -> bool:
-    """Both criteria: Hom(m, tau m) = 0, and surjectivity of
-    Hom(f1, m) on the minimal projective presentation.  They must agree
-    or the disagreement trap fires."""
-    if m.dim == 0:
-        return True
-    t = tau(m)
-    crit_hom = t.dim == 0 or len(hom(m, t)) == 0
-    # Hom(f1, m) in generator coordinates: onto when of full row rank
-    h = _hom_of_differential(minimal_projective_presentation(m).f1, m)
-    crit_surj = h.rank() == h.rows
+    """Both criteria: Hom(m, tau m) = 0 (is_tau_rigid), and Hom(f1, m)
+    onto on the minimal projective presentation (_f1_onto).  They must
+    agree or the disagreement trap fires."""
+    crit_hom = is_tau_rigid(m)
+    crit_surj = _f1_onto(m)
     if crit_hom != crit_surj:
         raise CriteriaDisagreement(
             "tau-rigidity criteria disagree on a module with dimension "
@@ -435,18 +431,6 @@ def tau_rigid_test(m: Module) -> bool:
             % (m.dim_vector(), crit_hom, crit_surj)
         )
     return crit_hom
-
-
-def tau_inverse_rigid_test(m: Module) -> bool:
-    """Hom(tau^{-1} m, m) = 0, cross-checked through duality."""
-    direct = is_tau_inverse_rigid(m)
-    via_dual = tau_rigid_test(dual_D(m))
-    if direct != via_dual:
-        raise CriteriaDisagreement(
-            "tau-inverse-rigidity criteria disagree on dimension vector %s"
-            % (m.dim_vector(),)
-        )
-    return direct
 
 
 # -- CM certificates ---------------------------------------------------------
@@ -461,7 +445,7 @@ def gorenstein_projective_tau_rigid_list(a, bound=None, max_dim=None):
     cls = enumerate_indecomposables(a, max_dim)
     members, unknowns = [], []
     for m in cls.representatives:
-        if not tau_rigid_test(m):
+        if not is_tau_rigid(m):
             continue
         g = gorenstein_projective(m, bound)
         if g.is_yes:
@@ -529,7 +513,7 @@ def support_tau_tilting_pairs(a, max_dim=None):
     Hom(P, M) = 0 and |M| + |P| = number of simples."""
     max_dim = suite_bounds(a, max_dim=max_dim)[1]
     cls = enumerate_indecomposables(a, max_dim)
-    rigid = [m for m in cls.representatives if tau_rigid_test(m)]
+    rigid = [m for m in cls.representatives if is_tau_rigid(m)]
     taus = [tau(m) for m in rigid]
     k = len(rigid)
     n = a.n_idempotents
@@ -568,8 +552,6 @@ def support_tau_tilting_pairs(a, max_dim=None):
     # deterministic order
     pairs.sort(key=lambda p: (p.m_summands, p.p_summands))
     if not cls.complete:
-        import warnings
-
         warnings.warn(
             "support tau-tilting enumeration may be incomplete: "
             "indecomposable bound %d exhausted" % max_dim
@@ -661,9 +643,7 @@ def _transpose_transport(a, bound, max_dim, e):
     for m in enumerate_indecomposables(a, max_dim).representatives:
         if is_projective(m):
             continue
-        mine = tau_rigid_test(m)
-        trm = transpose_Tr(m)
-        if mine != (tau_rigid_test(trm) if trm.dim else True):
+        if is_tau_rigid(m) != is_tau_rigid(transpose_Tr(m)):
             return no("transpose transport fails", witness=m.dim_vector(),
                       bound=max_dim), {}
         checked += 1
@@ -712,11 +692,11 @@ def _tensor_tau_rigid(a, bound, max_dim, e):
     rng = random.Random(SUITE_SEED)
     pa = projective_modules(t2k)
     rigid = [m for m in enumerate_indecomposables(a, max_dim).representatives
-             if tau_rigid_test(m)]
+             if is_tau_rigid(m)]
     for _ in range(SUITE_SAMPLE):
         p = rng.choice(pa)
         m = rng.choice(rigid)
-        if not tau_rigid_test(tensor_module(p, m, big)):
+        if not is_tau_rigid(tensor_module(p, m, big)):
             return no("tensor broke tau-rigidity",
                       witness=(p.dim_vector(), m.dim_vector())), {}
     return yes("%d sampled pairs pass" % SUITE_SAMPLE), {}

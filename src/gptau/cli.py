@@ -18,6 +18,7 @@ from . import classify as _classify
 from .algebra import AlgebraError, t2 as _t2, tensor as _tensor
 from .approx import (
     bijection_table,
+    cached_gamma,
     e_gorenstein_projective,
     e_rigid,
     generator_data,
@@ -35,10 +36,11 @@ from .gorenstein import (
     gorenstein_algebra,
     gorenstein_injective,
     gorenstein_projective,
+    is_tau_inverse_rigid,
     self_injective,
     semi_gp,
 )
-from .homalg import global_dimension
+from .homalg import global_dimension, is_tau_rigid
 from .module import ModuleError
 from .tristate import TriState, all_of, no, yes
 
@@ -145,15 +147,11 @@ def module_check(alg, mod, props, gen_path, bound, report_path):
     out = {}
     for p in want:
         if p == "tau-rigid":
-            out[p] = yes("hom(M, tau M) = 0") if _classify.tau_rigid_test(m) else no(
-                "hom(M, tau M) != 0"
-            )
+            out[p] = (yes("hom(M, tau M) = 0") if is_tau_rigid(m)
+                      else no("hom(M, tau M) != 0"))
         elif p == "tau-inv-rigid":
-            out[p] = (
-                yes("hom(tau^{-1} M, M) = 0")
-                if _classify.tau_inverse_rigid_test(m)
-                else no("hom(tau^{-1} M, M) != 0")
-            )
+            out[p] = (yes("hom(tau^{-1} M, M) = 0") if is_tau_inverse_rigid(m)
+                      else no("hom(tau^{-1} M, M) != 0"))
         elif p == "gp":
             out[p] = gorenstein_projective(m, bound)
         elif p == "semi-gp":
@@ -269,8 +267,6 @@ def gamma_cmd(alg, gen_path, bound, max_dim, report_path):
     """Endomorphism algebra of the generator, plus the bijection table."""
     a = _load_algebra(alg)
     e = generator_data(_load_module(gen_path, a))
-    from .approx import cached_gamma
-
     g = cached_gamma(e)
     try:
         table = bijection_table(e, bound, max_dim)

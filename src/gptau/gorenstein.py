@@ -11,6 +11,11 @@ at bound + 2.  The Ext conditions are bounded checks promoted to
 certainty by the graph of syzygy summands (homalg).  star_module and
 evaluation_is_isomorphism build M* and M -> M** directly, as an
 independent check of that reading.
+
+The injective side has no code of its own: M is Gorenstein injective
+(tau-inverse-rigid) iff D M is Gorenstein projective (tau-rigid) over
+the opposite algebra, since D tau^{-1} M = tau D M (Auslander-Reiten-
+Smalo IV.1); so theorem_report's conditions 6-9 are 2-5 over A^op.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .homalg import (
     inj_dim,
     is_tau_rigid,
     star_module,
-    tau_inverse,
     transpose_Tr,
 )
 from .tristate import TriState, all_of, no, unknown, yes
@@ -45,14 +49,6 @@ def semi_gp(m: Module, bound: int | None = None) -> TriState:
     if bound is None:
         bound = default_bound(m.algebra)
     return ext_vanishes_all_positive(m, regular_module(m.algebra), bound)
-
-
-def semi_gi(m: Module, bound: int | None = None) -> TriState:
-    """Ext^i(D(algebra), m) = 0 for all i >= 1, computed by duality."""
-    if bound is None:
-        bound = default_bound(m.algebra)
-    op = m.algebra.opposite()
-    return ext_vanishes_all_positive(dual_D(m), regular_module(op), bound)
 
 
 def evaluation_is_isomorphism(m: Module) -> bool:
@@ -132,9 +128,8 @@ def gorenstein_projective(m: Module, bound: int | None = None) -> TriState:
 
 def gorenstein_injective(m: Module, bound: int | None = None) -> TriState:
     """m is Gorenstein injective iff D(m) is Gorenstein projective over
-    the opposite algebra."""
-    if bound is None:
-        bound = default_bound(m.algebra)
+    the opposite algebra (of the same dimension, so the same default
+    bound)."""
     return gorenstein_projective(dual_D(m), bound)
 
 
@@ -173,9 +168,7 @@ def gorenstein_algebra(a, bound: int | None = None) -> TriState:
 
 def self_injective(a) -> bool:
     """Is D(regular right module) projective as a left module?"""
-    op = a.opposite()
-    dlam = dual_D(regular_module(op))  # D(Lambda) as a left module
-    return is_projective(dlam)
+    return is_projective(co_regular(a))
 
 
 def co_regular(a) -> Module:
@@ -184,13 +177,9 @@ def co_regular(a) -> Module:
 
 
 def is_tau_inverse_rigid(m: Module) -> bool:
-    """Hom(tau^{-1} m, m) = 0."""
-    if m.dim == 0:
-        return True
-    t = tau_inverse(m)
-    if t.dim == 0:
-        return True
-    return len(hom(t, m)) == 0
+    """Hom(tau^{-1} m, m) = 0, read as Hom(D m, tau D m) = 0: D is a
+    duality and D tau^{-1} m = tau D m (ARS IV.1)."""
+    return is_tau_rigid(dual_D(m))
 
 
 # -- tilting and cotilting enumeration --------------------------------------
@@ -232,34 +221,35 @@ def cotilting_modules(a, max_dim: int | None = None):
 
 def theorem_report(a, bound: int | None = None, max_dim: int | None = None):
     """The nine-way self-injectivity equivalence, each condition as a
-    TriState, plus a consistency verdict.
+    TriState, plus a consistency verdict.  1: D(algebra) is projective.
+    2-5 (`four`): D(algebra) and the cotilting modules are semi-GP and
+    tau-rigid, then GP.  6-9: the algebra and the tilting modules are
+    semi-GI and tau-inverse-rigid, then GI; D makes them 2-5 over A^op,
+    as D(regular A) = co_regular(A^op) and D of the tilting A-modules
+    are the cotilting A^op-modules.
 
     Returns {"conditions": [nine TriStates], "consistent": bool,
-    "bound": int}."""
+    "bound": int, and the two tilting counts}."""
     if bound is None:
         bound = default_bound(a)
-    dlam = co_regular(a)
-    reg = regular_module(a)
-    cot = cotilting_modules(a, max_dim)
-    til = tilting_modules(a, max_dim)
+
+    def four(b):
+        dlam = co_regular(b)
+        cot = cotilting_modules(b, max_dim)
+        return cot, [
+            all_of([semi_gp(dlam, bound), is_tau_rigid(dlam)]),
+            all_of([semi_gp(c, bound) for c in cot]
+                   + [is_tau_rigid(c) for c in cot]),
+            gorenstein_projective(dlam, bound),
+            all_of([gorenstein_projective(c, bound) for c in cot]),
+        ]
 
     c1 = yes("D(algebra) is projective") if self_injective(a) else no(
         "D(algebra) is not projective"
     )
-    c2 = all_of([semi_gp(dlam, bound), is_tau_rigid(dlam)])
-    c3 = all_of(
-        [semi_gp(c, bound) for c in cot] + [is_tau_rigid(c) for c in cot]
-    )
-    c4 = gorenstein_projective(dlam, bound)
-    c5 = all_of([gorenstein_projective(c, bound) for c in cot])
-    c6 = all_of([semi_gi(reg, bound), is_tau_inverse_rigid(reg)])
-    c7 = all_of(
-        [semi_gi(t, bound) for t in til]
-        + [is_tau_inverse_rigid(t) for t in til]
-    )
-    c8 = gorenstein_injective(reg, bound)
-    c9 = all_of([gorenstein_injective(t, bound) for t in til])
-    conditions = [c1, c2, c3, c4, c5, c6, c7, c8, c9]
+    cot, two_to_five = four(a)
+    til, six_to_nine = four(a.opposite())
+    conditions = [c1] + two_to_five + six_to_nine
     certified = [c.verdict for c in conditions if not c.is_unknown]
     consistent = len(set(certified)) <= 1
     return {

@@ -24,6 +24,7 @@ from .module import (
     is_projective,
     projective_cover,
     regular_module,
+    simple_modules,
     split_indecomposables,
     strip_projectives,
     zero_module,
@@ -337,7 +338,8 @@ def tau_inverse(m: Module) -> Module:
 
 
 def is_tau_rigid(m: Module) -> bool:
-    """Hom(m, tau m) = 0."""
+    """Hom(m, tau m) = 0: the package's one tau-rigidity rule, which
+    gorenstein.is_tau_inverse_rigid also reads."""
     if m.dim == 0:
         return True
     t = tau(m)
@@ -346,10 +348,17 @@ def is_tau_rigid(m: Module) -> bool:
     return len(hom(m, t)) == 0
 
 
+def _f1_onto(n: Module) -> bool:
+    """Is Hom(f1, n) onto (full row rank of _hom_of_differential), for f1
+    of the minimal projective presentation of n?  Equivalent to
+    Hom(n, tau n) = 0 (Adachi-Iyama-Reiten, Compos. Math. 150, 2014,
+    Prop. 2.4)."""
+    h = _hom_of_differential(minimal_projective_presentation(n).f1, n)
+    return h.rank() == h.rows
+
+
 def global_dimension(algebra, bound=None) -> TriState:
     """Global dimension = max pd over the simples."""
-    from .module import simple_modules
-
     if bound is None:
         bound = default_bound(algebra)
     best = 0

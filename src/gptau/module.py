@@ -248,8 +248,7 @@ def _permuted(f, a: Matrix, perm):
 class ModuleMap:
     """Intertwiner between modules over the same algebra."""
 
-    def __init__(self, source: Module, target: Module, matrix: Matrix,
-                 validate=False):
+    def __init__(self, source: Module, target: Module, matrix: Matrix):
         if source.algebra is not target.algebra:
             raise ModuleError("source and target live over different algebras")
         if matrix.rows != target.dim or matrix.cols != source.dim:
@@ -257,8 +256,6 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.matrix = matrix
-        if validate:
-            self.validate()
 
     def validate(self):
         for ga, gb in zip(

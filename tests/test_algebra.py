@@ -3,6 +3,8 @@
 Oracles: dimension counts from path enumeration, structure-constant
 identities re-checked by Algebra.validate, and opposite/tensor axioms."""
 
+import itertools
+
 import pytest
 
 from gptau.algebra import (
@@ -22,7 +24,13 @@ from gptau.algebra import (
 from gptau.approx import gamma, generator_data
 from gptau.field import GF, QQ
 from gptau.linalg import Matrix
-from gptau.module import direct_sum, dual_D, regular_module
+from gptau.module import (
+    direct_sum,
+    dual_D,
+    projective_modules,
+    rad_end,
+    regular_module,
+)
 
 
 def test_builder_dimensions(a3, loop_flag, kx3, nakayama22, ground_field_algebra):
@@ -82,6 +90,17 @@ def test_tensor_dimension_and_unit(kx3, ground_field_algebra):
     assert prod.dim == 9
     prod.validate()
     assert tensor(kx3, ground_field_algebra).dim == kx3.dim
+
+
+def test_tensor_idempotents_are_primitive(battery):
+    """tensor runs no primitivity check of its own: Algebra.validate
+    proves each paired idempotent primitive, so every indecomposable
+    projective of A (x) B has a local End with residue field k."""
+    for a, b in itertools.combinations_with_replacement(battery.values(), 2):
+        ab = tensor(a, b)
+        projs = projective_modules(ab)
+        assert len(projs) == a.n_idempotents * b.n_idempotents
+        assert [rad_end(p)[1] for p in projs] == [1] * len(projs)
 
 
 def test_tensor_field_mismatch_rejected(kx3):

@@ -29,7 +29,6 @@ from gptau.classify import (
     id_shift_state,
     support_tau_tilting_pairs,
     support_tau_tilting_quiver,
-    tau_inverse_rigid_test,
     tau_rigid_test,
 )
 from gptau.algebra import (
@@ -44,6 +43,7 @@ from gptau.field import GF, QQ
 from gptau.fileio import parse_algebra_file
 from gptau.linalg import Matrix
 from gptau.approx import generator_data
+from gptau.gorenstein import is_tau_inverse_rigid
 from gptau.homalg import is_tau_rigid
 from gptau.memo import entries
 from gptau.tristate import agreement, all_of, no, unknown, yes
@@ -53,6 +53,7 @@ from gptau.module import (
     _Representation,
     _iso_indecomposable,
     direct_sum,
+    injective_modules,
     is_indecomposable,
     is_isomorphic,
     is_projective,
@@ -106,10 +107,8 @@ def test_tau_criteria_agree_on_random_sums(a3, loop_flag):
 
 
 def test_tau_inverse_rigidity_on_injectives(a3):
-    from gptau.module import injective_modules
-
     for i in injective_modules(a3):
-        assert tau_inverse_rigid_test(i)
+        assert is_tau_inverse_rigid(i)
 
 
 def test_support_pair_counts(a3, loop_flag, kx3):

@@ -13,7 +13,11 @@ import os
 import warnings
 
 import pytest
-from conftest import _two_loops_radical_square_zero
+from conftest import (
+    _battery_algebras,
+    _classes_and_sums,
+    _two_loops_radical_square_zero,
+)
 
 from gptau.algebra import (
     Quiver,
@@ -35,6 +39,7 @@ from gptau.gorenstein import (
     gorenstein_algebra,
     gorenstein_injective,
     gorenstein_projective,
+    is_tau_inverse_rigid,
     self_injective,
     semi_gp,
     tachikawa_probe,
@@ -49,12 +54,15 @@ from gptau.homalg import (
     proj_dim,
     star_module,
     syzygy,
+    tau_inverse,
     transpose_Tr,
 )
 from gptau.module import (
+    Module,
     decompose,
     direct_sum,
     dual_D,
+    hom,
     injective_modules,
     is_faithful,
     is_isomorphic,
@@ -63,7 +71,7 @@ from gptau.module import (
     regular_module,
     simple_modules,
 )
-from gptau.tristate import NO, UNKNOWN, YES
+from gptau.tristate import NO, UNKNOWN, YES, all_of
 
 
 def test_self_injectivity_facts(a3, kx3, loop_flag, nakayama22):
@@ -168,6 +176,27 @@ def test_gp_on_the_transpose_matches_the_double_dual(field):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)], ids=str)
+def test_gp_fast_path_matches_the_general_path(field):
+    """Once gorenstein_algebra has certified the algebra n-Gorenstein,
+    gorenstein_projective checks only Ext^1..n(M, algebra): a path chosen
+    by call history.  On a primed copy it must give the verdict that an
+    unprimed copy of the same algebra gives on the same modules."""
+    primed = 0
+    for (a, max_dim), (b, _) in zip(_fresh_gp_battery(field),
+                                    _fresh_gp_battery(field)):
+        primed += gorenstein_algebra(b).is_yes
+        classes = enumerate_indecomposables(a, max_dim).representatives
+        rest = [x for x in classes if not is_projective(x)]
+        sums = [direct_sum(a, pair)[0] for pair in zip(rest, rest[1:3])]
+        for m in classes + sums:
+            twin = Module(b, m.actions, validate=False)
+            assert (gorenstein_projective(twin).verdict
+                    == gorenstein_projective(m).verdict), m.dim_vector()
+        assert _CERTIFIED not in a._cache
+    assert primed == 4  # every algebra but k[x, y]/(x, y)^2
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=str)
 def test_transpose_ext_is_reflexivity_then_ext_of_the_dual(field):
     """Auslander-Bridger: Ext^1 and Ext^2 of Tr M into the algebra vanish
     iff M -> M** is an isomorphism, and Ext^{k+2}(Tr M, -) =
@@ -264,3 +293,73 @@ def test_probe_consistent_on_battery(battery):
         probe = tachikawa_probe(a)
         assert probe["three_way_consistent"] is not False, name
         assert not probe["counterexample_candidate"], name
+
+
+def _tau_inverse_rigid_by_hom(m):
+    """Hom(tau^{-1} m, m) = 0, computed on tau^{-1} m itself."""
+    t = tau_inverse(m)
+    return m.dim == 0 or t.dim == 0 or not hom(t, m)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_tau_inverse_rigidity_by_duality_matches_hom(field):
+    """is_tau_inverse_rigid reads Hom(D m, tau D m) = 0; it equals
+    Hom(tau^{-1} m, m) = 0 on every class and seeded sum."""
+    seen = set()
+    for a, mods in _classes_and_sums(field):
+        for m in mods:
+            rigid = is_tau_inverse_rigid(m)
+            assert rigid == _tau_inverse_rigid_by_hom(m), (a, m.dim_vector())
+            seen.add(rigid)
+    assert seen == {True, False}
+
+
+def _injective_side_conditions(a, bound, til):
+    """Conditions 6-9 of the nine-condition report written out on the
+    injective side: Ext^i(D(algebra), m) = 0 through D, Hom(tau^{-1} m, m)
+    = 0, and Gorenstein injectivity, for the algebra and the tilting
+    modules til."""
+    op = a.opposite()
+
+    def semi_gi(m):
+        return ext_vanishes_all_positive(dual_D(m), regular_module(op), bound)
+
+    def gi(m):
+        return gorenstein_projective(dual_D(m), bound)
+
+    reg = regular_module(a)
+    return [all_of([semi_gi(reg), _tau_inverse_rigid_by_hom(reg)]),
+            all_of([semi_gi(t) for t in til]
+                   + [_tau_inverse_rigid_by_hom(t) for t in til]),
+            gi(reg),
+            all_of([gi(t) for t in til])]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_nine_conditions_read_six_to_nine_over_the_opposite(field, tmp_path):
+    """theorem_report takes conditions 6-9 as 2-5 over the opposite
+    algebra; each of their TriStates (verdict, reason, bound, witness,
+    value) equals the injective-side reading, on the battery, the
+    fixture algebras, and two algebras whose conditions 2-5 differ from
+    6-9 as TriStates (T2(A2), and A3 with rad^2 = 0)."""
+    a3_rad2 = bound_quiver_algebra(
+        Quiver((1, 2, 3), (("a", 1, 2), ("b", 2, 3))),
+        [Relation(((1, ("b", "a")),))], 2, field)
+    algebras = _battery_algebras(field) + [t2(linear_a_n(2, field)), a3_rad2]
+    tag = "QQ" if field == QQ else "GF %d" % field.p
+    for name in ("a3", "kx3", "kxy2", "loop_flag"):
+        path = tmp_path / (name + ".alg")
+        path.write_text(open(os.path.join(
+            os.path.dirname(__file__), "..", "fixtures", name + ".alg"))
+            .read().replace("field QQ", "field " + tag))
+        algebras.append(parse_algebra_file(str(path)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # k[x, y]/(x, y)^2 is bound-limited
+        for a in algebras:
+            rep = theorem_report(a)
+            til = tilting_modules(a)
+            assert rep["n_tilting_within_bound"] == len(til)
+            assert rep["n_cotilting_within_bound"] == len(
+                cotilting_modules(a))
+            assert rep["conditions"][5:] == _injective_side_conditions(
+                a, rep["bound"], til)

@@ -25,6 +25,7 @@ from gptau.classify import _extension_middle_terms, enumerate_indecomposables
 from gptau.field import GF, QQ
 from gptau.gorenstein import gorenstein_algebra
 from gptau.homalg import (
+    _f1_onto,
     _map_to_algebra_matrix,
     _syzygy_layers,
     ext_dim,
@@ -414,3 +415,18 @@ def test_ext_from_the_generator_complex_matches_hom_bases(field):
                     assert d == _reference_ext_dim(m, n, i), (a, m, n, i)
                     nonzero += d > 0
     assert nonzero > 50
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_tau_rigidity_rule_matches_the_surjectivity_criterion(field):
+    """is_tau_rigid (Hom(M, tau M) = 0) decides tau-rigidity in production
+    with no cross-check, so it must equal Hom(f1, M) onto
+    (Adachi-Iyama-Reiten Prop. 2.4) on every class and seeded
+    random-basis sum."""
+    seen = set()
+    for a, mods in _classes_and_sums(field):
+        for m in mods:
+            rigid = is_tau_rigid(m)
+            assert rigid == _f1_onto(m), (a, m.dim_vector())
+            seen.add(rigid)
+    assert seen == {True, False}

@@ -111,3 +111,18 @@ def test_every_public_function_is_referenced():
                    for p, name, line in refs)]
     assert defs
     assert unused == []
+
+
+def test_package_imports_are_module_level():
+    """A module imports the rest of the package at its top, so that the
+    import layering reads off the import blocks.  Only the two real
+    cycles import inside a function: approx and gorenstein reach back to
+    classify, which imports both."""
+    cycles = {("approx", "classify"), ("gorenstein", "classify")}
+    local = set()
+    for path in sorted(pathlib.Path(gptau.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local |= {(path.stem, node.module) for node in ast.walk(fn)
+                          if isinstance(node, ast.ImportFrom) and node.level}
+    assert local <= cycles, sorted(local - cycles)
