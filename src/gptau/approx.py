@@ -95,6 +95,8 @@ class GammaData:
     e: GeneratorData
     hom_bases: dict  # (i, j) -> list of ModuleMaps E_i -> E_j
     offsets: dict  # (i, j) -> first Gamma basis index of that block
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
 
 def gamma(e: GeneratorData) -> GammaData:
@@ -201,6 +203,15 @@ def hom_E(m: Module, g: GammaData) -> Module:
     return Module(g.algebra, acts, validate=False)
 
 
+@memo
+def _hom_E(g: GammaData, m: Module) -> Module:
+    """hom_E(m, g), built once per Gamma and module content: the
+    Gamma-module depends on m only through hom(E_i, m), which the
+    content of m fixes.  Every relative call on m shares it, and with it
+    its memoised presentation and transpose; read it, never change it."""
+    return hom_E(m, g)
+
+
 # -- add-E presentations and E-rigidity ---------------------------------------
 
 
@@ -263,7 +274,7 @@ def minimal_addE_presentation(m: Module, e: GeneratorData) -> Presentation:
     checks that the lift is onto and exact).  Raises AlgebraError when E
     is not a generator."""
     g = cached_gamma(e)
-    return _lift_presentation(g, m, hom_E(m, g))
+    return _lift_presentation(g, m, _hom_E(g, m))
 
 
 def e_rigid(m: Module, e: GeneratorData) -> bool:
@@ -274,7 +285,7 @@ def e_rigid(m: Module, e: GeneratorData) -> bool:
     Gamma."""
     if m.dim == 0:
         return True
-    return _f1_onto(hom_E(m, cached_gamma(e)))
+    return _f1_onto(_hom_E(cached_gamma(e), m))
 
 
 # -- relative Gorenstein projectivity ----------------------------------------
@@ -291,7 +302,7 @@ def e_gorenstein_projective(m: Module, e: GeneratorData,
     if m.dim == 0 or in_add(m, e):
         return yes("module lies in add E", bound=bound)
     g = cached_gamma(e)
-    n = hom_E(m, g)
+    n = _hom_E(g, m)
     verdict = gorenstein_projective(n, bound)
     if verdict.is_no:
         return no("Hom(E, m) is not Gorenstein projective over Gamma: "
@@ -360,7 +371,7 @@ def bijection_table(e: GeneratorData, bound=None,
     used = [False] * len(right)
     for m in left:
         # End n = End m is local: Hom(E, -) is fully faithful (E generates)
-        n = hom_E(m, g)
+        n = _hom_E(g, m)
         matched = None
         for j, r in enumerate(right):
             if not used[j] and _iso_indecomposable(n, r):

@@ -57,7 +57,6 @@ from .module import (
     split_indecomposables,
     submodule,
     tensor_module,
-    top_of,
 )
 from .homalg import (
     _f1_onto,
@@ -104,6 +103,14 @@ class _ClassSet:
     def __init__(self):
         self.by_key = {}
         self.all = []
+
+    def known(self, m: Module) -> bool:
+        """Is m isomorphic to a class already held?  Exact for any m: an
+        invertible map certifies m isomorphic to the class, and when m
+        is, m is indecomposable like the class, so _iso_indecomposable's
+        proof finds an invertible element of the hom basis."""
+        return any(_iso_indecomposable(m, other)
+                   for other in self.by_key.get(_class_key(m), ()))
 
     def add(self, m: Module) -> bool:
         key = _class_key(m)
@@ -303,15 +310,39 @@ def _connected(bits, links, total):
 def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
     """Indecomposable isomorphism classes of total dimension up to the
     bound: closure of the standard constructions (simples, projectives,
-    injectives, radical layers, syzygies, tau-orbits, extensions) plus
-    an exhaustive small-dimension sweep for quiver-presented algebras."""
+    injectives, radical layers, syzygies, tau-orbits, radicals,
+    extensions) plus an exhaustive small-dimension sweep for
+    quiver-presented algebras.
+
+    feed(m) splits m and keeps the pieces of new classes.  It returns
+    [] at once, which is what the split would give, in two cases:
+    - m has the content of a module fed before in this call (the set
+      fed, which lives for this call only and is not a cache).  Equal
+      content gives the same pieces, which that feed already added or
+      matched to a class, and a piece over the bound was recorded in
+      dropped then.
+    - m is isomorphic to a class already held (_ClassSet.known).  A
+      module isomorphic to an indecomposable class is that class: its
+      one piece is matched and is within the bound.
+    The closure feeds no top m/rad m: over a basic split algebra a
+    semisimple top is a sum of the one-dimensional simples S_i, which
+    are seeded first, so every piece of it is a known class.  The
+    classes, their first representatives and their order are those of
+    splitting every module."""
     sweep_cap = min(max_total_dim, SWEEP_CAP)
     classes = _ClassSet()
     dropped = False
+    fed = set()
 
     def feed(m):
         nonlocal dropped
         if m is None or m.dim == 0:
+            return []
+        key = m.content_key()
+        if key in fed:
+            return []
+        fed.add(key)
+        if classes.known(m):
             return []
         fresh = []
         for part in split_indecomposables(m):
@@ -337,7 +368,7 @@ def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
     while queue:
         m = queue.pop(0)
         images = [syzygy(m), cosyzygy(m), tau(m), tau_inverse(m),
-                  radical_submodule(m)[0], top_of(m)[0]]
+                  radical_submodule(m)[0]]
         for img in images:
             queue.extend(feed(img))
         # extension middle terms against the simples (both orders)

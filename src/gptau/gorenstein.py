@@ -30,6 +30,7 @@ from .module import (
     hom_coords,
     is_faithful,
     is_projective,
+    projective_modules,
     regular_module,
 )
 from .homalg import (
@@ -142,14 +143,23 @@ def gorenstein_algebra(a, bound: int | None = None) -> TriState:
     """Iwanaga-Gorenstein certificate.  value = max of the two one-sided
     injective dimensions; witness = (left id, right id).  Only certified
     verdicts are kept, since they hold at every bound; an unknown is
-    recomputed at the bound asked for."""
+    recomputed at the bound asked for.
+
+    Each one-sided id is the max of inj_dim(P_i) over the
+    indecomposable projectives (_id_of_projectives), which spares
+    splitting the regular module into the P_i it is known to be the sum
+    of: the injective dimension of a finite sum is the max over its
+    summands.  The verdict is that of inj_dim(regular_module(a), bound):
+    every P_i reads yes within the bound iff their sum does, with the
+    max as value.  A cycle of syzygy classes found within the bound from
+    one P_i is a no that the sum, which walks more classes, may reach
+    only past the bound; a no certifies an infinite id either way."""
     if _CERTIFIED in a._cache:
         return a._cache[_CERTIFIED]
     if bound is None:
         bound = default_bound(a)
-    op = a.opposite()
-    left = inj_dim(regular_module(a), bound)
-    right = inj_dim(regular_module(op), bound)
+    left = _id_of_projectives(a, bound)
+    right = _id_of_projectives(a.opposite(), bound)
     if left.is_no or right.is_no:
         result = no("a one-sided injective dimension is infinite",
                     bound=bound, witness=(left.verdict, right.verdict))
@@ -164,6 +174,24 @@ def gorenstein_algebra(a, bound: int | None = None) -> TriState:
     if not result.is_unknown:
         a._cache[_CERTIFIED] = result
     return result
+
+
+def _id_of_projectives(a, bound: int) -> TriState:
+    """id of the regular module of a, as the max of inj_dim(P_i) over
+    its indecomposable projectives (see gorenstein_algebra)."""
+    best, unresolved = 0, False
+    for p in projective_modules(a):
+        v = inj_dim(p, bound)
+        if v.is_no:
+            return v
+        if v.is_unknown:
+            unresolved = True
+        else:
+            best = max(best, v.value)
+    if unresolved:
+        return unknown("injective dimension exceeds bound", bound=bound)
+    return yes("max over the indecomposable projectives", bound=bound,
+               value=best)
 
 
 def self_injective(a) -> bool:

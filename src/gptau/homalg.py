@@ -312,12 +312,15 @@ def _map_to_algebra_matrix(f1: ModuleMap):
     return out
 
 
+@memo
 def transpose_Tr(m: Module) -> Module:
     """Auslander-Bridger transpose: the cokernel of Hom(f1, regular) on
     the minimal presentation, a module over the opposite algebra.  It
     has no projective summand, and Tr(X + P) = Tr X for P projective
     (Auslander-Reiten-Smalo, Representation Theory of Artin Algebras,
-    IV.1)."""
+    IV.1).  Built once per module and shared by tau, tau_inverse (on
+    the memoised D m) and the Gorenstein projectivity test: read it,
+    never change it."""
     pres = minimal_projective_presentation(m)
     if pres.p1.dim == 0:
         return zero_module(m.algebra.opposite())
@@ -327,7 +330,8 @@ def transpose_Tr(m: Module) -> Module:
 
 def tau(m: Module) -> Module:
     """Auslander-Reiten translate D Tr m; projective summands of m
-    vanish in Tr (ARS IV.1)."""
+    vanish in Tr (ARS IV.1).  Tr m is memoised on m and D on Tr m, so
+    every call on m returns the same module."""
     return dual_D(transpose_Tr(m))
 
 

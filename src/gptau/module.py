@@ -338,17 +338,30 @@ def direct_sum(algebra: Algebra, mods):
 
 
 def submodule(m: Module, basis: Matrix):
-    """(S, inclusion) for an invariant subspace given by basis columns."""
+    """(S, inclusion) for an invariant subspace given by basis columns.
+
+    The action of a on S is the X with B X = a B, for B the basis; it
+    is unique, since B has independent columns.  One RREF of
+    [B | a_1 B | ... | a_n B] (Matrix.solve_matrix) solves for every X
+    at once, in place of one RREF of [B | a_i B] per basis element.
+    When a column of some a_i B lies outside the span of B, there is no
+    solution, solve_matrix gives None, and the subspace is not
+    invariant: ModuleError."""
     basis = basis.image_basis()
-    if basis.cols == 0:
+    k = basis.cols
+    if k == 0:
         S = zero_module(m.algebra)
         return S, ModuleMap(S, m, Matrix(m.field, m.dim, 0))
-    acts = []
-    for a in m.actions:
-        x = basis.solve_matrix(a @ basis)
-        if x is None:
-            raise ModuleError("subspace is not invariant under the action")
-        acts.append(x)
+    prods = [a @ basis for a in m.actions]
+    rhs = Matrix._adopt(m.field, m.dim, k * len(prods),
+                        [[x for p in prods for x in p.data[r]]
+                         for r in range(m.dim)])
+    x = basis.solve_matrix(rhs)
+    if x is None:
+        raise ModuleError("subspace is not invariant under the action")
+    acts = [Matrix._adopt(m.field, k, k,
+                          [row[j:j + k] for row in x.data])
+            for j in range(0, k * len(prods), k)]
     S = Module(m.algebra, acts, validate=False)
     return S, ModuleMap(S, m, basis @ S.to_raw())
 

@@ -3,10 +3,17 @@ naming the rational backend the budget was measured under.
 
 Every criterion is exact (no numeric tolerances: all arithmetic is over
 the rationals) and carries a pinned wall-clock budget, checked at the
-end of the criterion body."""
+end of the criterion body.  The line also gives the time at reference
+speed, from the benchmark's speed probe (perfbench/harness.py), so that
+a slow spell of the machine can be told from a slowdown; the budget is
+checked on the raw time."""
 
+import os
 import random
+import sys
 import time
+
+import pytest
 
 from gptau.algebra import (
     cyclic_nakayama,
@@ -56,6 +63,33 @@ from gptau.module import (
     tensor_module,
 )
 
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from perfbench.harness import (  # noqa: E402
+    PROBE_INTERVAL,
+    PROBE_WINDOW,
+    REFERENCE_PROBE_S,
+    SpeedProbe,
+)
+
+_PROBE = None  # the SpeedProbe running through the current criterion
+
+
+@pytest.fixture(autouse=True)
+def _speed_probe():
+    global _PROBE
+    with SpeedProbe() as _PROBE:
+        yield
+    _PROBE = None
+
+
+def _reference_seconds(t0, t1):
+    """perf_counter interval [t0, t1] at reference speed: the probes' own
+    time taken out, the rest scaled by the probes run near it.  Waits
+    for a first probe when the interval ended before one ran."""
+    while not _PROBE.starts or _PROBE.starts[-1] < t0 - PROBE_WINDOW:
+        time.sleep(PROBE_INTERVAL)
+    return (t1 - t0 - _PROBE.probe_time(t0, t1)) * _PROBE.scale(t0, t1)
+
 
 class Criterion:
     """Prints one PASS/FAIL line per criterion and enforces the budget."""
@@ -65,14 +99,19 @@ class Criterion:
         self.title = title
         self.budget = budget_seconds
         self.t0 = time.time()
+        self.p0 = time.perf_counter()
 
     def finish(self, ok, detail=""):
         elapsed = time.time() - self.t0
-        line = "ACCEPTANCE %2d [%s]: %s (%.1fs / budget %ds, %s)%s" % (
+        scaled = _reference_seconds(self.p0, time.perf_counter())
+        line = ("ACCEPTANCE %2d [%s]: %s (%.1fs, %.1fs at a %.1f ms probe"
+                " / budget %ds, %s)%s") % (
             self.number,
             self.title,
             "PASS" if ok else "FAIL",
             elapsed,
+            scaled,
+            1000 * REFERENCE_PROBE_S,
             self.budget,
             RATIONAL_BACKEND,
             " — " + detail if detail else "",

@@ -50,6 +50,7 @@ from gptau.gorenstein import (
 from gptau.homalg import (
     ext_dim,
     ext_vanishes_all_positive,
+    inj_dim,
     is_tau_rigid,
     proj_dim,
     star_module,
@@ -71,7 +72,7 @@ from gptau.module import (
     regular_module,
     simple_modules,
 )
-from gptau.tristate import NO, UNKNOWN, YES, all_of
+from gptau.tristate import NO, UNKNOWN, YES, all_of, no, unknown, yes
 
 
 def test_self_injectivity_facts(a3, kx3, loop_flag, nakayama22):
@@ -363,3 +364,51 @@ def test_nine_conditions_read_six_to_nine_over_the_opposite(field, tmp_path):
                 cotilting_modules(a))
             assert rep["conditions"][5:] == _injective_side_conditions(
                 a, rep["bound"], til)
+
+
+def _gorenstein_by_the_regular_module(a, bound):
+    """gorenstein_algebra as it read the one-sided ids before: inj_dim of
+    the whole regular module of A and of A^op."""
+    left = inj_dim(regular_module(a), bound)
+    right = inj_dim(regular_module(a.opposite()), bound)
+    if left.is_no or right.is_no:
+        return no("a one-sided injective dimension is infinite",
+                  bound=bound, witness=(left.verdict, right.verdict))
+    if left.is_unknown or right.is_unknown:
+        return unknown("injective dimension exceeds bound", bound=bound)
+    return yes("left id %d, right id %d" % (left.value, right.value),
+               bound=bound, witness=(left.value, right.value),
+               value=max(left.value, right.value))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_gorenstein_algebra_per_projective_matches_the_regular_module(
+        field, tmp_path):
+    """The ids read off the indecomposable projectives give the verdict,
+    value, reason, witness and bound of the regular-module reading, on
+    the battery, the kxy2, kx3 and loop_flag fixtures and their
+    opposites, at the default bound and at a bound too small for some
+    of them.  The cases hold an infinite id (k[x,y]/(x,y)^2), a
+    self-injective algebra (cyclic Nakayama (2, 2)) and a 1-Gorenstein
+    one (loop_flag)."""
+    tag = "QQ" if field == QQ else "GF %d" % field.p
+    bases = _battery_algebras(field)
+    for name in ("kxy2", "kx3", "loop_flag"):
+        path = tmp_path / (name + ".alg")
+        path.write_text(open(os.path.join(
+            os.path.dirname(__file__), "..", "fixtures", name + ".alg"))
+            .read().replace("field QQ", "field " + tag))
+        bases.append(parse_algebra_file(str(path)))
+    seen = set()
+    for b in bases:
+        for a in (b, b.opposite()):
+            for bound in (default_bound(a), 1):
+                a._cache.pop(_CERTIFIED, None)
+                got = gorenstein_algebra(a, bound)
+                want = _gorenstein_by_the_regular_module(a, bound)
+                assert (got.verdict, got.value, got.reason, got.witness,
+                        got.bound) == (want.verdict, want.value,
+                                       want.reason, want.witness,
+                                       want.bound)
+                seen.add((got.verdict, got.value))
+    assert {(NO, None), (YES, 0), (YES, 1), (UNKNOWN, None)} <= seen

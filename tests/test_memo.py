@@ -2,16 +2,28 @@
 only cache mechanism in the library, and a cover domain shared by the
 whole algebra keeps no entry per partner module."""
 
+import gc
 import pathlib
 import random
 import re
+import weakref
 
 import pytest
 
 import gptau
-from gptau.algebra import linear_a_n
+from gptau.algebra import example_loop_flag_algebra, linear_a_n
+from gptau.approx import (
+    _hom_E,
+    cached_gamma,
+    e_gorenstein_projective,
+    e_rigid,
+    generator_data,
+    hom_E,
+    minimal_addE_presentation,
+)
+from gptau.classify import enumerate_indecomposables
 from gptau.field import GF, QQ
-from gptau.homalg import ext_dim
+from gptau.homalg import ext_dim, tau, transpose_Tr
 from gptau.linalg import Matrix
 from gptau.memo import entries
 from gptau.module import (
@@ -22,6 +34,7 @@ from gptau.module import (
     direct_sum,
     hom,
     hom_coords,
+    is_projective,
     projective_modules,
     regular_module,
     simple_modules,
@@ -107,3 +120,46 @@ def test_memo_is_the_only_cache():
                     path.name == "gorenstein.py" and CERTIFIED_RULE.search(line)):
                 found.append("%s:%d: %s" % (path.name, no, line.strip()))
     assert not found
+
+
+def test_tr_and_hom_E_are_kept_per_module_content():
+    """Tr is built once per module (so tau m = D Tr m is one module),
+    Hom(E, -) once per Gamma and module content, a fresh module of equal
+    content gets its own correct Tr, two generators keep two Hom(E, m),
+    and no entry keeps the module alive."""
+    a = example_loop_flag_algebra()
+    reps = enumerate_indecomposables(a, 6).representatives
+    m = next(x for x in reps if x.dim == 3)
+    assert tau(m) is tau(m)
+    tr = transpose_Tr(m)
+    assert transpose_Tr(m) is tr and tr.dim > 0
+    assert entries(m, transpose_Tr) == [()]
+    fresh = _copy(m)
+    assert transpose_Tr(fresh) is not tr
+    assert (transpose_Tr(fresh).content_key()
+            == transpose_Tr.__wrapped__(fresh).content_key()
+            == tr.content_key())
+
+    P = list(projective_modules(a))
+    extras = [x for x in reps if not is_projective(x)]
+    gs = [cached_gamma(generator_data(direct_sum(a, P + [x])[0]))
+          for x in extras[:2]]
+    ns = [_hom_E(g, m) for g in gs]
+    assert gs[0].algebra is not gs[1].algebra and ns[0] is not ns[1]
+    for g, n in zip(gs, ns):
+        assert _hom_E(g, m) is n and _hom_E(g, _copy(m)) is n
+        assert n.algebra is g.algebra
+        assert n.content_key() == hom_E(m, g).content_key()
+        assert entries(g, _hom_E) == [(m.content_key(),)]
+
+    e = gs[0].e
+    x = _copy(m)
+    tau(x)
+    minimal_addE_presentation(x, e)
+    e_rigid(x, e)
+    e_gorenstein_projective(x, e)
+    _hom_E(gs[1], x)
+    ref = weakref.ref(x)
+    del x
+    gc.collect()
+    assert ref() is None

@@ -36,6 +36,7 @@ from gptau.module import (
     _hom_matrices,
     _proj_embedding,
     _projective_sum,
+    _top_generators,
     decompose,
     direct_sum,
     dual_D,
@@ -59,6 +60,7 @@ from gptau.module import (
     simple_modules,
     split_indecomposables,
     strip_projectives,
+    submodule,
     top_of,
     zero_module,
 )
@@ -1039,3 +1041,37 @@ def test_library_leaves_the_global_random_state_alone():
     decompose(_kronecker_module(_kronecker(QQ), 1))
     consistency_suites(a)
     assert random.getstate() == state
+
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=str)
+def test_submodule_solves_every_action_at_once_and_traps_a_non_invariant_span(
+        field):
+    """On enumerated classes and random-basis sums: submodule on rad m
+    gives the module that one solve of B X = a B per basis element a
+    gives, and its inclusion is a module map.  The span of a top
+    coordinate v is invariant exactly when the radical kills v; when it
+    does not, submodule raises ModuleError (Nakayama: a module with
+    nonzero radical has such a v)."""
+    trapped = 0
+    for a, mods in _classes_and_sums(field):
+        for m in mods:
+            _, inc = radical_submodule(m)
+            basis = inc.matrix.image_basis()
+            if basis.cols == 0:
+                continue
+            s, incl = submodule(m, basis)
+            want = Module(a, [basis.solve_matrix(x @ basis)
+                              for x in m.actions], validate=False)
+            assert s.content_key() == want.content_key()
+            incl.validate()
+            for _, c in _top_generators(m):
+                v = Matrix(field, m.dim, 1)
+                v.data[c][0] = field.one()
+                if all((m.action_of(r) @ v).is_zero() for r in a.radical):
+                    assert submodule(m, v)[0].dim == 1
+                    continue
+                with pytest.raises(ModuleError):
+                    submodule(m, v)
+                trapped += 1
+    assert trapped > 20
