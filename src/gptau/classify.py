@@ -7,10 +7,13 @@ Production code decides tau-rigidity by one rule, homalg.is_tau_rigid
 criterion and traps a disagreement; only the prop-2.5 check
 (_tau_criteria) calls it.
 
-Enumeration is never claimed complete beyond its bound: the
-BoundedClassification carries a completeness flag that is set only when
-the closure process reaches a fixed point without dropping any module
-for exceeding the bound.
+Enumeration is claimed complete only by proof.  The
+BoundedClassification's complete flag says that the closure process
+reached a fixed point without dropping any module for exceeding the
+bound.  Its certified flag says more: the classes hold every
+indecomposable, because they are closed under the neighbours of the
+Auslander-Reiten quiver (Auslander's theorem).  Without that
+certificate the 0/1 sweep runs, and nothing is claimed beyond the bound.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .module import (
     _iso_indecomposable,
     _quiver_layout,
     direct_sum,
+    dual_D,
     hom,
     injective_modules,
     is_projective,
@@ -60,6 +64,7 @@ from .module import (
 )
 from .homalg import (
     _f1_onto,
+    almost_split_sequence,
     cosyzygy,
     ext_dim,
     inj_dim,
@@ -85,6 +90,7 @@ class BoundedClassification:
     representatives: list
     complete: bool
     notes: str = ""
+    certified: bool = False  # proved to hold every indecomposable
 
 
 class CriteriaDisagreement(RuntimeError):
@@ -311,7 +317,8 @@ def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
     """Indecomposable isomorphism classes of total dimension up to the
     bound: closure of the standard constructions (simples, projectives,
     injectives, radical layers, syzygies, tau-orbits, radicals,
-    extensions) plus an exhaustive small-dimension sweep for
+    extensions), then either a certificate that the classes are all of
+    ind A or, where it fails, an exhaustive small-dimension sweep for
     quiver-presented algebras.
 
     feed(m) splits m and keeps the pieces of new classes.  It returns
@@ -328,7 +335,21 @@ def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
     semisimple top is a sum of the one-dimensional simples S_i, which
     are seeded first, so every piece of it is a known class.  The
     classes, their first representatives and their order are those of
-    splitting every module."""
+    splitting every module.
+
+    The certificate (certified) is checked only when nothing was
+    dropped: _ar_closed finds every neighbour of every class in the
+    Auslander-Reiten quiver among the classes.  Then the class set is a
+    union of components of that quiver.  Each component it meets is
+    finite, and a finite component of the AR quiver of a connected
+    algebra is the whole quiver (Auslander's theorem, ARS VI.1).  The
+    projectives are seeded, so the set meets every block of A; so it
+    holds every indecomposable A-module.  The sweep would then feed
+    modules whose pieces are all held classes, which adds no class and
+    drops nothing, so it is skipped, and the classes, representatives,
+    order and complete flag are those of running it.  The check feeds
+    nothing into the classes; where it fails the sweep runs as
+    before."""
     sweep_cap = min(max_total_dim, SWEEP_CAP)
     classes = _ClassSet()
     dropped = False
@@ -379,8 +400,10 @@ def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
                 for mid in _extension_middle_terms(s, m):
                     queue.extend(feed(mid))
 
-    for cand in _sweep_quiver_modules(a, sweep_cap):
-        feed(cand)
+    certified = not dropped and _ar_closed(classes)
+    if not certified:
+        for cand in _sweep_quiver_modules(a, sweep_cap):
+            feed(cand)
 
     reps = sorted(
         classes.all,
@@ -391,11 +414,47 @@ def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
     complete = not dropped
     if not complete:
         notes = "bound exhausted: some constructed modules exceeded the bound"
+    elif certified:
+        notes = ("closure fixed point reached; closed under Auslander-Reiten "
+                 "neighbours, so complete; no sweep")
     elif a.quiver_data is None:  # _sweep_quiver_modules yielded nothing
         notes = "closure fixed point reached; no sweep (no quiver presentation)"
     else:
         notes = "closure fixed point reached; sweep cap %d" % sweep_cap
-    return BoundedClassification(a, max_total_dim, reps, complete, notes)
+    return BoundedClassification(a, max_total_dim, reps, complete, notes,
+                                 certified)
+
+
+def _ar_closed(classes) -> bool:
+    """Does the class set hold the neighbours of each of its classes X in
+    the Auslander-Reiten quiver?  Checked against the classes held:
+    - X non-projective: tau X and every piece of the middle term E_X of
+      its almost split sequence (homalg.almost_split_sequence);
+    - X projective: every piece of rad X;
+    - X non-injective: tau^- X;
+    - X injective: every piece of X / soc X = D rad D X.
+    The arrows into X go from the pieces of E_X, or of rad X when X is
+    projective; the arrows out of X go to the pieces of E_{tau^- X}, or
+    of X / soc X when X is injective (the irreducible maps, ARS V.5).
+    So a yes makes the set a union of components of the quiver."""
+    def held(m):
+        return all(classes.known(p) for p in split_indecomposables(m))
+
+    for x in classes.all:
+        t = tau(x)
+        if t.dim:
+            if not (classes.known(t)
+                    and held(almost_split_sequence(x)[1].source)):
+                return False
+        elif not held(radical_submodule(x)[0]):
+            return False
+        t = tau_inverse(x)
+        if t.dim:
+            if not classes.known(t):
+                return False
+        elif not held(dual_D(radical_submodule(dual_D(x))[0])):
+            return False
+    return True
 
 
 def _radical_layers(p):
@@ -486,6 +545,13 @@ def gorenstein_projective_tau_rigid_list(a, bound=None, max_dim=None):
     return members, unknowns, cls
 
 
+def _scope(cls) -> str:
+    """How far a verdict over the classes of cls reaches."""
+    if cls.certified:
+        return " (enumeration certified complete)"
+    return "" if cls.complete else " (enumeration bound-limited)"
+
+
 def cm_tau_tilting_free(a, bound=None, max_dim=None) -> TriState:
     """Are all certified-GP tau-rigid modules projective?"""
     members, unknowns, cls = gorenstein_projective_tau_rigid_list(
@@ -499,8 +565,7 @@ def cm_tau_tilting_free(a, bound=None, max_dim=None) -> TriState:
         return unknown("unresolved GP checks within bound",
                        bound=cls.max_total_dim)
     return yes(
-        "all GP tau-rigid classes within bound are projective"
-        + ("" if cls.complete else " (enumeration bound-limited)"),
+        "all GP tau-rigid classes within bound are projective" + _scope(cls),
         bound=cls.max_total_dim,
     )
 
@@ -517,8 +582,7 @@ def cm_e_free(e, bound=None, max_dim=None) -> TriState:
         return unknown("unresolved relative GP checks within bound",
                        bound=cls.max_total_dim)
     return yes(
-        "every E-GP E-rigid class within bound lies in add E"
-        + ("" if cls.complete else " (enumeration bound-limited)"),
+        "every E-GP E-rigid class within bound lies in add E" + _scope(cls),
         bound=cls.max_total_dim,
     )
 

@@ -14,15 +14,20 @@ from .module import (
     Module,
     ModuleMap,
     ModuleError,
+    _combine,
+    _generator_map,
     _iso_indecomposable,
     _map_from_generators,
     _proj_embedding,
     _projective_sum,
+    direct_sum,
     dual_D,
     hom,
     hom_coords,
     is_projective,
     projective_cover,
+    quotient_module,
+    rad_end,
     regular_module,
     simple_modules,
     split_indecomposables,
@@ -339,6 +344,76 @@ def tau_inverse(m: Module) -> Module:
     """Tr D m; injective summands of m vanish, since D of an injective
     is projective over the opposite algebra (ARS IV.1)."""
     return transpose_Tr(dual_D(m))
+
+
+def almost_split_sequence(m: Module):
+    """(f: tau m -> E, g: E -> m), the almost split sequence
+    0 -> tau m -> E -> m -> 0 of an indecomposable non-projective m.
+
+    Ext^1(m, N), N = tau m, is read in generator coordinates on the
+    minimal resolution P2 -d2-> P1 -d1-> P0 -d0-> m: a map P1 -> N is
+    its generator images in the e_j N of the summands of P1, the
+    cocycles are ker Hom(d2, N) and the coboundaries im Hom(d1, N)
+    (_hom_of_differential).  The End(N)-socle of Ext^1(m, N) is simple,
+    it equals the End(m)-socle, and any nonzero element of it is the
+    class of the almost split sequence (Auslander-Reiten-Smalo,
+    Representation Theory of Artin Algebras, V.2).  So xi is a cocycle
+    outside the coboundaries that every psi in rad End(N) (rad_end,
+    exact over every field) sends into the coboundaries.  psi commutes
+    with the idempotents, so it acts on the images by its diagonal block
+    on each e_j N.  E is the pushout (N + P0) / {(xi x, -d1 x)}, g is
+    d0 on the P0 part, and f is the inclusion of N."""
+    if is_projective(m):
+        raise ModuleError("a projective module ends no almost split sequence")
+    n = tau(m)
+    res = minimal_projective_resolution(m, 2)
+    (p0, d0), (p1, d1) = res[0], res[1]
+    f = m.field
+    h1 = _hom_of_differential(d1, n)
+    cocycles = (_hom_of_differential(res[2][1], n).kernel_basis()
+                if len(res) > 2 else Matrix.identity(f, h1.rows))
+    # q x = 0 exactly when x is a coboundary: q spans the left kernel of h1
+    q = h1.transpose().kernel_basis().transpose()
+    blocks = [n.blocks[j] for j, _, _ in p1.summands]
+
+    def on_images(psi):
+        """psi acting on generator images: its block on each e_j N."""
+        rows, at = [], 0
+        for o, d in blocks:
+            rows += [[0] * at + r[o:o + d] + [0] * (h1.rows - at - d)
+                     for r in psi.data[o:o + d]]
+            at += d
+        return Matrix._adopt(f, h1.rows, h1.rows, rows)
+
+    ends = [e.matrix for e in hom(n, n)]
+    eqs = []
+    for coeffs in rad_end(n)[0]:
+        psi = _combine(f, n.dim, ends, coeffs)
+        eqs += (q @ on_images(psi) @ cocycles).data
+    socle = cocycles @ (
+        Matrix._adopt(f, len(eqs), cocycles.cols, eqs).kernel_basis()
+        if eqs else Matrix.identity(f, cocycles.cols))
+    outside = q @ socle
+    xi = next((socle.col(j) for j in range(socle.cols)
+               if any(outside.col(j))), None)
+    if xi is None:
+        raise ModuleError("Ext^1(m, tau m) has no socle element")
+    images, at = [], 0
+    for o, d in blocks:
+        images.append([0] * o + xi[at:at + d] + [0] * (n.dim - o - d))
+        at += d
+    h = _generator_map(p1, n, images)
+    s, incls, projs = direct_sum(m.algebra, [n, p0])
+    rel = incls[0].matrix @ h + incls[1].matrix @ -d1.matrix
+    e, proj = quotient_module(s, rel.image_basis())
+    if e.dim != m.dim + n.dim:
+        raise ModuleError("almost split middle term has dimension %d, not %d"
+                          % (e.dim, m.dim + n.dim))
+    # g o proj = d0 o (projection onto P0): solve proj^T g^T = (d0 pr)^T
+    g = proj.matrix.transpose().solve_matrix(
+        (d0.matrix @ projs[1].matrix).transpose()).transpose()
+    return (ModuleMap(n, e, proj.matrix @ incls[0].matrix),
+            ModuleMap(e, m, g))
 
 
 def is_tau_rigid(m: Module) -> bool:

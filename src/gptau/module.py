@@ -48,6 +48,7 @@ and one entry per partner n would pile up on it.
 
 from __future__ import annotations
 
+import itertools
 import random
 import warnings
 
@@ -905,41 +906,56 @@ def _min_poly_split_candidate(m: Module, s: Matrix, sdim: int):
     return _fitting_split(m, g)
 
 
-def _split_candidates(ends):
-    """Endomorphisms to try a Fitting split on, built one at a time: the
-    End basis, then its pairwise sums."""
-    for e in ends:
-        yield e.matrix
-    for i in range(len(ends)):
-        for j in range(i + 1, len(ends)):
-            yield ends[i].matrix + ends[j].matrix
-
-
-def _split_once(m: Module):
-    """One nontrivial direct-sum split of m, or None when m is found
-    indecomposable; the same order on every field.
-
-    rad_end is exact, so dim End/rad = 1 certifies m indecomposable
-    before any candidate is built.  Otherwise the Fitting splits of the
-    End basis and its pairwise sums come first, then the primary splits
-    of lifts of an End/rad basis and of sums of two of them
-    (_min_poly_split_candidate).  A lift whose minimal polynomial is a
-    power of one irreducible of degree dim End/rad certifies that
-    End/rad is a field, so m is indecomposable.  Only when none of these
-    decides does None come with a warning."""
-    ends = hom(m, m)
-    if len(ends) <= 1:
-        return None
-    rad_coeffs, sdim = rad_end(m)
-    if sdim == 1:
-        return None
+def _first_fitting_split(m: Module, candidates):
+    """The first Fitting split of m along a candidate endomorphism that
+    is not a scalar, or None."""
     idm = Matrix.identity(m.field, m.dim)
-    for s in _split_candidates(ends):
+    for s in candidates:
         if s.is_zero() or (s - idm.scale(s.data[0][0])).is_zero():
             continue
         split = _fitting_split(m, s)
         if split:
             return split
+    return None
+
+
+def _split_once(m: Module):
+    """One nontrivial direct-sum split of m, or None when m is found
+    indecomposable; the same split on every field.
+
+    rad_end is exact, so dim End/rad = 1 certifies m indecomposable
+    before any candidate is built.  Otherwise the Fitting splits of the
+    End basis and then of its pairwise sums come first, then the primary
+    splits of lifts of an End/rad basis and of sums of two of them
+    (_min_poly_split_candidate).  A lift whose minimal polynomial is a
+    power of one irreducible of degree dim End/rad certifies that
+    End/rad is a field, so m is indecomposable.  Only when none of these
+    decides does None come with a warning.
+
+    Over GF(p) with p <= dim m the radical costs the refinement levels
+    of _small_prime_radical, so the End basis is tried before it.  The
+    split is the same: a Fitting split makes m decomposable, so dim
+    End/rad >= 2 and the radical-first order reaches the same first
+    splitting candidate; and no endomorphism of an indecomposable m has
+    a Fitting split."""
+    ends = hom(m, m)
+    if len(ends) <= 1:
+        return None
+    mats = [e.matrix for e in ends]
+    sums = (x + y for x, y in itertools.combinations(mats, 2))
+    if m.field.p and m.field.p <= m.dim:
+        split = _first_fitting_split(m, mats)
+        if split:
+            return split
+        candidates = sums
+    else:
+        candidates = itertools.chain(mats, sums)
+    rad_coeffs, sdim = rad_end(m)
+    if sdim == 1:
+        return None
+    split = _first_fitting_split(m, candidates)
+    if split:
+        return split
     # lift a basis of End/rad: the End basis elements whose unit vectors
     # are pivots of [rad | I], and look at the minimal polynomials
     k, r = len(ends), len(rad_coeffs)

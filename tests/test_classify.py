@@ -4,8 +4,9 @@ suites.
 
 Oracles: representation-finite battery algebras with hand-countable
 class lists (A3: 6 intervals; loop-flag: 7 classes; K[x]/(x^3): 3
-uniserials), the brute-force support-pair count for A3 (14), and an
-unpruned 0/1 sweep kept here as the reference for the pruned one."""
+uniserials), the brute-force support-pair count for A3 (14), an
+unpruned 0/1 sweep kept here as the reference for the pruned one, and
+the sweep itself as the oracle of the Auslander-Reiten certificate."""
 
 import itertools
 import os
@@ -19,6 +20,7 @@ from gptau.classify import (
     SWEEP_BITS,
     SWEEP_CAP,
     _ClassSet,
+    _ar_closed,
     _connected,
     _sweep_quiver_modules,
     cm_e_free,
@@ -35,6 +37,7 @@ from gptau.algebra import (
     Quiver,
     Relation,
     bound_quiver_algebra,
+    cyclic_nakayama,
     example_loop_flag_algebra,
     linear_a_n,
     t2,
@@ -149,9 +152,13 @@ def test_gp_tau_rigid_lists(a3, loop_flag):
 
 
 def test_cm_tau_tilting_free_verdicts(a3, loop_flag, kx3):
-    assert cm_tau_tilting_free(a3).is_yes
-    assert cm_tau_tilting_free(loop_flag).is_yes
-    assert cm_tau_tilting_free(kx3).is_yes
+    for a in (a3, loop_flag, kx3):
+        state = cm_tau_tilting_free(a)
+        assert state.is_yes
+        assert state.reason.endswith("(enumeration certified complete)")
+    # Kronecker at bound 4 is bound-limited
+    state = cm_tau_tilting_free(_kronecker(QQ), max_dim=4)
+    assert state.reason.endswith("(enumeration bound-limited)")
 
 
 def test_cm_e_free_matches_regular_generator(a3, loop_flag, kx3):
@@ -160,6 +167,7 @@ def test_cm_e_free_matches_regular_generator(a3, loop_flag, kx3):
         lhs = cm_e_free(e)
         rhs = cm_tau_tilting_free(a)
         assert lhs.verdict == rhs.verdict
+        assert lhs.reason.endswith("(enumeration certified complete)")
 
 
 def test_consistency_suites_pass_on_loop_flag(loop_flag):
@@ -208,9 +216,18 @@ def test_consistency_suites_enumerate_t2_once():
     assert len(entries(t2(a), enumerate_indecomposables)) == 1
 
 
-def test_enumeration_note_says_whether_a_sweep_ran():
-    # T2(A2) has no quiver presentation, so only the closure ran; a quiver
-    # algebra keeps its sweep-cap note
+CERTIFIED_NOTE = ("closure fixed point reached; closed under "
+                  "Auslander-Reiten neighbours, so complete; no sweep")
+
+
+def test_enumeration_note_says_whether_a_sweep_ran(monkeypatch):
+    # A2 and T2(A2) are certified, so no sweep ran on either.  With the
+    # certificate failing, T2(A2), which has no quiver presentation, only
+    # ran the closure, and a quiver algebra notes its sweep cap.
+    for a in (t2(linear_a_n(2)), linear_a_n(2)):
+        notes = enumerate_indecomposables(a, 4).notes
+        assert notes == CERTIFIED_NOTE
+    monkeypatch.setattr(gptau.classify, "_ar_closed", lambda classes: False)
     notes = enumerate_indecomposables(t2(linear_a_n(2)), 4).notes
     assert notes == "closure fixed point reached; no sweep (no quiver presentation)"
     notes = enumerate_indecomposables(linear_a_n(2), 4).notes
@@ -534,9 +551,11 @@ def _enumerate_splitting_everything(a, max_total_dim,
 def test_enumeration_skips_change_no_representative(field, tmp_path):
     """The battery, the kxy2, kx3 and loop_flag fixtures and their
     opposites at bound 2 dim A, and the Kronecker algebra at bound 8:
-    the representatives (by content, in order), the completeness flag
-    and the notes equal those of splitting every fed module.  kxy2 and
-    Kronecker are bound-limited, so a drop the skips lost would show."""
+    the representatives (by content, in order) and the completeness flag
+    equal those of splitting every fed module and running the sweep.
+    Every complete case is certified and notes it; the notes of the
+    others are the reference's.  kxy2 and Kronecker are bound-limited,
+    so a drop the skips lost would show."""
     bases = _battery_algebras(field) + [
         _fixture_over(name, field, tmp_path)
         for name in ("kxy2.alg", "kx3.alg", "loop_flag.alg")]
@@ -548,7 +567,8 @@ def test_enumeration_skips_change_no_representative(field, tmp_path):
         cls = enumerate_indecomposables(a, bound)
         assert ([m.content_key() for m in cls.representatives]
                 == [m.content_key() for m in want])
-        assert (cls.complete, cls.notes) == (complete, notes)
+        assert (cls.complete, cls.certified) == (complete, complete)
+        assert cls.notes == (CERTIFIED_NOTE if cls.certified else notes)
         limited += not complete
     assert limited >= 3
 
@@ -569,3 +589,97 @@ def test_enumeration_splits_fewer_modules_than_it_feeds(monkeypatch):
     monkeypatch.setattr(gptau.classify, "split_indecomposables", counted)
     enumerate_indecomposables(_kronecker(QQ), 8)
     assert 0 < len(calls) < everything * 2 / 3
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)],
+                         ids=["QQ", "GF2", "GF3"])
+def test_certified_enumerations_leave_the_sweep_nothing(field, tmp_path):
+    """On the battery, the four fixtures and all their opposites at bound
+    2 dim A, the sweep, run here, adds no class to a certified
+    enumeration: every piece of every module it yields is isomorphic to
+    a representative.  Opposites have no quiver, so their sweep is
+    empty; the quiver algebras give it hundreds of modules."""
+    bases = _battery_algebras(field) + [
+        _fixture_over(name, field, tmp_path)
+        for name in ("a3.alg", "kxy2.alg", "kx3.alg", "loop_flag.alg")]
+    swept = certified = 0
+    for a in (x for b in bases for x in (b, b.opposite())):
+        cls = enumerate_indecomposables(a, 2 * a.dim)
+        if not cls.certified:
+            continue
+        certified += 1
+        held = _ClassSet()
+        for m in cls.representatives:
+            held.add(m)
+        for m in _sweep_quiver_modules(a, min(2 * a.dim, SWEEP_CAP)):
+            swept += 1
+            assert all(held.known(part) for part in split_indecomposables(m))
+    assert certified == 2 * len(bases) - 2  # all but kxy2 and its opposite
+    assert swept > 100
+
+
+def _counting_sweep(monkeypatch):
+    entered = []
+    real = _sweep_quiver_modules
+
+    def counted(a, cap):
+        entered.append(a)
+        return real(a, cap)
+
+    monkeypatch.setattr(gptau.classify, "_sweep_quiver_modules", counted)
+    return entered
+
+
+def test_certified_enumeration_never_enters_the_sweep(monkeypatch):
+    entered = _counting_sweep(monkeypatch)
+    for a in (linear_a_n(2), cyclic_nakayama(2, 2), example_loop_flag_algebra()):
+        cls = enumerate_indecomposables(a, 2 * a.dim)
+        assert cls.certified and cls.complete
+    assert entered == []
+
+
+def test_bound_limited_enumeration_enters_the_sweep(monkeypatch):
+    entered = _counting_sweep(monkeypatch)
+    a = _kronecker(QQ)
+    cls = enumerate_indecomposables(a, 8)
+    assert not cls.complete and not cls.certified
+    assert entered == [a]
+
+
+def test_classify_deck_algebras_are_certified(tmp_path, monkeypatch):
+    """Every family of the benchmark's classify deck, as the benchmark
+    writes it (quiver text with seeded names; opposites with reversed
+    arrows), enumerates complete and certified at bound 2 dim A."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..",
+                                             "perfbench"))
+    from inputs import present
+    from workloads import CLASSIFY_DECK
+
+    for k, fam in enumerate(CLASSIFY_DECK):
+        path = tmp_path / ("%d.alg" % k)
+        path.write_text(present(fam, random.Random(k)).text)
+        a = parse_algebra_file(str(path))
+        cls = enumerate_indecomposables(a, 2 * a.dim)
+        assert cls.complete and cls.certified, fam.label
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["QQ", "GF2"])
+def test_ar_closure_fails_without_any_one_class(field):
+    """The classes of each battery algebra with more than one class, and
+    of its opposite, are closed under Auslander-Reiten neighbours; with
+    any one class left out they are not, since each class is a
+    neighbour of another in the connected AR quiver."""
+    removed = 0
+    for base in _battery_algebras(field):
+        for a in (base, base.opposite()):
+            reps = enumerate_indecomposables(a, 2 * a.dim).representatives
+            if len(reps) < 2:
+                continue
+            for skip in [None] + reps:
+                held = _ClassSet()
+                for m in reps:
+                    if m is not skip:
+                        held.add(m)
+                assert _ar_closed(held) is (skip is None)
+                removed += skip is not None
+    assert removed >= 30

@@ -87,6 +87,7 @@ def test_enumerate_indec(runner):
     rep = json.loads(r.output)
     assert rep["n_classes"] == 6
     assert rep["complete_within_bound"] is True
+    assert rep["certified"] is True
 
 
 def test_enumerate_stau_tilt_dot(runner, tmp_path):

@@ -7,12 +7,18 @@ presentation has no projective summand and Tr(X + P) = Tr X (ARS IV.1); a cycle 
 summands certifies infinite projective dimension on the loop-flag
 algebra and on k[x, y]/(x, y)^2, whose whole syzygies keep growing; a
 test-local copy of the whole-syzygy periodicity loops is the reference
-for every verdict it certifies."""
+for every verdict it certifies; an almost split sequence is checked by
+its dimensions, its failure to split and its lifting property against
+the enumerated classes."""
 
 import itertools
 
 import pytest
-from conftest import _classes_and_sums, _two_loops_radical_square_zero
+from conftest import (
+    _battery_algebras,
+    _classes_and_sums,
+    _two_loops_radical_square_zero,
+)
 
 from gptau.algebra import (
     cyclic_nakayama,
@@ -26,6 +32,7 @@ from gptau.field import GF, QQ
 from gptau.gorenstein import gorenstein_algebra
 from gptau.homalg import (
     _f1_onto,
+    almost_split_sequence,
     _map_to_algebra_matrix,
     _syzygy_layers,
     ext_dim,
@@ -47,6 +54,7 @@ from gptau.linalg import Matrix
 from gptau.memo import entries
 from gptau.module import (
     Module,
+    ModuleError,
     _proj_embedding,
     direct_sum,
     hom,
@@ -55,6 +63,7 @@ from gptau.module import (
     is_isomorphic,
     is_projective,
     projective_modules,
+    rad_end,
     regular_module,
     simple_modules,
     split_indecomposables,
@@ -430,3 +439,40 @@ def test_tau_rigidity_rule_matches_the_surjectivity_criterion(field):
             assert rigid == _f1_onto(m), (a, m.dim_vector())
             seen.add(rigid)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_almost_split_sequences_of_the_battery(field):
+    """For every non-projective class M of the battery, of k[x]/x^4 (where
+    Ext^1(M, tau M) has dimension 2 for M = k[x]/x^2, so that a cocycle
+    outside the socle would be picked wrongly) and of their opposites,
+    0 -> tau M -f-> E -g-> M -> 0 is exact with dim E = dim M + dim tau M,
+    E is not M + tau M, and g is right almost split against the classes:
+    every radical map X -> M from a class X is g u for some u: X -> E (a
+    rank test on Hom(X, E) -> Hom(X, M)).  None of it reads the socle
+    computation."""
+    checked = 0
+    for base in _battery_algebras(field) + [loop_algebra(4, field)]:
+        for a in (base, base.opposite()):
+            reps = enumerate_indecomposables(a, 2 * a.dim).representatives
+            for m in reps:
+                if is_projective(m):
+                    with pytest.raises(ModuleError):
+                        almost_split_sequence(m)
+                    continue
+                f, g = almost_split_sequence(m)
+                e, n = g.source, tau(m)
+                f.validate()
+                g.validate()
+                assert (f.source, f.target, g.target) == (n, e, m)
+                assert e.dim == m.dim + n.dim
+                assert f.matrix.rank() == n.dim and g.matrix.rank() == m.dim
+                assert (g.matrix @ f.matrix).is_zero()
+                assert not is_isomorphic(e, direct_sum(a, [m, n])[0])
+                for x in reps:
+                    rad_dim = len(hom(x, m)) - (rad_end(m)[1] if x is m else 0)
+                    through = [g.matrix @ u.matrix for u in hom(x, e)]
+                    got = (hom_coords(x, m, through).rank() if through else 0)
+                    assert got == rad_dim, (m.dim_vector(), x.dim_vector())
+                checked += 1
+    assert checked >= 20

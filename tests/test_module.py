@@ -32,8 +32,10 @@ from gptau.field import GF, QQ
 from gptau.module import (
     Module,
     ModuleError,
+    _fitting_split,
     _iso_indecomposable,
     _hom_matrices,
+    _min_poly_split_candidate,
     _proj_embedding,
     _projective_sum,
     _top_generators,
@@ -64,6 +66,7 @@ from gptau.module import (
     top_of,
     zero_module,
 )
+import gptau.module
 from gptau.linalg import Matrix
 from gptau.memo import entries
 
@@ -1075,3 +1078,104 @@ def test_submodule_solves_every_action_at_once_and_traps_a_non_invariant_span(
                     submodule(m, v)
                 trapped += 1
     assert trapped > 20
+
+
+def _radical_first_split(m):
+    """_split_once in its radical-first order on every field: rad_end,
+    then the Fitting splits of the End basis and of its pairwise sums,
+    then the primary splits of lifts of an End/rad basis.  The reference
+    for the End-basis-first order over GF(p) with p <= dim m."""
+    ends = [e.matrix for e in hom(m, m)]
+    if len(ends) <= 1:
+        return None
+    rad_coeffs, sdim = rad_end(m)
+    if sdim == 1:
+        return None
+    idm = Matrix.identity(m.field, m.dim)
+    for s in ends + [x + y for x, y in itertools.combinations(ends, 2)]:
+        if s.is_zero() or (s - idm.scale(s.data[0][0])).is_zero():
+            continue
+        split = _fitting_split(m, s)
+        if split:
+            return split
+    k, r = len(ends), len(rad_coeffs)
+    _, pivots = Matrix.from_cols(m.field, rad_coeffs + [
+        [int(i == j) for i in range(k)] for j in range(k)], nrows=k).rref()
+    lifts = [ends[j - r] for j in pivots if j >= r]
+    pool = lifts + [x + y.scale(c) for x, y in itertools.combinations(lifts, 2)
+                    for c in (1, 2, 3)]
+    for s in pool:
+        split = _min_poly_split_candidate(m, s, sdim)
+        if split is True:
+            return None
+        if split:
+            return split
+    raise AssertionError("no split decided")
+
+
+def _radical_first_pieces(m):
+    split = _radical_first_split(m)
+    if split is None:
+        return [m]
+    return [q for basis in split
+            for q in _radical_first_pieces(submodule(m, basis)[0])]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=str)
+def test_small_prime_split_order_gives_the_radical_first_pieces(field):
+    """Over GF(p), p <= dim m, _split_once tries the End basis before
+    rad_end.  On the classes and random-basis sums of the battery and its
+    opposites, and on the doubled regular modules, the pieces equal
+    those of the radical-first order by content and in order."""
+    cases = [m for _, mods in _classes_and_sums(field) for m in mods]
+    for base in (linear_a_n(3, field), example_loop_flag_algebra(field)):
+        reg = regular_module(base)
+        cases.append(direct_sum(base, [reg, reg])[0])
+    split = 0
+    for m in cases:
+        got = [q.content_key() for q in split_indecomposables(m)]
+        want = [q.content_key() for q in _radical_first_pieces(m)]
+        assert got == want
+        split += len(got) > 1 and m.dim >= field.p
+    assert split > 20
+
+
+def test_small_prime_split_reaches_the_pairwise_sums():
+    """k[x]/x^4 + k[x]/x^2 over GF(3) in a basis where no End basis
+    element has a Fitting split: the End-basis-first order goes on to
+    rad_end and the pairwise sums, and splits as the radical-first order
+    does."""
+    f = GF(3)
+    a = loop_algebra(4, f)
+    x = Matrix(f, 6, 6, [[0, 0, 1, 1, 0, 1], [2, 2, 2, 2, 2, 0],
+                         [0, 0, 1, 1, 2, 2], [2, 0, 2, 1, 2, 1],
+                         [2, 0, 0, 2, 2, 2], [1, 2, 0, 2, 1, 0]])
+    m = module_from_dimvector(a, [6], {"x": x})
+    assert not any(_fitting_split(m, e.matrix) for e in hom(m, m))
+    got = split_indecomposables(m)
+    assert sorted(q.dim for q in got) == [2, 4]
+    assert ([q.content_key() for q in got]
+            == [q.content_key() for q in _radical_first_pieces(m)])
+
+
+def test_small_prime_split_skips_the_radical_of_what_the_end_basis_splits(
+        monkeypatch):
+    """Counts, not time: the doubled regular module of linear A5 over
+    GF(2) (dimension 30, ten projective pieces) splits without one
+    _small_prime_radical call; the radical-first order made 9, one per
+    split that was not a leaf."""
+    calls = []
+    real = gptau.module._small_prime_radical
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(gptau.module, "_small_prime_radical", counted)
+    a = linear_a_n(5, GF(2))
+    reg = regular_module(a)
+    m = direct_sum(a, [reg, reg])[0]
+    assert len(split_indecomposables(m)) == 10
+    assert calls == []
+    assert len(_radical_first_pieces(direct_sum(a, [reg, reg])[0])) == 10
+    assert len(calls) == 9
