@@ -7,13 +7,14 @@ Production code decides tau-rigidity by one rule, homalg.is_tau_rigid
 criterion and traps a disagreement; only the prop-2.5 check
 (_tau_criteria) calls it.
 
-Enumeration is claimed complete only by proof.  The
-BoundedClassification's complete flag says that the closure process
-reached a fixed point without dropping any module for exceeding the
-bound.  Its certified flag says more: the classes hold every
-indecomposable, because they are closed under the neighbours of the
-Auslander-Reiten quiver (Auslander's theorem).  Without that
-certificate the 0/1 sweep runs, and nothing is claimed beyond the bound.
+Enumeration knits the Auslander-Reiten quiver from the simples,
+projectives and injectives, and is claimed complete only by proof.  The
+BoundedClassification's complete flag says that knitting reached a
+fixed point without dropping any module for exceeding the bound; then
+the classes are closed under the neighbours of the Auslander-Reiten
+quiver, so they hold every indecomposable (Auslander's theorem).  When
+a module was dropped, the 0/1 sweep feeds the knitting too, and nothing
+is claimed beyond the bound.
 """
 
 from __future__ import annotations
@@ -54,23 +55,17 @@ from .module import (
     is_projective,
     module_to_triple,
     projective_modules,
-    quotient_module,
     radical_submodule,
     regular_module,
     simple_modules,
     split_indecomposables,
-    submodule,
     tensor_module,
 )
 from .homalg import (
     _f1_onto,
     almost_split_sequence,
-    cosyzygy,
-    ext_dim,
     inj_dim,
     is_tau_rigid,
-    minimal_projective_resolution,
-    syzygy,
     tau,
     tau_inverse,
     transpose_Tr,
@@ -88,9 +83,8 @@ class BoundedClassification:
     algebra: object
     max_total_dim: int
     representatives: list
-    complete: bool
+    complete: bool  # nothing dropped, so proved to hold every indecomposable
     notes: str = ""
-    certified: bool = False  # proved to hold every indecomposable
 
 
 class CriteriaDisagreement(RuntimeError):
@@ -315,14 +309,40 @@ def _connected(bits, links, total):
 @memo
 def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
     """Indecomposable isomorphism classes of total dimension up to the
-    bound: closure of the standard constructions (simples, projectives,
-    injectives, radical layers, syzygies, tau-orbits, radicals,
-    extensions), then either a certificate that the classes are all of
-    ind A or, where it fails, an exhaustive small-dimension sweep for
-    quiver-presented algebras.
+    bound, knitted along the Auslander-Reiten quiver (Assem-Simson-
+    Skowronski, Elements of the Representation Theory of Associative
+    Algebras 1, IV).  The seeds are the simples, projectives and
+    injectives.  Each class X taken from the queue feeds its neighbours:
+    - X non-projective: tau X and the middle term E_X of its almost split
+      sequence 0 -> tau X -> E_X -> X -> 0 (homalg.almost_split_sequence);
+    - X projective: rad X;
+    - X non-injective: tau^- X;
+    - X injective: X / soc X = D rad D X.
+    The arrows into X come from the pieces of E_X, or of rad X when X is
+    projective; the arrows out of X go to the pieces of E_{tau^- X}, fed
+    when tau^- X is taken, or of X / soc X when X is injective (the
+    irreducible maps, ARS V.5).
 
-    feed(m) splits m and keeps the pieces of new classes.  It returns
-    [] at once, which is what the split would give, in two cases:
+    Completeness.  complete says that nothing was dropped for exceeding
+    the bound, and then the classes are all of ind A.  At the fixed
+    point every class was taken from the queue, and every piece of every
+    module fed is a class, so every neighbour of every class in the
+    Auslander-Reiten quiver is a class: the class set is a union of
+    components of that quiver, each finite since the set is, and a
+    finite component of the AR quiver of a connected algebra is the
+    whole quiver (Auslander's theorem, Auslander-Reiten-Smalo,
+    Representation Theory of Artin Algebras, VI.1).  The projectives are
+    seeded, so the set meets every block of A; so it holds every
+    indecomposable A-module.
+
+    When something was dropped, nothing is claimed beyond the bound.
+    The exhaustive 0/1 sweep (_sweep_quiver_modules) then feeds the
+    quiver representations of small dimension, and its new classes are
+    knitted like the others; an algebra with no quiver presentation
+    gets no sweep.
+
+    feed(m) splits m and queues the pieces of new classes.  It skips the
+    split, which would queue nothing, in two cases:
     - m has the content of a module fed before in this call (the set
       fed, which lives for this call only and is not a cache).  Equal
       content gives the same pieces, which that feed already added or
@@ -331,79 +351,54 @@ def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
     - m is isomorphic to a class already held (_ClassSet.known).  A
       module isomorphic to an indecomposable class is that class: its
       one piece is matched and is within the bound.
-    The closure feeds no top m/rad m: over a basic split algebra a
+    Knitting feeds no top m/rad m: over a basic split algebra a
     semisimple top is a sum of the one-dimensional simples S_i, which
     are seeded first, so every piece of it is a known class.  The
     classes, their first representatives and their order are those of
-    splitting every module.
-
-    The certificate (certified) is checked only when nothing was
-    dropped: _ar_closed finds every neighbour of every class in the
-    Auslander-Reiten quiver among the classes.  Then the class set is a
-    union of components of that quiver.  Each component it meets is
-    finite, and a finite component of the AR quiver of a connected
-    algebra is the whole quiver (Auslander's theorem, ARS VI.1).  The
-    projectives are seeded, so the set meets every block of A; so it
-    holds every indecomposable A-module.  The sweep would then feed
-    modules whose pieces are all held classes, which adds no class and
-    drops nothing, so it is skipped, and the classes, representatives,
-    order and complete flag are those of running it.  The check feeds
-    nothing into the classes; where it fails the sweep runs as
-    before."""
-    sweep_cap = min(max_total_dim, SWEEP_CAP)
+    splitting every module."""
     classes = _ClassSet()
     dropped = False
     fed = set()
+    queue = []
 
     def feed(m):
         nonlocal dropped
-        if m is None or m.dim == 0:
-            return []
+        if m.dim == 0:
+            return
         key = m.content_key()
         if key in fed:
-            return []
+            return
         fed.add(key)
         if classes.known(m):
-            return []
-        fresh = []
+            return
         for part in split_indecomposables(m):
             if part.dim > max_total_dim:
                 dropped = True
-                continue
-            if classes.add(part):
-                fresh.append(part)
-        return fresh
+            elif classes.add(part):
+                queue.append(part)
 
-    seeds = []
-    seeds.extend(simple_modules(a))
-    seeds.extend(projective_modules(a))
-    seeds.extend(injective_modules(a))
-    for p in projective_modules(a):
-        for layer, quot in _radical_layers(p):
-            seeds.append(layer)
-            seeds.append(quot)
-    queue = []
-    for s in seeds:
-        queue.extend(feed(s))
+    def knit():
+        while queue:
+            x = queue.pop(0)
+            t = tau(x)
+            if t.dim:
+                feed(t)
+                feed(almost_split_sequence(x)[1].source)
+            else:
+                feed(radical_submodule(x)[0])
+            t = tau_inverse(x)
+            if t.dim:
+                feed(t)
+            else:
+                feed(dual_D(radical_submodule(dual_D(x))[0]))
 
-    while queue:
-        m = queue.pop(0)
-        images = [syzygy(m), cosyzygy(m), tau(m), tau_inverse(m),
-                  radical_submodule(m)[0]]
-        for img in images:
-            queue.extend(feed(img))
-        # extension middle terms against the simples (both orders)
-        for s in simple_modules(a):
-            if m.dim + s.dim <= max_total_dim:
-                for mid in _extension_middle_terms(m, s):
-                    queue.extend(feed(mid))
-                for mid in _extension_middle_terms(s, m):
-                    queue.extend(feed(mid))
-
-    certified = not dropped and _ar_closed(classes)
-    if not certified:
-        for cand in _sweep_quiver_modules(a, sweep_cap):
+    for s in simple_modules(a) + projective_modules(a) + injective_modules(a):
+        feed(s)
+    knit()
+    if dropped:
+        for cand in _sweep_quiver_modules(a, min(max_total_dim, SWEEP_CAP)):
             feed(cand)
+        knit()
 
     reps = sorted(
         classes.all,
@@ -411,98 +406,12 @@ def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
                        tuple(str(x) for act in m.actions for row in act.data
                              for x in row)),
     )
-    complete = not dropped
-    if not complete:
+    if dropped:
         notes = "bound exhausted: some constructed modules exceeded the bound"
-    elif certified:
+    else:
         notes = ("closure fixed point reached; closed under Auslander-Reiten "
                  "neighbours, so complete; no sweep")
-    elif a.quiver_data is None:  # _sweep_quiver_modules yielded nothing
-        notes = "closure fixed point reached; no sweep (no quiver presentation)"
-    else:
-        notes = "closure fixed point reached; sweep cap %d" % sweep_cap
-    return BoundedClassification(a, max_total_dim, reps, complete, notes,
-                                 certified)
-
-
-def _ar_closed(classes) -> bool:
-    """Does the class set hold the neighbours of each of its classes X in
-    the Auslander-Reiten quiver?  Checked against the classes held:
-    - X non-projective: tau X and every piece of the middle term E_X of
-      its almost split sequence (homalg.almost_split_sequence);
-    - X projective: every piece of rad X;
-    - X non-injective: tau^- X;
-    - X injective: every piece of X / soc X = D rad D X.
-    The arrows into X go from the pieces of E_X, or of rad X when X is
-    projective; the arrows out of X go to the pieces of E_{tau^- X}, or
-    of X / soc X when X is injective (the irreducible maps, ARS V.5).
-    So a yes makes the set a union of components of the quiver."""
-    def held(m):
-        return all(classes.known(p) for p in split_indecomposables(m))
-
-    for x in classes.all:
-        t = tau(x)
-        if t.dim:
-            if not (classes.known(t)
-                    and held(almost_split_sequence(x)[1].source)):
-                return False
-        elif not held(radical_submodule(x)[0]):
-            return False
-        t = tau_inverse(x)
-        if t.dim:
-            if not classes.known(t):
-                return False
-        elif not held(dual_D(radical_submodule(dual_D(x))[0])):
-            return False
-    return True
-
-
-def _radical_layers(p):
-    """[(rad^k p, p/rad^k p)] for k = 1, 2, ... as submodule/quotient
-    pairs of p, until the radical power vanishes."""
-    a = p.algebra
-    f = p.field
-    basis = Matrix.identity(f, p.dim)
-    out = []
-    for _ in range(a.dim):
-        cols = Matrix(f, p.dim, 0)
-        for r in a.radical:
-            cols = cols.hstack(p.action_of(r) @ basis)
-        basis = cols.image_basis()
-        if basis.cols == 0:
-            break
-        layer, _ = submodule(p, basis)
-        quot, _ = quotient_module(p, basis)
-        out.append((layer, quot))
-    return out
-
-
-def _extension_middle_terms(m, n):
-    """Middle terms of extensions 0 -> n -> X -> m -> 0, one per basis
-    element of Ext^1(m, n), realised through pushouts along the
-    presentation of m."""
-    a = m.algebra
-    if ext_dim(m, n, 1) == 0:
-        return []
-    res = minimal_projective_resolution(m, 2)
-    if len(res) < 2:
-        return []
-    p0, d0 = res[0]
-    p1, d1 = res[1]
-    out = []
-    d2mat = res[2][1].matrix if len(res) > 2 else None
-    # pushout of n <.h. p1 .d1.> p0: X = (n (+) p0) / {(h(x), -d1(x))}
-    s, incls, _ = direct_sum(a, [n, p0])
-    into_n = incls[0].matrix
-    minus_d1 = incls[1].matrix @ -d1.matrix
-    for h in hom(p1, n):
-        if d2mat is not None and not (h.matrix @ d2mat).is_zero():
-            continue  # not a cocycle
-        sub = into_n @ h.matrix + minus_d1
-        x, _ = quotient_module(s, sub.image_basis())
-        if x.dim == m.dim + n.dim:
-            out.append(x)
-    return out
+    return BoundedClassification(a, max_total_dim, reps, not dropped, notes)
 
 
 # -- tau-rigidity with cross-check ------------------------------------------
@@ -547,9 +456,8 @@ def gorenstein_projective_tau_rigid_list(a, bound=None, max_dim=None):
 
 def _scope(cls) -> str:
     """How far a verdict over the classes of cls reaches."""
-    if cls.certified:
-        return " (enumeration certified complete)"
-    return "" if cls.complete else " (enumeration bound-limited)"
+    return (" (enumeration certified complete)" if cls.complete
+            else " (enumeration bound-limited)")
 
 
 def cm_tau_tilting_free(a, bound=None, max_dim=None) -> TriState:

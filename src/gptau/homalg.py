@@ -82,11 +82,6 @@ def syzygy(m: Module, k: int = 1):
     return cur
 
 
-def cosyzygy(m: Module, k: int = 1):
-    """Omega^{-k} m: cokernels of injective envelopes, via duality."""
-    return dual_D(syzygy(dual_D(m), k))
-
-
 @memo
 def minimal_projective_resolution(m: Module, length: int):
     """[(P_i, d_i)] with d_0 : P_0 -> M and d_i : P_i -> P_{i-1},

@@ -27,7 +27,7 @@ from gptau.algebra import (
     loop_algebra,
     trivial_algebra,
 )
-from gptau.classify import _extension_middle_terms, enumerate_indecomposables
+from gptau.classify import enumerate_indecomposables
 from gptau.field import GF, QQ
 from gptau.gorenstein import gorenstein_algebra
 from gptau.homalg import (
@@ -51,7 +51,6 @@ from gptau.homalg import (
     transpose_Tr,
 )
 from gptau.linalg import Matrix
-from gptau.memo import entries
 from gptau.module import (
     Module,
     ModuleError,
@@ -206,14 +205,6 @@ def test_ext_nonzero_between_neighbor_simples(a3):
     assert ext_dim(S[0], S[1], 1) == 1
     assert ext_dim(S[1], S[2], 1) == 1
     assert ext_dim(S[0], S[2], 1) == 0
-
-
-def test_extension_middle_terms_resolve_the_module_once():
-    S = simple_modules(linear_a_n(3))  # fresh, so that no cache is warm
-    mids = _extension_middle_terms(S[0], S[1])
-    assert [m.dim_vector() for m in mids] == [(1, 1, 0)]
-    # ext_dim and the pushout read one memoised resolution of S_1
-    assert entries(S[0], minimal_projective_resolution) == [(2,)]
 
 
 def test_inj_dim_matches_duality(loop_flag):
