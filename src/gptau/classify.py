@@ -20,7 +20,6 @@ is claimed beyond the bound.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -47,7 +46,6 @@ from .module import (
     ModuleError,
     _Representation,
     _iso_indecomposable,
-    _quiver_layout,
     direct_sum,
     dual_D,
     hom,
@@ -125,13 +123,14 @@ class _ClassSet:
 
 def _sweep_quiver_modules(a, cap):
     """Exhaustive 0/1-matrix sweep over quiver representations with
-    total dimension <= cap.  Independent of the closure constructions.
+    total dimension <= cap.  Independent of the knitting.
 
     A pattern is the bit tuple of the entries (arrow, row, col), arrow by
-    arrow, rows then columns: a block of bits per arrow.  It sits on the
-    coordinates: the basis vectors of the vertex spaces, where a set bit
-    joins its arrow's target coordinate `row` to its source coordinate
-    `col`.  Two kinds of pattern are never fed:
+    arrow, rows then columns, and the patterns of each dimension vector
+    are visited in the lexicographic order of their bit tuples.  A
+    pattern sits on the coordinates: the basis vectors of the vertex
+    spaces, where a set bit joins its arrow's target coordinate `row` to
+    its source coordinate `col`.  Two kinds of pattern are never fed:
     - a disconnected coordinate graph: each component is a pattern of a
       smaller dimension vector (so swept earlier) with no more bits, and
       is a module when the pattern is, because paths act
@@ -144,149 +143,45 @@ def _sweep_quiver_modules(a, cap):
     already fed, so skipping changes no class and no representative.
     The patterns fed are checked as module_from_dimvector checks them,
     on their arrow matrices and relations first, but with no exception
-    raised for the many that fail.
-
-    The patterns are grown block by block (_block_patterns), which
-    visits them in the lexicographic order of their bit tuples, and two
-    kinds of block are cut with every pattern that extends them:
-    (a) a permutation of the coordinates within vertices maps each
-        arrow's block onto itself, so a pattern is greater than its
-        image exactly when, at the first block where the two differ,
-        its block is the greater.  A block greater than its image under
-        a permutation that fixed every earlier block makes every
-        extension non-canonical; a block smaller than its image frees
-        every extension from that permutation.  This is the canonicity
-        test above, decided block by block.
-    (b) a relation whose paths are all powers of one loop, and that
-        loop to the power B = nilpotency_bound, are polynomials in the
-        loop's block alone; when one is nonzero there, every extension
-        fails _Representation.failure.
-    The connectivity test and failure() still run on every pattern
-    built, so the modules fed and their order are those of the full
-    product of 0/1 patterns."""
+    raised for the many that fail."""
     qd = a.quiver_data
     if qd is None:
         return
     q = qd["quiver"]
-    nv = len(q.vertices)
     arrows = q.arrows
     src = [q.vertex_index(x[1]) for x in arrows]
     tgt = [q.vertex_index(x[2]) for x in arrows]
     f = a.field
-    loop_ok = _loop_block_test(a)
-    for dims in itertools.product(range(cap + 1), repeat=nv):
+    for dims in itertools.product(range(cap + 1), repeat=len(q.vertices)):
         total = sum(dims)
         if total == 0 or total > cap:
             continue
         shapes = [(dims[tgt[k]], dims[src[k]]) for k in range(len(arrows))]
-        if sum(r * c for r, c in shapes) > SWEEP_BITS:
+        entries = [(k, i, j) for k, (r, c) in enumerate(shapes)
+                   for i in range(r) for j in range(c)]
+        if len(entries) > SWEEP_BITS:
             continue  # keep the sweep bounded
-        links, perms = _pattern_symmetries(dims, src, tgt)
-        for blocks in _block_patterns(shapes, perms, loop_ok):
-            if not _connected(itertools.chain(*blocks), links, total):
+        offs = [sum(dims[:v]) for v in range(len(dims))]
+        links = [(offs[tgt[k]] + i, offs[src[k]] + j) for k, i, j in entries]
+        # each permutation as the entry of the pattern read at each entry
+        index = {e: n for n, e in enumerate(entries)}
+        perms = {tuple(index[k, sigma[tgt[k]][i], sigma[src[k]][j]]
+                       for k, i, j in entries)
+                 for sigma in itertools.product(
+                     *(itertools.permutations(range(d)) for d in dims))}
+        perms.discard(tuple(range(len(entries))))
+        for bits in itertools.product((0, 1), repeat=len(entries)):
+            if not _connected(bits, links, total) or any(
+                    bits > tuple(map(bits.__getitem__, p)) for p in perms):
                 continue
             # 0 and 1 are field elements of every field
+            it = iter(bits)
             mats = {arrows[k][0]: Matrix._adopt(
-                f, r, c, [list(b[i * c:i * c + c]) for i in range(r)])
-                for k, ((r, c), b) in enumerate(zip(shapes, blocks))}
+                f, r, c, [[next(it) for _ in range(c)] for _ in range(r)])
+                for k, (r, c) in enumerate(shapes)}
             rep = _Representation(a, list(dims), mats)
             if rep.failure() is None:
                 yield Module(a, rep.actions(), validate=False)
-
-
-def _block_patterns(shapes, perms, admissible):
-    """The patterns of the given arrow block shapes, as tuples of blocks
-    in lexicographic order, that are canonical under perms and whose
-    blocks pass admissible(arrow, block).  A pattern is grown block by
-    block and carries the permutations that fixed its blocks so far."""
-    chosen = [()] * len(shapes)
-
-    def grow(k, live):
-        if k == len(shapes):
-            yield tuple(chosen)
-            return
-        r, c = shapes[k]
-        for block in itertools.product((0, 1), repeat=r * c):
-            keep = []
-            for p in live:
-                image = tuple(map(block.__getitem__, p[k]))
-                if block > image:
-                    break
-                if block == image:
-                    keep.append(p)
-            else:
-                if admissible(k, block):
-                    chosen[k] = block
-                    yield from grow(k + 1, keep)
-
-    return grow(0, perms)
-
-
-def _loop_block_test(a):
-    """admissible(arrow, block): False when the arrow is a loop and its
-    block, as a d x d matrix, does not annihilate the loop to the power
-    B = nilpotency_bound or a relation in powers of that loop alone.
-    Answers are kept per (arrow, block) in this closure only, so they
-    live for one sweep of one algebra."""
-    _, ends, _, rels = _quiver_layout(a)
-    B = a.quiver_data["nilpotency_bound"]
-    own = {k: [terms for terms in rels
-               if terms and all(set(p) == {k} for _, p in terms)]
-           for k, (s, t) in enumerate(ends) if s == t}
-    seen = {}
-
-    def admissible(k, block):
-        if k not in own:
-            return True
-        ok = seen.get((k, block))
-        if ok is None:
-            ok = seen[k, block] = _annihilates(a.field, block, own[k], B)
-        return ok
-
-    return admissible
-
-
-def _annihilates(f, block, rels, B):
-    """Do x^B and each relation [(coefficient, path of one loop)] act as
-    zero on the square 0/1 matrix x with row-major entries block?"""
-    d = math.isqrt(len(block))
-    x = Matrix._adopt(f, d, d, [list(block[i * d:i * d + d])
-                                for i in range(d)])
-    powers = [None, x]
-    top = max([B] + [len(p) for terms in rels for _, p in terms])
-    for _ in range(top - 1):
-        powers.append(powers[-1] @ x)
-    if not powers[B].is_zero():
-        return False
-    for terms in rels:
-        acc = None
-        for c, p in terms:
-            term = powers[len(p)] if c == 1 else powers[len(p)].scale(c)
-            acc = term if acc is None else acc + term
-        if not acc.is_zero():
-            return False
-    return True
-
-
-def _pattern_symmetries(dims, src, tgt):
-    """For the patterns of dimension vector dims: per bit, the pair of
-    coordinates it joins, and the non-identity permutations of the
-    coordinates within each vertex as maps of the arrow blocks (p[k][i]
-    is the entry of block k that the permuted pattern reads at entry i
-    of that block)."""
-    offs = [sum(dims[:v]) for v in range(len(dims))]
-    links = [(offs[tgt[k]] + i, offs[src[k]] + j) for k in range(len(src))
-             for i in range(dims[tgt[k]]) for j in range(dims[src[k]])]
-    perms = set()
-    for sigma in itertools.product(*(itertools.permutations(range(d))
-                                     for d in dims)):
-        perms.add(tuple(
-            tuple(sigma[tgt[k]][i] * dims[src[k]] + sigma[src[k]][j]
-                  for i in range(dims[tgt[k]]) for j in range(dims[src[k]]))
-            for k in range(len(src))))
-    perms.discard(tuple(tuple(range(dims[tgt[k]] * dims[src[k]]))
-                        for k in range(len(src))))
-    return links, list(perms)
 
 
 def _connected(bits, links, total):
@@ -610,7 +505,8 @@ def id_shift_state(ida: TriState, idt: TriState, bound) -> TriState:
 
 def suite_bounds(a, bound=None, max_dim=None):
     """(bound, max_dim) with their defaults default_bound(a), 2 dim a:
-    every default enumeration bound of the package is read here."""
+    the default enumeration bound of every suite, check and CLI command.
+    gorenstein.tilting_modules alone defaults to its own bound, dim a."""
     return (default_bound(a) if bound is None else bound,
             2 * a.dim if max_dim is None else max_dim)
 
@@ -740,7 +636,7 @@ def _e_presentations(a, bound, max_dim, e):
 
 def _bijection(a, bound, max_dim, e):
     """The E-GP E-rigid classes match the GP tau-rigid Gamma-classes
-    through Hom(E, -); reports the table."""
+    through Hom(E, -); reports the table and its class counts."""
     try:
         table = bijection_table(e, bound, max_dim)
     except ModuleError as exc:
@@ -751,7 +647,10 @@ def _bijection(a, bound, max_dim, e):
     else:
         state = unknown("enumeration incomplete within bound (matched %d "
                         "classes so far)" % table.n_lambda, bound=table.bound)
-    return state, {"table": table.dim_vector_rows()}
+    return state, {"table": table.dim_vector_rows(),
+                   "counts": {"n_base": table.n_lambda,
+                              "n_gamma": table.n_gamma,
+                              "complete": table.complete}}
 
 
 def _nine_conditions(a, bound, max_dim, e):

@@ -17,7 +17,6 @@ import click
 from . import classify as _classify
 from .algebra import AlgebraError, t2 as _t2, tensor as _tensor
 from .approx import (
-    bijection_table,
     cached_gamma,
     e_gorenstein_projective,
     e_rigid,
@@ -77,6 +76,18 @@ def _load_module(path, algebra):
         return parse_module_file(path, algebra)
     except (FormatError, ModuleError) as exc:
         raise click.ClickException(str(exc))
+
+
+def _load_generator(path, algebra):
+    """The generator data of a module file, with the Gamma = End(E)^op
+    that every E-command builds.  approx.gamma refuses an E that is not
+    a generator or whose Gamma is not split: a one-line error here."""
+    e = generator_data(_load_module(path, algebra))
+    try:
+        cached_gamma(e)
+    except AlgebraError as exc:
+        raise click.ClickException("%s: %s" % (path, exc))
+    return e
 
 
 @click.group()
@@ -143,7 +154,7 @@ def module_check(alg, mod, props, gen_path, bound, report_path):
             raise click.ClickException(
                 "--generator FILE is required for e-rigid / e-gp"
             )
-        e = generator_data(_load_module(gen_path, a))
+        e = _load_generator(gen_path, a)
     out = {}
     for p in want:
         if p == "tau-rigid":
@@ -215,7 +226,9 @@ def enumerate_indec(alg, max_dim, report_path):
 def enumerate_stau(alg, max_dim, dot_path, report_path):
     """Support tau-tilting pairs and their exchange graph."""
     a = _load_algebra(alg)
+    max_dim = _classify.suite_bounds(a, max_dim=max_dim)[1]
     rigid, pairs, edges = _classify.support_tau_tilting_quiver(a, max_dim)
+    complete = _classify.enumerate_indecomposables(a, max_dim).complete
     names = ["M(%s)" % ",".join(str(d) for d in m.dim_vector()) for m in rigid]
     labels = [p.label(names) for p in pairs]
     if dot_path:
@@ -224,12 +237,14 @@ def enumerate_stau(alg, max_dim, dot_path, report_path):
         click.echo("DOT written to %s" % dot_path)
     report = {
         "algebra": alg,
+        "max_dim": max_dim,
+        "complete": complete,
         "n_tau_rigid_classes": len(rigid),
         "n_pairs": len(pairs),
         "pairs": labels,
         "edges": [list(e) for e in edges],
     }
-    _emit(report, report_path, 0)
+    _emit(report, report_path, 0 if complete else 2)
 
 
 # -- construct ----------------------------------------------------------------
@@ -267,27 +282,18 @@ def construct(what, algs, output):
 def gamma_cmd(alg, gen_path, bound, max_dim, report_path):
     """Endomorphism algebra of the generator, plus the bijection table."""
     a = _load_algebra(alg)
-    e = generator_data(_load_module(gen_path, a))
+    e = _load_generator(gen_path, a)
     g = cached_gamma(e)
-    try:
-        table = bijection_table(e, bound, max_dim)
-        matched = yes(
-            "all %d classes matched" % table.n_lambda, bound=table.bound
-        )
-        rows = table.dim_vector_rows()
-        counts = {"n_base": table.n_lambda, "n_gamma": table.n_gamma,
-                  "complete": table.complete}
-    except ModuleError as exc:
-        matched = no(str(exc))
-        rows, counts = [], {}
+    matched, extra = _classify.CHECKS["bijection"](
+        a, *_classify.suite_bounds(a, bound, max_dim), e)
     report = {
         "algebra": alg,
         "generator": gen_path,
         "gamma_dim": g.algebra.dim,
         "gamma_n_simples": g.algebra.n_idempotents,
         "bijection": matched,
-        "rows": rows,
-        "counts": counts,
+        "rows": extra.get("table", []),
+        "counts": extra.get("counts", {}),
     }
     _emit(report, report_path, _exit_code([matched]))
 
@@ -312,7 +318,7 @@ def verify(suite, alg, gen_path, bound, max_dim, report_path):
     if _classify.E_CHECKS.intersection(checks):
         if gen_path is None:
             raise click.ClickException("--generator FILE is required for %s" % suite)
-        e = generator_data(_load_module(gen_path, a))
+        e = _load_generator(gen_path, a)
         report["generator"] = gen_path
     states, extra = _classify.run_checks(checks, a, bound, max_dim, e)
     report.update(states)

@@ -10,7 +10,12 @@ from gptau.algebra import t2
 from gptau.classify import SUITES, consistency_suites
 from gptau.cli import main, verify
 from gptau.field import GF
-from gptau.fileio import parse_algebra_file
+from gptau.fileio import (
+    parse_algebra_file,
+    parse_module_file,
+    write_module_file,
+)
+from gptau.module import direct_sum, regular_module, simple_modules
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -106,8 +111,19 @@ def test_enumerate_stau_tilt_dot(runner, tmp_path):
     assert r.exit_code == 0
     rep = json.loads(rep_file.read_text())
     assert rep["n_pairs"] == 6
+    assert rep["complete"] is True and rep["max_dim"] == 10
     text = dot.read_text()
     assert text.count("label=") == 6
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_enumerate_stau_tilt_bound_limited_exits_2(runner):
+    """k[x,y]/(x,y)^2 is representation-infinite: its enumeration to
+    2 dim A = 6 is bound-limited, so the pairs are not certified."""
+    r = run(runner, "enumerate", "stau-tilt", fx("kxy2.alg"))
+    assert r.exit_code == 2
+    rep = json.loads(r.output)
+    assert rep["complete"] is False and rep["max_dim"] == 6
 
 
 def test_construct_op_t2_tensor(runner, tmp_path):
@@ -137,6 +153,63 @@ def test_gamma_command(runner):
     rep = json.loads(r.output)
     assert rep["gamma_dim"] == 9
     assert rep["bijection"]["verdict"] == "certified-yes"
+
+
+def _write_module(m, tmp_path, name):
+    path = tmp_path / name
+    write_module_file(m, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("cmd", [["gamma"], ["verify", "thm-4.7"]])
+def test_bijection_on_kxy2_with_a_simple_is_unknown(runner, tmp_path, cmd):
+    """E = A + S over k[x,y]/(x,y)^2: Gamma (dim 7) is
+    representation-infinite, so both commands read the bound-limited
+    table as unknown."""
+    a = parse_algebra_file(fx("kxy2.alg"))
+    gen = _write_module(direct_sum(a, [regular_module(a),
+                                       simple_modules(a)[0]])[0],
+                        tmp_path, "a_plus_s.mod")
+    r = run(runner, *cmd, fx("kxy2.alg"), "--generator", gen)
+    assert r.exit_code == 2
+    rep = json.loads(r.output)
+    assert rep["bijection"]["verdict"] == "unknown"
+    assert rep["counts"]["complete"] is False
+    assert rep["counts"]["n_base"] >= 1 and rep["counts"]["n_gamma"] >= 1
+
+
+@pytest.mark.parametrize("cmd", [
+    ["module", "check", fx("a3.alg"), fx("i2.mod"), "--props", "e-rigid"],
+    ["gamma", fx("a3.alg")],
+    ["verify", "thm-4.7", fx("a3.alg")],
+])
+def test_non_generator_is_rejected_in_one_line(runner, tmp_path, cmd):
+    s1 = _write_module(simple_modules(parse_algebra_file(fx("a3.alg")))[0],
+                       tmp_path, "s1.mod")
+    r = run(runner, *cmd, "--generator", s1)
+    assert r.exit_code == 1
+    assert r.output.strip().count("\n") == 0
+    assert "is not a generator" in r.output
+
+
+def test_generator_with_a_non_split_gamma_is_rejected_in_one_line(
+        runner, tmp_path):
+    """Over QQ the Kronecker module with a = 1 and b a quarter turn has
+    End = QQ(i), so Gamma of A + it is not split."""
+    alg = tmp_path / "kronecker.alg"
+    alg.write_text("kind quiver\nfield QQ\nvertices 1 2\narrow a 1 2\n"
+                   "arrow b 1 2\nnilpotency 2\n")
+    turn = tmp_path / "turn.mod"
+    turn.write_text("kind quiver-module\ndims 2 2\narrow a : 1 0 ; 0 1\n"
+                    "arrow b : 0 -1 ; 1 0\n")
+    a = parse_algebra_file(str(alg))
+    gen = _write_module(direct_sum(a, [regular_module(a),
+                                       parse_module_file(str(turn), a)])[0],
+                        tmp_path, "gen.mod")
+    r = run(runner, "gamma", str(alg), "--generator", gen)
+    assert r.exit_code == 1
+    assert r.output.strip().count("\n") == 0
+    assert "is not the ground field" in r.output
 
 
 def test_verify_nine_conditions_self_injective(runner):
