@@ -9,10 +9,11 @@ n(n+1)/2 intervals; Nakayama algebras: their uniserials), the Kronecker
 classes over GF(2) read off the preprojective, preinjective and tube
 modules, the brute-force support-pair count for A3 (14), a 0/1 sweep
 that feeds every pattern, kept here as the reference for the sweep
-that skips disconnected and permuted patterns, the sweep itself as a
-check that a complete enumeration leaves nothing out, and an
-Auslander-Reiten closure check kept here, independent of the knitting
-that reached the classes."""
+that skips disconnected and permuted patterns, a union-find and
+matrix-permutation reference for the patterns it feeds and their order,
+the sweep itself as a check that a complete enumeration leaves nothing
+out, and an Auslander-Reiten closure check kept here, independent of
+the knitting that reached the classes."""
 
 import itertools
 import os
@@ -400,7 +401,97 @@ def test_sweep_skips_disconnected_and_permuted_patterns():
     assert ([1, 1], [[1]], [[0]]) in patterns
 
 
+def _orbit_minimum_sweep(a, cap):
+    """The sweep's yields, computed on the arrow matrices themselves: a
+    0/1 representation is kept when it is a module, its coordinates form
+    one component under union-find, and its bit tuple is the least of
+    those of the representations P_t M_a P_s^-1 over the permutation
+    matrices P_v within each vertex.  The reference for the sweep's
+    index arithmetic (entry maps of the permutations, link bitmasks)."""
+    q = a.quiver_data["quiver"]
+    ends = [(name, q.vertex_index(s), q.vertex_index(t))
+            for name, s, t in q.arrows]
+    for dims in itertools.product(range(cap + 1), repeat=len(q.vertices)):
+        if not 0 < sum(dims) <= cap:
+            continue
+        nbits = sum(dims[s] * dims[t] for _, s, t in ends)
+        if nbits > SWEEP_BITS:
+            continue
+        sigmas = list(itertools.product(
+            *(itertools.permutations(range(d)) for d in dims)))
+        for bits in itertools.product((0, 1), repeat=nbits):
+            it = iter(bits)
+            mats = [[[next(it) for _ in range(dims[s])]
+                     for _ in range(dims[t])] for _, s, t in ends]
+            parent = {(v, i): (v, i) for v, d in enumerate(dims)
+                      for i in range(d)}
+
+            def root(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for (_, s, t), m in zip(ends, mats):
+                for i, row in enumerate(m):
+                    for j, bit in enumerate(row):
+                        if bit:
+                            parent[root((t, i))] = root((s, j))
+            if len({root(x) for x in parent}) != 1:
+                continue
+            if any(tuple(m[sigma[t][i]][sigma[s][j]]
+                         for (_, s, t), m in zip(ends, mats)
+                         for i in range(dims[t]) for j in range(dims[s]))
+                   < bits for sigma in sigmas):
+                continue
+            rep = _Representation(a, list(dims), {
+                name: Matrix(a.field, dims[t], dims[s], m)
+                for (name, s, t), m in zip(ends, mats)})
+            if rep.failure() is None:
+                yield Module(a, rep.actions(), validate=False)
+
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+_BUILDERS = {b.__name__: b for b in (
+    _kronecker, example_loop_flag_algebra, _two_loops_radical_square_zero,
+    _commutative_square, _x2_minus_x3)}
+
+
+@pytest.mark.parametrize("cap", [3, 4])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)],
+                         ids=["QQ", "GF2", "GF3"])
+@pytest.mark.parametrize("name", list(_BUILDERS) + [
+    "loop_flag.alg", "kxy2.alg", "kx3.alg", "a3.alg"])
+def test_sweep_yields_the_orbit_minimum_sweep_in_order(name, field, cap,
+                                                       tmp_path):
+    """Parallel arrows, loops, a commutativity and a non-homogeneous
+    relation, over three fields and two caps: the sweep feeds exactly
+    the connected orbit-least modules, in the same order."""
+    if name in _BUILDERS:
+        a = _BUILDERS[name](field)
+    else:
+        a = _fixture_over(name, field, tmp_path)
+    got = [m.content_key() for m in _sweep_quiver_modules(a, cap)]
+    want = [m.content_key() for m in _orbit_minimum_sweep(a, cap)]
+    assert got and got == want
+
+
+def _one_loop(power, f=QQ):
+    q = Quiver((1,), (("x", 1, 1),))
+    return bound_quiver_algebra(q, [Relation(((1, ("x",) * power),))],
+                                power + 1, f)
+
+
+def test_sweep_keeps_the_jordan_blocks_the_relation_allows():
+    """x^2 = 0 and x^3 = 0 differ only in the relation: the nilpotent
+    Jordan block of size 3 is a module of the second alone, and neither
+    sweep carries anything over to the next."""
+    kx2, kx3 = _one_loop(2), _one_loop(3)
+    want = {a: [m.content_key() for m in _orbit_minimum_sweep(a, 4)]
+            for a in (kx2, kx3)}
+    assert len(want[kx2]) < len(want[kx3])
+    for a in (kx2, kx3, kx2):
+        got = [m.content_key() for m in _sweep_quiver_modules(a, 4)]
+        assert got == want[a]
 
 
 def _fixture_over(name, field, tmp_path):
