@@ -327,6 +327,7 @@ class BijectionTable:
     n_gamma: int
     bound: int
     complete: bool
+    unmatched: list  # Gamma-side modules whose partner may lie past a bound
 
     def dim_vector_rows(self):
         return [{"base_dim_vector": list(m.dim_vector()),
@@ -336,7 +337,8 @@ class BijectionTable:
 
 def eg_classes(e: GeneratorData, bound=None, max_dim=None):
     """(indecomposable E-GP E-rigid classes, E-rigid classes whose
-    relative GP check is unresolved, classification used)."""
+    relative GP check is unresolved, classify.Reach of the list),
+    the shape of classify.gorenstein_projective_tau_rigid_list."""
     from .classify import enumerate_indecomposables, suite_bounds
 
     bound, max_dim = suite_bounds(e.E.algebra, bound, max_dim)
@@ -350,45 +352,52 @@ def eg_classes(e: GeneratorData, bound=None, max_dim=None):
             members.append(m)
         elif v.is_unknown:
             unknowns.append(m)
-    return members, unknowns, cls
+    return members, unknowns, cls.reach()
 
 
 def bijection_table(e: GeneratorData, bound=None,
                     max_dim=None) -> BijectionTable:
     """Pair the indecomposable E-GP E-rigid modules with the
-    indecomposable GP tau-rigid Gamma-modules through Hom(E, -).  An
-    unmatched class on either side is a hard error."""
+    indecomposable GP tau-rigid Gamma-modules through Hom(E, -).
+
+    A side is whole when its list is complete (by knitting, or on Gamma
+    by a finite global dimension) and no check on it is unresolved, and
+    the table is complete when both sides are.  A class with no partner
+    is a hard error when the other side is whole.  Otherwise its partner
+    may lie past that side's bound or among its unresolved classes, so
+    it is kept, as a Gamma-module, in unmatched."""
     from .classify import gorenstein_projective_tau_rigid_list, suite_bounds
 
     bound, max_dim = suite_bounds(e.E.algebra, bound, max_dim)
     g = cached_gamma(e)
-    left, left_unknowns, cls = eg_classes(e, bound, max_dim)
+    left, left_unknowns, left_reach = eg_classes(e, bound, max_dim)
     gamma_max = max(max_dim, suite_bounds(g.algebra)[1])
-    right, right_unknowns, _ = gorenstein_projective_tau_rigid_list(
-        g.algebra, bound, gamma_max
-    )
-    rows = []
+    right, right_unknowns, right_reach = \
+        gorenstein_projective_tau_rigid_list(g.algebra, bound, gamma_max)
+    left_whole = left_reach.complete and not left_unknowns
+    right_whole = right_reach.complete and not right_unknowns
+    rows, unmatched = [], []
     used = [False] * len(right)
     for m in left:
         # End n = End m is local: Hom(E, -) is fully faithful (E generates)
         n = _hom_E(g, m)
-        matched = None
-        for j, r in enumerate(right):
-            if not used[j] and _iso_indecomposable(n, r):
-                matched = j
-                break
-        if matched is None:
+        matched = next((j for j, r in enumerate(right)
+                        if not used[j] and _iso_indecomposable(n, r)), None)
+        if matched is not None:
+            used[matched] = True
+            rows.append((m, right[matched]))
+        elif right_whole:
             raise ModuleError(
                 "bijection violated: transported module with dimension "
                 "vector %s has no Gamma-side partner" % (n.dim_vector(),)
             )
-        used[matched] = True
-        rows.append((m, right[matched]))
-    if not all(used):
-        missing = [right[j].dim_vector() for j in range(len(right))
-                   if not used[j]]
+        else:
+            unmatched.append(n)
+    rest = [r for r, u in zip(right, used) if not u]
+    if rest and left_whole:
         raise ModuleError(
-            "bijection violated: unmatched Gamma-side classes %s" % missing
+            "bijection violated: unmatched Gamma-side classes %s"
+            % [r.dim_vector() for r in rest]
         )
-    complete = cls.complete and not left_unknowns and not right_unknowns
-    return BijectionTable(rows, len(left), len(right), max_dim, complete)
+    return BijectionTable(rows, len(left), len(right), max_dim,
+                          left_whole and right_whole, unmatched + rest)

@@ -15,6 +15,14 @@ the classes are closed under the neighbours of the Auslander-Reiten
 quiver, so they hold every indecomposable (Auslander's theorem).  When
 a module was dropped, the 0/1 sweep feeds the knitting too, and nothing
 is claimed beyond the bound.
+
+The lists that verdicts quantify over (the GP tau-rigid classes here,
+the E-GP E-rigid classes of approx.eg_classes) carry a Reach: whether
+the list is complete, the enumeration bound it was read from, and a
+scope text.  An algebra of finite global dimension is CM-free (a GP
+module of finite projective dimension is projective), so its GP
+tau-rigid list is its indecomposable projectives, complete by proof
+with no enumeration.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ from .module import (
 from .homalg import (
     _f1_onto,
     almost_split_sequence,
+    global_dimension,
     inj_dim,
     is_tau_rigid,
     tau,
@@ -77,12 +86,29 @@ SUITE_SEED = 7  # seed of those samples
 
 
 @dataclass
+class Reach:
+    """How far a list of classes reaches: complete says it holds every
+    class of its kind; bound is the enumeration bound it was read from,
+    None when a proof gave it with no enumeration; scope says which, in
+    the reasons of the verdicts over it."""
+    complete: bool
+    bound: int | None
+    scope: str
+
+
+@dataclass
 class BoundedClassification:
     algebra: object
     max_total_dim: int
     representatives: list
     complete: bool  # nothing dropped, so proved to hold every indecomposable
     notes: str = ""
+
+    def reach(self) -> Reach:
+        """The reach of a list read off these classes."""
+        return Reach(self.complete, self.max_total_dim,
+                     "enumeration certified complete" if self.complete
+                     else "enumeration bound-limited")
 
 
 class CriteriaDisagreement(RuntimeError):
@@ -332,9 +358,22 @@ def tau_rigid_test(m: Module) -> bool:
 
 def gorenstein_projective_tau_rigid_list(a, bound=None, max_dim=None):
     """(certified GP tau-rigid indecomposable classes, classes whose GP
-    check is unresolved, classification used), the shape of
-    approx.eg_classes."""
+    check is unresolved, Reach of the list), the shape of
+    approx.eg_classes.
+
+    When global_dimension certifies gl.dim A finite within `bound`, A is
+    CM-free: a GP module M has Ext^i(M, P) = 0 for i > 0 and every
+    projective P, and with pd M finite the last map of a finite
+    projective resolution splits, down to M projective.  So the list is
+    the indecomposable projectives (tau-rigid and GP), complete with no
+    enumeration bound.  Otherwise the classes of
+    enumerate_indecomposables(a, max_dim) are filtered, and the list
+    reaches as far as that enumeration."""
     bound, max_dim = suite_bounds(a, bound, max_dim)
+    gd = global_dimension(a, bound)
+    if gd.is_yes:
+        return list(projective_modules(a)), [], Reach(
+            True, None, "gl.dim %d is finite: CM-free" % gd.value)
     gorenstein_algebra(a, bound)  # cached: enables the GP fast path
     cls = enumerate_indecomposables(a, max_dim)
     members, unknowns = [], []
@@ -346,18 +385,14 @@ def gorenstein_projective_tau_rigid_list(a, bound=None, max_dim=None):
             members.append(m)
         elif g.is_unknown:
             unknowns.append(m)
-    return members, unknowns, cls
-
-
-def _scope(cls) -> str:
-    """How far a verdict over the classes of cls reaches."""
-    return (" (enumeration certified complete)" if cls.complete
-            else " (enumeration bound-limited)")
+    return members, unknowns, cls.reach()
 
 
 def cm_tau_tilting_free(a, bound=None, max_dim=None) -> TriState:
-    """Are all certified-GP tau-rigid modules projective?"""
-    members, unknowns, cls = gorenstein_projective_tau_rigid_list(
+    """Are all certified-GP tau-rigid modules projective?  A yes of finite
+    global dimension is bound-free (CM-free, so CM-tau-tilting free);
+    one read off an enumeration names its scope."""
+    members, unknowns, reach = gorenstein_projective_tau_rigid_list(
         a, bound, max_dim
     )
     for m in members:
@@ -366,27 +401,31 @@ def cm_tau_tilting_free(a, bound=None, max_dim=None) -> TriState:
                       witness=m.dim_vector())
     if unknowns:
         return unknown("unresolved GP checks within bound",
-                       bound=cls.max_total_dim)
+                       bound=reach.bound)
+    if reach.bound is None:
+        return yes(reach.scope + ", so CM-tau-tilting free")
     return yes(
-        "all GP tau-rigid classes within bound are projective" + _scope(cls),
-        bound=cls.max_total_dim,
+        "all GP tau-rigid classes within bound are projective (%s)"
+        % reach.scope,
+        bound=reach.bound,
     )
 
 
 def cm_e_free(e, bound=None, max_dim=None) -> TriState:
     """Is every member of the bounded E-GP E-rigid enumeration a
     summand of E?"""
-    members, unknowns, cls = eg_classes(e, bound, max_dim)
+    members, unknowns, reach = eg_classes(e, bound, max_dim)
     for m in members:
         if not in_add(m, e):
             return no("E-GP E-rigid module outside add E",
-                      witness=m.dim_vector(), bound=cls.max_total_dim)
+                      witness=m.dim_vector(), bound=reach.bound)
     if unknowns:
         return unknown("unresolved relative GP checks within bound",
-                       bound=cls.max_total_dim)
+                       bound=reach.bound)
     return yes(
-        "every E-GP E-rigid class within bound lies in add E" + _scope(cls),
-        bound=cls.max_total_dim,
+        "every E-GP E-rigid class within bound lies in add E (%s)"
+        % reach.scope,
+        bound=reach.bound,
     )
 
 
@@ -646,10 +685,13 @@ def _bijection(a, bound, max_dim, e):
                     bound=table.bound)
     else:
         state = unknown("enumeration incomplete within bound (matched %d "
-                        "classes so far)" % table.n_lambda, bound=table.bound)
+                        "classes so far, %d unmatched)"
+                        % (len(table.rows), len(table.unmatched)),
+                        bound=table.bound)
     return state, {"table": table.dim_vector_rows(),
                    "counts": {"n_base": table.n_lambda,
                               "n_gamma": table.n_gamma,
+                              "unmatched": len(table.unmatched),
                               "complete": table.complete}}
 
 

@@ -15,6 +15,8 @@ import weakref
 
 import pytest
 
+import gptau.approx
+import gptau.classify
 from conftest import _battery_algebras
 from gptau.approx import (
     bijection_table,
@@ -29,16 +31,17 @@ from gptau.approx import (
     minimal_addE_presentation,
 )
 from gptau.algebra import AlgebraError, Quiver, bound_quiver_algebra, \
-    linear_a_n
-from gptau.classify import cm_e_free, enumerate_indecomposables, \
-    tau_rigid_test
+    linear_a_n, loop_algebra
+from gptau.classify import CHECKS, Reach, cm_e_free, \
+    enumerate_indecomposables, suite_bounds, tau_rigid_test
 from gptau.field import GF, QQ
 from gptau.gorenstein import gorenstein_projective
-from gptau.homalg import ext_dim, is_tau_rigid
+from gptau.homalg import ext_dim, global_dimension, is_tau_rigid
 from gptau.linalg import Matrix
 from gptau.memo import entries
 from gptau.module import (
     Module,
+    ModuleError,
     ModuleMap,
     direct_sum,
     dual_D,
@@ -316,6 +319,75 @@ def test_class_bijection(e1, loop_flag):
     e = generator_data(regular_module(loop_flag))
     reg_table = bijection_table(e)
     assert reg_table.n_lambda == reg_table.n_gamma == 2
+
+
+def test_bijection_on_the_auslander_generator_of_kx4():
+    """E = the sum of the four indecomposables of K[x]/(x^4): Gamma is its
+    Auslander algebra (dimension 30, gl.dim 2), so the Gamma side is its
+    four projectives, complete with no enumeration of Gamma."""
+    a = loop_algebra(4)
+    reps = enumerate_indecomposables(a, 2 * a.dim).representatives
+    assert len(reps) == 4
+    e = generator_data(direct_sum(a, reps)[0])
+    g = cached_gamma(e).algebra
+    assert g.dim == 30
+    gd = global_dimension(g)
+    assert gd.is_yes and gd.value == 2
+    table = bijection_table(e)
+    assert table.n_lambda == table.n_gamma == len(table.rows) == 4
+    assert table.complete and table.unmatched == []
+
+
+def _dropping_last(real, reach):
+    """A list function that leaves out the last class of the real list
+    and reports the given reach for what is left."""
+    def listed(*args):
+        members, unknowns, _ = real(*args)
+        return members[:-1], unknowns, reach
+    return listed
+
+
+@pytest.mark.parametrize("side", ["gamma", "base"])
+def test_a_class_without_partner_is_unknown_past_a_bound(e1, monkeypatch,
+                                                         side):
+    """The golden table matches 4 = 4 classes.  When one side reports
+    itself bound-limited the table is incomplete, all matched or not.
+    With the last class of that side left out, its partner is unmatched:
+    a violation when the short side reports itself complete, and an
+    unknown table when it reports itself bound-limited, since the
+    partner may lie past the bound."""
+    if side == "gamma":
+        owner, name = gptau.classify, "gorenstein_projective_tau_rigid_list"
+    else:
+        owner, name = gptau.approx, "eg_classes"
+    real = getattr(owner, name)
+
+    def bound_limited(*args):
+        members, unknowns, _ = real(*args)
+        return members, unknowns, Reach(False, 12,
+                                        "enumeration bound-limited")
+
+    # every class matched, but one side reaches only as far as its bound
+    monkeypatch.setattr(owner, name, bound_limited)
+    table = bijection_table(e1)
+    assert len(table.rows) == 4 and table.unmatched == []
+    assert not table.complete
+    monkeypatch.setattr(owner, name, _dropping_last(
+        real, Reach(False, 12, "enumeration bound-limited")))
+    table = bijection_table(e1)
+    assert not table.complete
+    assert len(table.rows) == 3 and len(table.unmatched) == 1
+    state, extra = CHECKS["bijection"](e1.E.algebra,
+                                       *suite_bounds(e1.E.algebra), e1)
+    assert state.is_unknown
+    assert extra["counts"]["unmatched"] == 1
+    monkeypatch.setattr(owner, name, _dropping_last(
+        real, Reach(True, 12, "enumeration certified complete")))
+    with pytest.raises(ModuleError, match="bijection violated"):
+        bijection_table(e1)
+    state, _ = CHECKS["bijection"](e1.E.algebra,
+                                   *suite_bounds(e1.E.algebra), e1)
+    assert state.is_no
 
 
 def test_eg_classes_of_regular_generator(loop_flag):

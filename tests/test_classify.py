@@ -12,8 +12,9 @@ that feeds every pattern, kept here as the reference for the sweep
 that skips disconnected and permuted patterns, a union-find and
 matrix-permutation reference for the patterns it feeds and their order,
 the sweep itself as a check that a complete enumeration leaves nothing
-out, and an Auslander-Reiten closure check kept here, independent of
-the knitting that reached the classes."""
+out, an Auslander-Reiten closure check kept here, independent of the
+knitting that reached the classes, and the enumerate-and-filter GP
+tau-rigid list as the reference for the global-dimension shortcut."""
 
 import itertools
 import os
@@ -54,8 +55,18 @@ from gptau.field import GF, QQ
 from gptau.fileio import parse_algebra_file
 from gptau.linalg import Matrix
 from gptau.approx import cached_gamma, generator_data
-from gptau.gorenstein import is_tau_inverse_rigid
-from gptau.homalg import almost_split_sequence, is_tau_rigid, tau, tau_inverse
+from gptau.gorenstein import (
+    gorenstein_algebra,
+    gorenstein_projective,
+    is_tau_inverse_rigid,
+)
+from gptau.homalg import (
+    almost_split_sequence,
+    global_dimension,
+    is_tau_rigid,
+    tau,
+    tau_inverse,
+)
 from gptau.memo import entries
 from gptau.tristate import agreement, all_of, no, unknown, yes
 from gptau.module import (
@@ -160,14 +171,35 @@ def test_gp_tau_rigid_lists(a3, loop_flag):
         assert len(members) == a.n_idempotents
 
 
+GLDIM1_REASON = "gl.dim 1 is finite: CM-free, so CM-tau-tilting free"
+
+
 def test_cm_tau_tilting_free_verdicts(a3, loop_flag, kx3):
-    for a in (a3, loop_flag, kx3):
+    # A3 is hereditary: a bound-free yes read off its global dimension
+    state = cm_tau_tilting_free(a3)
+    assert state.is_yes and state.reason == GLDIM1_REASON
+    assert state.bound is None
+    # loop-flag and K[x]/(x^3) have infinite global dimension
+    for a in (loop_flag, kx3):
         state = cm_tau_tilting_free(a)
         assert state.is_yes
         assert state.reason.endswith("(enumeration certified complete)")
-    # Kronecker at bound 4 is bound-limited
-    state = cm_tau_tilting_free(_kronecker(QQ), max_dim=4)
+    # k[x,y]/(x,y)^2 has infinite global dimension and is bound-limited
+    state = cm_tau_tilting_free(
+        parse_algebra_file(os.path.join(FIXTURES, "kxy2.alg")), max_dim=6)
+    assert state.is_yes
     assert state.reason.endswith("(enumeration bound-limited)")
+    assert state.bound == 6
+
+
+def test_cm_tau_tilting_free_on_kronecker_is_bound_free():
+    """The Kronecker algebra is hereditary, so its verdict does not
+    depend on the enumeration bound 4 that cuts its classes short."""
+    a = _kronecker(QQ)
+    assert not enumerate_indecomposables(a, 4).complete
+    state = cm_tau_tilting_free(a, max_dim=4)
+    assert state.is_yes and state.reason == GLDIM1_REASON
+    assert state.bound is None
 
 
 def test_cm_e_free_matches_regular_generator(a3, loop_flag, kx3):
@@ -778,3 +810,93 @@ def test_bijection_on_kxy2_with_a_simple_is_bound_limited():
     assert not enumerate_indecomposables(g, 2 * g.dim).complete
     state, _ = CHECKS["bijection"](a, *suite_bounds(a), e)
     assert state.is_unknown
+
+
+def test_bijection_reads_the_completeness_of_gamma():
+    """K[x]/(x^4) with E = A + K[x]/(x^2): the base side is complete, but
+    Gamma (dimension 10) has infinite global dimension and its
+    enumeration at 2 dim Gamma is bound-limited, so the table, though it
+    matches 2 = 2 classes, is not complete and the check reads unknown."""
+    a = loop_algebra(4)
+    x2 = [m for m in enumerate_indecomposables(a, 2 * a.dim).representatives
+          if m.dim == 2]
+    e = generator_data(direct_sum(a, [regular_module(a)] + x2)[0])
+    g = cached_gamma(e).algebra
+    assert g.dim == 10
+    assert global_dimension(g).is_no
+    state, extra = CHECKS["bijection"](a, *suite_bounds(a), e)
+    assert state.is_unknown
+    assert extra["counts"] == {"n_base": 2, "n_gamma": 2, "unmatched": 0,
+                               "complete": False}
+
+
+def _reference_gp_tau_rigid_list(a):
+    """(GP tau-rigid classes, unresolved classes, complete) by filtering
+    the enumeration at the default bounds: the path that a finite global
+    dimension now skips, kept here as the reference for it."""
+    bound, max_dim = suite_bounds(a)
+    gorenstein_algebra(a, bound)
+    cls = enumerate_indecomposables(a, max_dim)
+    members, unknowns = [], []
+    for m in cls.representatives:
+        if is_tau_rigid(m):
+            g = gorenstein_projective(m, bound)
+            if g.is_yes:
+                members.append(m)
+            elif g.is_unknown:
+                unknowns.append(m)
+    return members, unknowns, cls.complete
+
+
+def _relative_deck_gammas(field):
+    """Gamma = End(E)^op for each family of the benchmark's relative deck,
+    E the projectives plus one non-projective uniserial: the simple of
+    A2, of K[x]/(x^2) and of Nakayama (2, 2), and over A3 the one of
+    length 2."""
+    out = []
+    for a, length in ((linear_a_n(2, field), 1), (loop_algebra(2, field), 1),
+                      (cyclic_nakayama(2, 2, field), 1),
+                      (linear_a_n(3, field), 2)):
+        extra = next(m for m in enumerate_indecomposables(a, 2 * a.dim)
+                     .representatives
+                     if m.dim == length and not is_projective(m))
+        e = generator_data(direct_sum(a, [regular_module(a), extra])[0])
+        out.append(cached_gamma(e).algebra)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)],
+                         ids=["QQ", "GF2", "GF3"])
+def test_global_dimension_shortcut_matches_the_enumeration(field, tmp_path):
+    """On every algebra of finite global dimension among the battery, the
+    four fixtures, their opposites, T2(A2) and the Gamma of each relative
+    deck family whose enumeration at 2 dim A is complete, the shortcut
+    lists the classes of the reference, up to isomorphism, and
+    cm_tau_tilting_free gives the reference's verdict."""
+    bases = _battery_algebras(field) + [
+        _fixture_over(name, field, tmp_path)
+        for name in ("a3.alg", "kxy2.alg", "kx3.alg", "loop_flag.alg")]
+    cases = [x for b in bases for x in (b, b.opposite())]
+    cases += [t2(linear_a_n(2, field))] + _relative_deck_gammas(field)
+    compared = 0
+    for a in cases:
+        if not global_dimension(a).is_yes:
+            continue
+        want, want_unknowns, complete = _reference_gp_tau_rigid_list(a)
+        if not complete:
+            continue
+        got, unknowns, reach = gorenstein_projective_tau_rigid_list(a)
+        assert (reach.complete, reach.bound, unknowns) == (True, None, [])
+        assert want_unknowns == []
+        assert len(got) == len(want)
+        left = list(want)
+        for m in got:
+            j = next(j for j, w in enumerate(left)
+                     if _iso_indecomposable(m, w))
+            del left[j]
+        ref = "yes" if all(is_projective(m) for m in want) else "no"
+        assert getattr(cm_tau_tilting_free(a), "is_" + ref)
+        compared += 1
+    # A3 and the ground field with their opposites, the A3 fixture and
+    # its opposite, T2(A2) and the four Gammas
+    assert compared == 11
