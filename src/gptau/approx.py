@@ -205,10 +205,12 @@ def hom_E(m: Module, g: GammaData) -> Module:
 
 @memo
 def _hom_E(g: GammaData, m: Module) -> Module:
-    """hom_E(m, g), built once per Gamma and module content: the
-    Gamma-module depends on m only through hom(E_i, m), which the
-    content of m fixes.  Every relative call on m shares it, and with it
-    its memoised presentation and transpose; read it, never change it."""
+    """hom_E(m, g), kept on g by module content: the Gamma-module
+    depends on m only through hom(E_i, m), which the content of m fixes.
+    Every relative call on m shares it, and with it its memoised
+    presentation and transpose; read it, never change it.  g holds at
+    most memo.SIZE of them, least recently used first out, and none
+    holds m."""
     return hom_E(m, g)
 
 

@@ -6,6 +6,9 @@ Every command emits a structured JSON report (stdout by default,
 * 0 — all computed verdicts certified and no failures,
 * 1 — at least one certified failure,
 * 2 — no certified failure but some verdict remained unknown.
+
+Every report carries a `stats` object: the hits, misses and evictions
+of the memo's content-keyed entries during the command.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import sys
 
 import click
 
-from . import classify as _classify
+from . import classify as _classify, memo
 from .algebra import AlgebraError, t2 as _t2, tensor as _tensor
 from .approx import (
     cached_gamma,
@@ -55,6 +58,7 @@ def _exit_code(states):
 
 
 def _emit(report, report_path, code):
+    report["stats"] = {"memo": dict(memo.counts)}
     text = report_json(report)
     if report_path:
         write_report(report, report_path)
@@ -93,6 +97,7 @@ def _load_generator(path, algebra):
 @click.group()
 def main():
     """Exact workbench for Gorenstein projective and tau-rigid modules."""
+    memo.reset_counts()
 
 
 # -- algebra ------------------------------------------------------------------

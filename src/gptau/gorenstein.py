@@ -21,6 +21,7 @@ Smalo IV.1); so theorem_report's conditions 6-9 are 2-5 over A^op.
 from __future__ import annotations
 
 from .linalg import Matrix
+from .memo import algebra_memo
 from .module import (
     Module,
     ModuleError,
@@ -94,13 +95,21 @@ def gorenstein_projective(m: Module, bound: int | None = None) -> TriState:
     Tr m is its Ext degree there."""
     if bound is None:
         bound = default_bound(m.algebra)
+    g = m.algebra._cache.get(_CERTIFIED)
+    n = g.value if g is not None and g.is_yes else None
+    return _gorenstein_projective(m, bound, n)
+
+
+@algebra_memo
+def _gorenstein_projective(m: Module, bound: int, n: int | None) -> TriState:
+    """gorenstein_projective(m, bound), where n is the certified
+    Gorenstein dimension of the algebra, or None: a certificate turns
+    on the fast path, so it is part of the key."""
     if m.dim == 0 or is_projective(m):
         return yes("projective", bound=bound)
     # fast path over a certified Gorenstein algebra: finitely many Ext
     # vanishings suffice
-    g = m.algebra._cache.get(_CERTIFIED)
-    if g is not None and g.is_yes:
-        n = g.value
+    if n is not None:
         reg = regular_module(m.algebra)
         for i in range(1, max(n, 1) + 1):
             d = ext_dim(m, reg, i)
@@ -134,8 +143,10 @@ def gorenstein_injective(m: Module, bound: int | None = None) -> TriState:
     return gorenstein_projective(dual_D(m), bound)
 
 
-# memo keeps every result, and gorenstein_algebra keeps only certified
-# ones, so this is the one cache written out by hand
+# memo keeps every result it makes (up to memo.SIZE content-keyed ones
+# per object), and gorenstein_algebra keeps only certified ones, so this
+# is the one cache written out by hand; gorenstein_projective keys its
+# answers by it
 _CERTIFIED = "gorenstein_algebra"
 
 

@@ -4,12 +4,17 @@ Everything bounded (projective or injective dimension, vanishing of Ext
 in all positive degrees) is reported as a TriState, read off one graph
 of non-projective indecomposable syzygy summands; a cycle in it
 certifies an infinite dimension, even while whole syzygies grow.
+
+The answers of is_tau_rigid, proj_dim and ext_dim are kept on the
+algebra by the content of their module arguments (memo.algebra_memo),
+so a request repeated on a fresh module of equal content costs a
+lookup; proj_dim resolves its default bound before the key is made.
 """
 
 from __future__ import annotations
 
 from .linalg import Matrix
-from .memo import memo
+from .memo import algebra_memo, memo
 from .module import (
     Module,
     ModuleMap,
@@ -102,6 +107,7 @@ def minimal_projective_resolution(m: Module, length: int):
     return out
 
 
+@algebra_memo
 def ext_dim(m: Module, n: Module, i: int) -> int:
     """dim Ext^i(m, n), computed from the minimal projective resolution
     of m: Ext^i = ker Hom(d_{i+1}, n) / im Hom(d_i, n).
@@ -223,6 +229,11 @@ def proj_dim(m: Module, bound: int | None = None) -> TriState:
     meets some class twice, so that class lies on a cycle."""
     if bound is None:
         bound = default_bound(m.algebra)
+    return _proj_dim(m, bound)
+
+
+@algebra_memo
+def _proj_dim(m: Module, bound: int) -> TriState:
     for k, (layer, reps, _) in enumerate(_syzygy_layers(m, bound)):
         if not layer:
             return yes("Omega^%d vanishes" % k, bound=bound, value=k)
@@ -331,7 +342,9 @@ def transpose_Tr(m: Module) -> Module:
 def tau(m: Module) -> Module:
     """Auslander-Reiten translate D Tr m; projective summands of m
     vanish in Tr (ARS IV.1).  Tr m is memoised on m and D on Tr m, so
-    every call on m returns the same module."""
+    every call on m returns the same module.  Unlike is_tau_rigid it is
+    not kept on the algebra: its answer is a module, by far the largest
+    answer of any request."""
     return dual_D(transpose_Tr(m))
 
 
@@ -411,6 +424,7 @@ def almost_split_sequence(m: Module):
             ModuleMap(e, m, g))
 
 
+@algebra_memo
 def is_tau_rigid(m: Module) -> bool:
     """Hom(m, tau m) = 0: the package's one tau-rigidity rule, which
     gorenstein.is_tau_inverse_rigid also reads."""

@@ -43,7 +43,9 @@ memo.memo on the object they are computed from; a module argument is
 keyed by its content (Module.content_key), so hom(m, n) answers a fresh
 copy of n from m's entry and the cache never holds n itself.  Hom out of
 a _projective_sum is not memoised: that P lives as long as its algebra,
-and one entry per partner n would pile up on it.
+and one entry per partner n would pile up on it.  hom_dim and
+is_isomorphic are kept on the algebra (memo.algebra_memo), so a fresh
+pair of modules with known content is answered at once.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import warnings
 from .algebra import Algebra
 from .field import QQ
 from .linalg import Matrix
-from .memo import Keyed, memo
+from .memo import Keyed, algebra_memo, memo
 
 # the seed of the combinations that is_isomorphic draws; every result is
 # reproducible run to run
@@ -163,9 +165,11 @@ class Module(Keyed):
         argument.  The blocks fix the idempotents' actions (the block
         projectors), and with the other generators' actions they fix
         the module and all of hom.  A str, so its hash is computed once
-        per module."""
+        per module.  An integral rational is written as an int, so the
+        key is one for every form of equal content."""
         k0 = self.algebra.n_idempotents
-        ents = [x for g in self.generator_actions()[k0:]
+        ents = [x if type(x) is int or x.denominator != 1 else int(x)
+                for g in self.generator_actions()[k0:]
                 for row in g.data for x in row]
         return self.algebra, repr((self.blocks, ents))
 
@@ -681,6 +685,7 @@ def _hom_matrices(m: Module, n: Module):
     return out
 
 
+@algebra_memo
 def hom_dim(m: Module, n: Module) -> int:
     return len(hom(m, n))
 
@@ -1037,6 +1042,7 @@ def _iso_indecomposable(m: Module, n: Module) -> bool:
     return any(h.matrix.is_invertible() for h in hom(m, n))
 
 
+@algebra_memo
 def is_isomorphic(m: Module, n: Module) -> bool:
     """Exact isomorphism test for arbitrary modules.
 

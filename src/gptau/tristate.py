@@ -2,7 +2,8 @@
 
 Every bounded decision returns a TriState: certified-yes, certified-no,
 or unknown (bound exhausted).  Certified verdicts carry a witness or a
-named finite criterion in `reason`.
+named finite criterion in `reason`.  A TriState is frozen: memo hands
+one stored verdict to every caller that asks again.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ NO = "certified-no"
 UNKNOWN = "unknown"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriState:
     verdict: str
     bound: int | None = None

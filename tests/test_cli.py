@@ -79,6 +79,27 @@ def test_module_check_props(runner):
     assert props["e-rigid"] == "certified-yes"
 
 
+STATS_COMMANDS = [
+    ("algebra", "check", fx("a3.alg")),
+    ("module", "check", fx("a3.alg"), fx("i2.mod"), "--props", "tau-rigid,gp"),
+    ("enumerate", "indec", fx("a3.alg")),
+    ("enumerate", "stau-tilt", fx("a3.alg")),
+    ("gamma", fx("a3.alg"), "--generator", fx("e1.mod")),
+    ("verify", "thm-5.2", fx("a3.alg")),
+]
+
+
+@pytest.mark.parametrize("args", STATS_COMMANDS, ids=lambda a: " ".join(a[:2]))
+def test_every_report_counts_its_own_memo_work(runner, args):
+    """The stats object counts the command's memo hits, misses and
+    evictions from zero, so a repeated command reports the same."""
+    first = json.loads(run(runner, *args).output)["stats"]
+    assert set(first["memo"]) == {"hits", "misses", "evictions"}
+    assert all(type(v) is int and v >= 0 for v in first["memo"].values())
+    assert first["memo"]["misses"] > 0
+    assert json.loads(run(runner, *args).output)["stats"] == first
+
+
 def test_module_check_missing_generator_errors(runner):
     r = run(runner, "module", "check", fx("a3.alg"), fx("i2.mod"),
             "--props", "e-gp")

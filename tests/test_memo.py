@@ -1,17 +1,27 @@
 """The memo cache: module arguments are keyed by content, memo is the
-only cache mechanism in the library, and a cover domain shared by the
-whole algebra keeps no entry per partner module."""
+only cache mechanism in the library, a cover domain shared by the
+whole algebra keeps no entry per partner module, and the algebra's
+bounded store answers repeated requests on fresh modules of equal
+content."""
 
 import gc
 import pathlib
 import random
 import re
 import weakref
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import pytest
 
 import gptau
-from gptau.algebra import example_loop_flag_algebra, linear_a_n
+from gptau import memo as memo_module
+from gptau.algebra import (
+    cyclic_nakayama,
+    example_loop_flag_algebra,
+    linear_a_n,
+    loop_algebra,
+)
 from gptau.approx import (
     _hom_E,
     cached_gamma,
@@ -23,9 +33,23 @@ from gptau.approx import (
 )
 from gptau.classify import enumerate_indecomposables
 from gptau.field import GF, QQ
-from gptau.homalg import ext_dim, tau, transpose_Tr
+from gptau.gorenstein import (
+    _CERTIFIED,
+    _gorenstein_projective,
+    gorenstein_algebra,
+    gorenstein_projective,
+)
+from gptau.homalg import (
+    _proj_dim,
+    default_bound,
+    ext_dim,
+    is_tau_rigid,
+    proj_dim,
+    tau,
+    transpose_Tr,
+)
 from gptau.linalg import Matrix
-from gptau.memo import entries
+from gptau.memo import SIZE, Keyed, entries, memo
 from gptau.module import (
     Module,
     ModuleError,
@@ -34,6 +58,8 @@ from gptau.module import (
     direct_sum,
     hom,
     hom_coords,
+    hom_dim,
+    is_isomorphic,
     is_projective,
     projective_modules,
     regular_module,
@@ -163,3 +189,177 @@ def test_tr_and_hom_E_are_kept_per_module_content():
     del x
     gc.collect()
     assert ref() is None
+
+
+# -- the algebra's content-keyed store ---------------------------------------
+
+
+def _rebased(m, rng):
+    """m written in a random basis (the constructor re-bases it to
+    idempotent-adapted coordinates, which may give other content)."""
+    d = m.dim
+    while True:
+        U = Matrix(m.field, d, d, [[rng.randint(-2, 2) for _ in range(d)]
+                                   for _ in range(d)])
+        if U.is_invertible():
+            break
+    Uinv = U.inverse()
+    return Module(m.algebra, [Uinv @ x @ U for x in m.actions])
+
+
+def test_content_key_writes_integral_rationals_as_ints():
+    """k[x]/x^2 with x acting by 2, held once as an int and once as the
+    Fraction(2, 1) a rational matrix product can leave: one key."""
+    a = loop_algebra(2)
+    one, x = [[1, 0], [0, 1]], [[0, 0], [2, 0]]
+    m = Module(a, [Matrix(QQ, 2, 2, one), Matrix(QQ, 2, 2, x)])
+    twin = Module(a, [Matrix._adopt(QQ, 2, 2, [[Fraction(v) for v in row]
+                                               for row in rows])
+                      for rows in (one, x)])
+    assert type(twin.actions[1].data[1][0]) is Fraction
+    assert twin.content_key() == m.content_key()
+    assert is_tau_rigid(twin) is is_tau_rigid(m)
+
+
+def test_a_fresh_copy_is_a_counted_hit_and_other_content_misses():
+    a = linear_a_n(3)
+    m = direct_sum(a, simple_modules(a))[0]
+    other = next(p for p in projective_modules(a)
+                 if p.dim_vector() == m.dim_vector())
+    assert other.content_key() != m.content_key()
+    is_tau_rigid(m)
+    before = dict(memo_module.counts)
+    is_tau_rigid(_copy(m))
+    assert memo_module.counts["hits"] == before["hits"] + 1
+    assert memo_module.counts["misses"] == before["misses"]
+    is_tau_rigid(other)
+    assert memo_module.counts["misses"] > before["misses"]
+    assert (m.content_key(),) in entries(a, is_tau_rigid)
+    assert (other.content_key(),) in entries(a, is_tau_rigid)
+
+
+class _Owner:
+    def __init__(self):
+        self._cache = {}
+
+
+class _Content(Keyed):
+    def __init__(self, key):
+        self.key = key
+
+    def content_key(self):
+        return self.key
+
+
+@memo
+def _echo(owner, x):
+    return x.key
+
+
+def test_an_object_keeps_size_entries_least_recent_first_out():
+    """SIZE + 1 contents keep SIZE entries and count one eviction: the
+    least recently used, so a content read again outlives the next."""
+    owner = _Owner()
+    for k in range(SIZE):
+        _echo(owner, _Content(k))
+    _echo(owner, _Content(0))  # now the most recent
+    before = memo_module.counts["evictions"]
+    assert _echo(owner, _Content(SIZE)) == SIZE
+    assert memo_module.counts["evictions"] == before + 1
+    keys = [k[0] for k in entries(owner, _echo)]
+    assert len(keys) == SIZE and 1 not in keys
+    assert keys[-2:] == [0, SIZE]
+
+
+REQUESTS = [
+    ("is_tau_rigid", lambda m, n: is_tau_rigid(m)),
+    ("gorenstein_projective", lambda m, n: gorenstein_projective(m)),
+    ("proj_dim", lambda m, n: proj_dim(m)),
+    ("ext_dim", lambda m, n: ext_dim(m, n, 1)),
+    ("is_isomorphic", lambda m, n: is_isomorphic(m, n)),
+    ("hom_dim", lambda m, n: hom_dim(m, n)),
+]
+
+
+@pytest.mark.parametrize("name,request_", REQUESTS,
+                         ids=[r[0] for r in REQUESTS])
+def test_the_store_keeps_no_argument_module_alive(name, request_):
+    a = example_loop_flag_algebra()
+    reps = enumerate_indecomposables(a, 4).representatives
+    m = direct_sum(a, [r for r in reps if not is_projective(r)][:2])[0]
+    x, y = _copy(m), _copy(reps[0])
+    request_(x, y)
+    refs = [weakref.ref(x), weakref.ref(y)]
+    del x, y
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_a_stored_verdict_cannot_be_changed_by_a_caller():
+    """Every caller asking again gets the one stored TriState, so none
+    may change it for the next."""
+    a = linear_a_n(3)
+    s = simple_modules(a)[1]
+    v = proj_dim(s)
+    with pytest.raises(FrozenInstanceError):
+        v.value = 0
+    assert proj_dim(_copy(s)) is v and v.value == 1
+
+
+def test_a_gp_answer_before_certification_is_not_served_after_it():
+    """Over the self-injective cyclic Nakayama algebra a non-projective
+    simple is Gorenstein projective by Ext on m and Tr m; once the
+    algebra is certified 0-Gorenstein the fast path answers, and the
+    answer stored before is served again only without the certificate."""
+    a = cyclic_nakayama(2, 3)
+    s = simple_modules(a)[0]
+    before = gorenstein_projective(s)
+    assert before.is_yes and "Tr m" in before.reason
+    assert gorenstein_algebra(a).value == 0
+    after = gorenstein_projective(_copy(s))
+    assert after.is_yes and "0-Gorenstein" in after.reason
+    assert gorenstein_projective(s) == after
+    del a._cache[_CERTIFIED]
+    assert gorenstein_projective(_copy(s)) == before
+
+
+def _wrapped_answer(name, m, n):
+    """The request computed afresh by the function memo wraps."""
+    a = m.algebra
+    g = gorenstein_algebra(a)
+    fn, args = {
+        "is_tau_rigid": (is_tau_rigid, (m,)),
+        "gorenstein_projective": (_gorenstein_projective, (
+            m, default_bound(a), g.value if g.is_yes else None)),
+        "proj_dim": (_proj_dim, (m, default_bound(a))),
+        "ext_dim": (ext_dim, (m, n, 1)),
+        "is_isomorphic": (is_isomorphic, (m, n)),
+        "hom_dim": (hom_dim, (m, n)),
+    }[name]
+    return fn.__wrapped__(*args)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_stored_answers_match_fresh_computations_in_new_bases(field):
+    """Every request on a battery of modules, asked once to fill the
+    store and again on equal-content copies (all hits), equals the
+    wrapped function on copies written in new bases."""
+    rng = random.Random(11)
+    for a in (linear_a_n(3, field), cyclic_nakayama(2, 3, field),
+              example_loop_flag_algebra(field)):
+        gorenstein_algebra(a)
+        reps = enumerate_indecomposables(a, 4).representatives
+        mods = reps + [direct_sum(a, [x, y])[0]
+                       for x, y in zip(reps, reps[1:4])]
+        pairs = [(m, mods[(i * 5 + 1) % len(mods)])
+                 for i, m in enumerate(mods)]
+        for name, request_ in REQUESTS:
+            for m, n in pairs:
+                request_(m, n)
+            hits = memo_module.counts["hits"]
+            for m, n in pairs:
+                got = request_(_copy(m), _copy(n))
+                want = _wrapped_answer(name, _rebased(m, rng),
+                                       _rebased(n, rng))
+                assert got == want, (name, m.dim_vector(), n.dim_vector())
+            assert memo_module.counts["hits"] >= hits + len(pairs)
