@@ -72,6 +72,19 @@ class Relation:
         return " + ".join(parts)
 
 
+def _sparse_sum(terms, p):
+    """sum of c * v over the (c, v) in terms, each v a list of (index,
+    entry) pairs, as {index: entry} with the zero entries dropped,
+    reduced mod p when p is set."""
+    acc = {}
+    for c, vec in terms:
+        for m, d in vec:
+            acc[m] = acc.get(m, 0) + c * d
+    if p:
+        return {m: x % p for m, x in acc.items() if x % p}
+    return {m: x for m, x in acc.items() if x}
+
+
 class Algebra:
     """Basic finite-dimensional algebra with explicit idempotents.
 
@@ -154,15 +167,33 @@ class Algebra:
         split: the N idempotents are orthogonal, nonzero modulo the given
         nilpotent ideal J, and dim A/J = N.  So A/J = k^N, J = rad A, and
         each e_i A e_i is local with residue field k: every e_i is
-        primitive, with no further check (tensor relies on this)."""
+        primitive, with no further check (tensor relies on this).
+
+        Associativity is checked on the nonzero structure constants
+        alone.  With b_i b_j = sum_l c_ij^l b_l, the triple (i, j, k)
+        needs sum_l c_ij^l b_l b_k = sum_l c_jk^l b_i b_l, reduced mod p
+        over GF(p); both sums are empty, so both sides zero, unless
+        b_j b_k != 0 or b_l b_k != 0 for some l with c_ij^l != 0, and
+        only those k are visited, in order, so the first failing triple
+        is the one a dense check would report.  That J is a two-sided
+        ideal is one solve of J X = [b_i r, r b_i] over every basis
+        element b_i and radical vector r."""
         f = self.field
-        # associativity on all basis triples
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.mult[i][j]
-                for k in range(self.dim):
-                    lhs = self.product(ij, self._basis_vec(k))
-                    rhs = self.product(self._basis_vec(i), self.mult[j][k])
+        n = self.dim
+        nz = [[[(l, c) for l, c in enumerate(vec) if c] for vec in row]
+              for row in self.mult]
+        # the k with b_j b_k != 0, for each j
+        right = [[k for k in range(n) if nz[j][k]] for j in range(n)]
+        for i in range(n):
+            for j in range(n):
+                ij = nz[i][j]
+                ks = set(right[j])
+                for l, _ in ij:
+                    ks.update(right[l])
+                for k in sorted(ks):
+                    lhs = _sparse_sum(((c, nz[l][k]) for l, c in ij), f.p)
+                    rhs = _sparse_sum(((c, nz[i][l]) for l, c in nz[j][k]),
+                                      f.p)
                     if lhs != rhs:
                         raise AlgebraError(
                             "associativity fails on basis triple (%d,%d,%d)"
@@ -204,12 +235,12 @@ class Algebra:
         if power:
             raise AlgebraError("radical basis does not span a nilpotent ideal")
         # two-sided ideal check
-        for r in self.radical:
-            for i in range(self.dim):
-                b = self._basis_vec(i)
-                for prod in (self.product(b, r), self.product(r, b)):
-                    if J.solve(prod) is None:
-                        raise AlgebraError("radical is not a two-sided ideal")
+        prods = [prod for r in self.radical for i in range(n)
+                 for prod in (self.product(self._basis_vec(i), r),
+                              self.product(r, self._basis_vec(i)))]
+        if prods and J.solve_matrix(
+                Matrix.from_cols(f, prods, nrows=n)) is None:
+            raise AlgebraError("radical is not a two-sided ideal")
         if self.dim - len(self.radical) < self.n_idempotents:
             raise AlgebraError("semisimple quotient smaller than idempotent count")
         if self.dim - len(self.radical) > self.n_idempotents:

@@ -122,29 +122,37 @@ def _class_key(m: Module):
 class _ClassSet:
     """Isomorphism-class collector with cheap invariant prefilter.  Every
     candidate comes out of split_indecomposables, so the indecomposable
-    rule decides."""
+    rule decides.  known(m) returns the class m is isomorphic to, or
+    None; place(m) returns (class, new): the class m is isomorphic to
+    with new False, or m itself, held as a new class, with new True."""
 
     def __init__(self):
         self.by_key = {}
         self.all = []
 
-    def known(self, m: Module) -> bool:
-        """Is m isomorphic to a class already held?  Exact for any m: an
-        invertible map certifies m isomorphic to the class, and when m
-        is, m is indecomposable like the class, so _iso_indecomposable's
-        proof finds an invertible element of the hom basis."""
-        return any(_iso_indecomposable(m, other)
-                   for other in self.by_key.get(_class_key(m), ()))
+    def known(self, m: Module):
+        """The class already held that m is isomorphic to, or None.
+        Exact for any m: an invertible map certifies m isomorphic to the
+        class, and when m is, m is indecomposable like the class, so
+        _iso_indecomposable's proof finds an invertible element of the
+        hom basis."""
+        for other in self.by_key.get(_class_key(m), ()):
+            if _iso_indecomposable(m, other):
+                return other
+        return None
 
-    def add(self, m: Module) -> bool:
-        key = _class_key(m)
-        bucket = self.by_key.setdefault(key, [])
+    def place(self, m: Module):
+        bucket = self.by_key.setdefault(_class_key(m), [])
         for other in bucket:
             if _iso_indecomposable(m, other):
-                return False
+                return other, False
         bucket.append(m)
         self.all.append(m)
-        return True
+        return m, True
+
+    def add(self, m: Module) -> bool:
+        """Is m a new class (and now held)?"""
+        return self.place(m)[1]
 
 
 def _sweep_quiver_modules(a, cap):
@@ -262,16 +270,23 @@ def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
     knitted like the others; an algebra with no quiver presentation
     gets no sweep.
 
-    feed(m) splits m and queues the pieces of new classes.  It skips the
+    feed(m) splits m, queues the pieces of new classes and returns the
+    class of each piece, None for a piece over the bound.  It skips the
     split, which would queue nothing, in two cases:
-    - m has the content of a module fed before in this call (the set
-      fed, which lives for this call only and is not a cache).  Equal
-      content gives the same pieces, which that feed already added or
-      matched to a class, and a piece over the bound was recorded in
-      dropped then.
+    - m has the content of a module fed before in this call (the dict
+      fed from content to the classes of the pieces, which lives for
+      this call only and is not a cache).  Equal content gives the same
+      pieces, which that feed already added or matched to a class, and
+      a piece over the bound was recorded in dropped then.
     - m is isomorphic to a class already held (_ClassSet.known).  A
       module isomorphic to an indecomposable class is that class: its
       one piece is matched and is within the bound.
+    Knitting skips tau^- C, and its feed, for a class C that feeding
+    tau X matched for a class X taken before: tau X is indecomposable,
+    so it is the one piece C, and tau^- C = tau^- tau X = X since X is
+    indecomposable and not projective (Auslander-Reiten-Smalo IV.1).
+    That feed could only match the class X, which is held and within
+    the bound: it would queue nothing and drop nothing.
     Knitting feeds no top m/rad m: over a basic split algebra a
     semisimple top is a sum of the one-dimensional simples S_i, which
     are seeded first, so every piece of it is a known class.  The
@@ -279,34 +294,46 @@ def enumerate_indecomposables(a, max_total_dim: int) -> BoundedClassification:
     splitting every module."""
     classes = _ClassSet()
     dropped = False
-    fed = set()
+    fed = {}
     queue = []
+    tau_images = set()  # the classes C = tau X of classes X taken
 
     def feed(m):
         nonlocal dropped
         if m.dim == 0:
-            return
+            return []
         key = m.content_key()
         if key in fed:
-            return
-        fed.add(key)
-        if classes.known(m):
-            return
+            return fed[key]
+        known = classes.known(m)
+        if known is not None:
+            fed[key] = [known]
+            return fed[key]
+        out = fed[key] = []
         for part in split_indecomposables(m):
             if part.dim > max_total_dim:
                 dropped = True
-            elif classes.add(part):
+                out.append(None)
+                continue
+            c, new = classes.place(part)
+            if new:
                 queue.append(part)
+            out.append(c)
+        return out
 
     def knit():
         while queue:
             x = queue.pop(0)
             t = tau(x)
             if t.dim:
-                feed(t)
+                pieces = feed(t)
+                if len(pieces) == 1 and pieces[0] is not None:
+                    tau_images.add(pieces[0])
                 feed(almost_split_sequence(x)[1].source)
             else:
                 feed(radical_submodule(x)[0])
+            if x in tau_images:
+                continue  # tau^- x is the class whose tau matched x
             t = tau_inverse(x)
             if t.dim:
                 feed(t)

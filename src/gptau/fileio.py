@@ -45,6 +45,15 @@ algebra and every path of length `nilpotency` must act as zero
 A module file is checked against the structure constants:
 basis_i basis_j must act as the product of the two actions
 (Module.validate).
+
+Sizes are refused before anything of that size is allocated, each with
+a FormatError at the line that sets it: a `dims` line totalling more
+than MAX_MODULE_DIM (the actions are square in the total), a `basis`
+line longer than MAX_TABLE_BASIS (the table holds basis^3 entries), and
+a quiver with more than MAX_PATHS paths up to the nilpotency bound
+(every path is a coordinate of the presentation), counted layer by
+layer without listing them and reported at the `nilpotency` line, or
+at the `vertices` line when the bound is the default.
 """
 
 from __future__ import annotations
@@ -62,6 +71,10 @@ from .field import QQ, GF, FieldSpec
 from .linalg import Matrix
 from .module import Module, ModuleError, module_from_dimvector, module_to_dimvector
 from .tristate import TriState
+
+MAX_MODULE_DIM = 256  # total of a quiver-module dims line
+MAX_TABLE_BASIS = 128  # basis elements of a table algebra
+MAX_PATHS = 2000  # paths of a quiver up to its nilpotency bound
 
 
 class FormatError(ValueError):
@@ -166,13 +179,31 @@ def _parse_relation(rest, path, lineno):
 # -- algebra files -----------------------------------------------------------
 
 
+def _path_count_over(nv, arrows, max_len, cap):
+    """Do the paths of length <= max_len (the nv trivial ones included)
+    number more than cap?  Counted by length, as the number of paths
+    ending at each vertex, so no path is built; a count past cap stops
+    it, and with no cycle the layers die out within nv steps."""
+    ends = [1] * nv
+    total = nv
+    for _ in range(max_len):
+        nxt = [0] * nv
+        for s, t in arrows:
+            nxt[t] += ends[s]
+        ends = nxt
+        total += sum(ends)
+        if total > cap or not any(ends):
+            break
+    return total > cap
+
+
 def parse_algebra_file(path) -> Algebra:
     kind = None
     field = QQ
     vertices = []
     arrows = []
     relations = []
-    nilpotency = None
+    nilpotency = nilpotency_at = None
     basis = []
     unit = None
     idempotents = []
@@ -186,7 +217,7 @@ def parse_algebra_file(path) -> Algebra:
         elif kw == "field":
             field = _parse_field(path, lineno, rest)
         elif kw == "vertices":
-            vertices = rest.split()
+            vertices, vertices_at = rest.split(), lineno
         elif kw == "arrow":
             toks = rest.split()
             if len(toks) != 3:
@@ -196,8 +227,12 @@ def parse_algebra_file(path) -> Algebra:
             relations.append((_parse_relation(rest, path, lineno), lineno))
         elif kw == "nilpotency":
             nilpotency = _naturals(rest, path, lineno, one=True)[0]
+            nilpotency_at = lineno
         elif kw == "basis":
             basis = rest.split()
+            if len(basis) > MAX_TABLE_BASIS:
+                raise FormatError(path, lineno, "basis has %d elements, over "
+                                  "the cap %d" % (len(basis), MAX_TABLE_BASIS))
         elif kw == "unit":
             unit = rest.split()
         elif kw == "idempotent":
@@ -221,7 +256,12 @@ def parse_algebra_file(path) -> Algebra:
         except AlgebraError as exc:
             raise FormatError(path, 0, str(exc))
         if nilpotency is None:
-            nilpotency = 2 * len(vertices) + 2
+            nilpotency, nilpotency_at = 2 * len(vertices) + 2, vertices_at
+        if _path_count_over(len(vertices), [
+                (q.vertex_index(s), q.vertex_index(t)) for _, s, t in arrows],
+                nilpotency, MAX_PATHS):
+            raise FormatError(path, nilpotency_at, "more than %d paths up to "
+                              "the nilpotency bound %d" % (MAX_PATHS, nilpotency))
         rels = []
         for rel, lineno in relations:
             try:
@@ -335,6 +375,9 @@ def parse_module_file(path, algebra: Algebra) -> Module:
             kind = rest
         elif kw == "dims":
             dims, dims_at = _naturals(rest, path, lineno), lineno
+            if sum(dims) > MAX_MODULE_DIM:
+                raise FormatError(path, lineno, "dims total %d, over the cap %d"
+                                  % (sum(dims), MAX_MODULE_DIM))
         elif kw == "dim":
             dim = _naturals(rest, path, lineno, one=True)[0]
         elif kw in ("arrow", "action"):

@@ -622,6 +622,43 @@ def test_enumeration_splits_fewer_modules_than_it_feeds(monkeypatch):
     assert 0 < len(calls) < everything * 2 / 3
 
 
+def test_knitting_spares_the_tau_inverse_of_tau_images(monkeypatch):
+    """Counts, not time: knitting takes tau^- of a class only when no
+    class taken before has it as tau, so on the Kronecker algebra at
+    bound 8 it calls tau_inverse fewer times than it knits classes (6
+    calls for 38 classes when this test was written; loop-flag at bound
+    10: 5 for 7)."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return tau_inverse(m)
+
+    monkeypatch.setattr(gptau.classify, "tau_inverse", counted)
+    for a, bound in ((_kronecker(QQ), 8), (example_loop_flag_algebra(), 10)):
+        del calls[:]
+        knitted = len(enumerate_indecomposables(a, bound).representatives)
+        assert 0 < len(calls) < knitted
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)],
+                         ids=["QQ", "GF2", "GF3"])
+def test_tau_inverse_undoes_tau_on_every_class(field):
+    """The fact behind that skip (Auslander-Reiten-Smalo IV.1): on the
+    closed-form corpus and the battery, tau^- tau X is isomorphic to X
+    for every class X that is not projective, and tau X is nonzero."""
+    algebras = [a for a, _ in _corpus(field)] + _battery_algebras(field)
+    checked = 0
+    for a in algebras:
+        for x in enumerate_indecomposables(a, 2 * a.dim).representatives:
+            if is_projective(x):
+                continue
+            t = tau(x)
+            assert t.dim and _iso_indecomposable(tau_inverse(t), x)
+            checked += 1
+    assert checked > 50
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)],
                          ids=["QQ", "GF2", "GF3"])
 def test_certified_enumerations_leave_the_sweep_nothing(field, tmp_path):
@@ -644,7 +681,8 @@ def test_certified_enumerations_leave_the_sweep_nothing(field, tmp_path):
             held.add(m)
         for m in _sweep_quiver_modules(a, min(2 * a.dim, SWEEP_CAP)):
             swept += 1
-            assert all(held.known(part) for part in split_indecomposables(m))
+            assert all(held.known(part) is not None
+                       for part in split_indecomposables(m))
     assert complete == 2 * len(bases) - 2  # all but kxy2 and its opposite
     assert swept > 100
 
@@ -700,7 +738,8 @@ def _ar_closed(reps, pieces, skip=None) -> bool:
     for m in reps:
         if m is not skip:
             held.add(m)
-    return all(held.known(p) for m, ps in zip(reps, pieces) if m is not skip
+    return all(held.known(p) is not None
+               for m, ps in zip(reps, pieces) if m is not skip
                for p in ps)
 
 

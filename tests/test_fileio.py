@@ -5,8 +5,13 @@ import os
 
 import pytest
 
+import gptau.fileio
 from gptau.fileio import (
+    MAX_MODULE_DIM,
+    MAX_PATHS,
+    MAX_TABLE_BASIS,
     FormatError,
+    _path_count_over,
     parse_algebra_file,
     parse_module_file,
     report_json,
@@ -14,7 +19,14 @@ from gptau.fileio import (
     write_algebra_file,
     write_module_file,
 )
-from gptau.algebra import Quiver, Relation, bound_quiver_algebra, linear_a_n, t2
+from gptau.algebra import (
+    Quiver,
+    Relation,
+    _enumerate_paths,
+    bound_quiver_algebra,
+    linear_a_n,
+    t2,
+)
 from gptau.field import GF
 from gptau.module import (
     direct_sum,
@@ -235,3 +247,58 @@ def test_report_json_deterministic_and_tristate_aware():
     s2 = report_json(rep)
     assert s1 == s2
     assert '"verdict": "certified-yes"' in s1
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("built an object past a size cap")
+
+
+@pytest.mark.parametrize("name, text, lineno, msg", [
+    ("a.mod", "kind quiver-module\ndims 100000 0 0\n", 2,
+     "dims total 100000, over the cap %d" % MAX_MODULE_DIM),
+    ("a.alg", "kind table\nfield QQ\nbasis %s\nunit 1\n" % " ".join(
+        "b%d" % i for i in range(MAX_TABLE_BASIS + 1)), 3,
+     "basis has %d elements" % (MAX_TABLE_BASIS + 1)),
+    ("a.alg", "kind quiver\nvertices 1\narrow x 1 1\narrow y 1 1\n"
+     "nilpotency 100000\nrelation x.y\n", 5,
+     "more than %d paths up to the nilpotency bound 100000" % MAX_PATHS),
+    ("a.alg", "kind quiver\nvertices 1 2 3\narrow x 1 1\narrow y 1 1\n"
+     "arrow z 1 1\n", 2, "the nilpotency bound 8"),
+], ids=["module-dims", "table-basis", "paths", "paths-default-bound"])
+def test_sizes_over_a_cap_are_refused_before_allocation(
+        monkeypatch, tmp_path, name, text, lineno, msg):
+    """Each cap trips at the line that sets the size, with the builders
+    that would allocate it replaced by a failure: no module, table or
+    path list is built.  Three loops at the default bound 2*3+2 have
+    (3^9 - 1)/2 + 2 paths."""
+    for builder in ("module_from_dimvector", "Algebra",
+                    "bound_quiver_algebra"):
+        monkeypatch.setattr(gptau.fileio, builder, _no_allocation)
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(FormatError) as exc:
+        if name.endswith(".mod"):
+            parse_module_file(str(p), linear_a_n(3))
+        else:
+            parse_algebra_file(str(p))
+    assert exc.value.lineno == lineno
+    assert msg in str(exc.value)
+
+
+def test_path_count_is_exact_below_the_cap():
+    """The count that the cap reads equals the number of paths listed,
+    on the fixtures at their nilpotency bounds and on two loops, whose
+    count at bound B is 2^(B+1) - 1."""
+    cases = []
+    for name in ("a3.alg", "kx3.alg", "kxy2.alg", "loop_flag.alg"):
+        qd = parse_algebra_file(fx(name)).quiver_data
+        cases.append((qd["quiver"], qd["nilpotency_bound"]))
+    cases.append((Quiver((1,), (("x", 1, 1), ("y", 1, 1))), 9))
+    for q, bound in cases:
+        n = len(_enumerate_paths(q, bound)[0])
+        ends = [(q.vertex_index(s), q.vertex_index(t))
+                for _, s, t in q.arrows]
+        assert not _path_count_over(len(q.vertices), ends, bound, n)
+        assert _path_count_over(len(q.vertices), ends, bound, n - 1)
+        assert n <= MAX_PATHS
+    assert n == 2 ** 10 - 1
