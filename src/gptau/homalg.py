@@ -25,13 +25,13 @@ from .module import (
     _map_from_generators,
     _proj_embedding,
     _projective_sum,
+    _quotient,
     direct_sum,
     dual_D,
     hom,
     hom_coords,
     is_projective,
     projective_cover,
-    quotient_module,
     rad_end,
     regular_module,
     simple_modules,
@@ -91,19 +91,21 @@ def syzygy(m: Module, k: int = 1):
 def minimal_projective_resolution(m: Module, length: int):
     """[(P_i, d_i)] with d_0 : P_0 -> M and d_i : P_i -> P_{i-1},
     up to index `length` (or shorter if the resolution terminates).
-    The list is shared by every caller with equal arguments: read it,
-    never change it."""
+    The last step takes only the projective cover: the kernel after
+    P_length is never read.  The list is shared by every caller with
+    equal arguments: read it, never change it."""
     out = []
     cur = m
     inc = None  # inclusion of the current module into the last P_i
     for i in range(length + 1):
         if cur.dim == 0:
             break
-        p, f, _, ker, nxt = _cover_kernel(cur)
+        p, f, _ = projective_cover(cur)
         if inc is not None:
             f = ModuleMap(p, inc.target, inc.matrix @ f.matrix)
         out.append((p, f))
-        cur, inc = ker, nxt
+        if i < length:
+            cur, inc = _cover_kernel(cur)[3:]
     return out
 
 
@@ -370,7 +372,11 @@ def almost_split_sequence(m: Module):
     exact over every field) sends into the coboundaries.  psi commutes
     with the idempotents, so it acts on the images by its diagonal block
     on each e_j N.  E is the pushout (N + P0) / {(xi x, -d1 x)}, g is
-    d0 on the P0 part, and f is the inclusion of N."""
+    d0 on the P0 part, and f is the inclusion of N.  With proj: N + P0
+    -> E the quotient map and pr the projection onto P0, g proj = d0 pr;
+    proj sends the unit vector of each complement coordinate of the
+    quotient (module._quotient) to the matching unit vector of E, so g
+    is d0 pr restricted to those coordinates."""
     if is_projective(m):
         raise ModuleError("a projective module ends no almost split sequence")
     n = tau(m)
@@ -413,13 +419,11 @@ def almost_split_sequence(m: Module):
     h = _generator_map(p1, n, images)
     s, incls, projs = direct_sum(m.algebra, [n, p0])
     rel = incls[0].matrix @ h + incls[1].matrix @ -d1.matrix
-    e, proj = quotient_module(s, rel.image_basis())
+    e, proj, comp = _quotient(s, rel)
     if e.dim != m.dim + n.dim:
         raise ModuleError("almost split middle term has dimension %d, not %d"
                           % (e.dim, m.dim + n.dim))
-    # g o proj = d0 o (projection onto P0): solve proj^T g^T = (d0 pr)^T
-    g = proj.matrix.transpose().solve_matrix(
-        (d0.matrix @ projs[1].matrix).transpose()).transpose()
+    g = (d0.matrix @ projs[1].matrix).select_cols(comp)
     return (ModuleMap(n, e, proj.matrix @ incls[0].matrix),
             ModuleMap(e, m, g))
 

@@ -13,12 +13,26 @@ adapted to the idempotent grading (coordinates grouped block by block,
 with each idempotent acting as the coordinate projector of its block).
 When every idempotent already acts as a diagonal 0/1 matrix (direct
 sums, quiver representations, duals), that basis is a reordering of the
-given coordinates.  Hom computations then only constrain the diagonal
-blocks against the radical generators, which keeps the linear systems
-small.  Every coordinate solve against a Hom basis goes through
-hom_coords.  The algebras are basic (dim A/rad is the number of
-idempotents), so the top of a module counts its projective cover's
-summands and is_projective is a dimension count.  The top is read off
+given coordinates, and to_raw is the transpose of that permutation.
+Hom computations then only constrain the diagonal blocks against the
+radical generators, which keeps the linear systems small.  Every
+coordinate solve against a Hom basis goes through hom_coords.
+
+Constructions land in adapted coordinates.  Quotients (quotient_module)
+and the simples (simple_modules) are built adapted, with the identity
+permutation; a direct sum is re-based by a permutation, and its
+inclusions and projections are unit entries placed through it.  On the
+diagonal path the constructor skips the unit check.  There the
+idempotent actions are diagonal 0/1 projectors whose supports partition
+the coordinates, so their sum is the identity.  Every Algebra has
+sum e_i = 1: Algebra.validate raises "idempotents do not sum to the
+unit", and the opposite shares the unit and the idempotents.  So the
+unit acts as the sum of the idempotent actions, the identity.  Any other
+module pays the unit check.
+
+The algebras are basic (dim A/rad is the number of idempotents), so
+the top of a module counts its projective cover's summands and
+is_projective is a dimension count.  The top is read off
 the idempotent blocks, one row reduction per block (_top_generators).
 A sum of projectives P = sum of the P_i = A e_i is built once per
 algebra and summand tuple (_projective_sum) and carries the coordinates
@@ -76,7 +90,15 @@ class Module(Keyed):
 
     def __init__(self, algebra: Algebra, actions, validate=True):
         """actions: one (d x d) Matrix per algebra basis element, in any
-        basis; the constructor re-bases to idempotent-adapted coordinates."""
+        basis; the constructor re-bases to idempotent-adapted coordinates.
+
+        The idempotent actions come first.  When they are diagonal 0/1
+        projectors partitioning the coordinates, the unit acts as their
+        sum, the identity (module docstring), so it is not computed, and
+        the re-basing is the permutation _perm (None when it is the
+        identity).  Otherwise the unit must act as the identity, or
+        ModuleError, and the re-basing is U^-1 for U the idempotent
+        image bases side by side."""
         self.algebra = algebra
         self._cache = {}
         self.dim = actions[0].rows if actions else 0
@@ -84,15 +106,11 @@ class Module(Keyed):
             raise ModuleError("need one action matrix per algebra basis element")
         f = algebra.field
         d = self.dim
+        self._from_raw = self._perm = None
         if d == 0:
             self.actions = [Matrix(f, 0, 0) for _ in range(algebra.dim)]
             self.blocks = [(0, 0)] * algebra.n_idempotents
-            self._from_raw = None
             return
-        # unit must act as identity
-        unit_act = _combine(f, d, actions, algebra.unit)
-        if unit_act != Matrix.identity(f, d):
-            raise ModuleError("unit does not act as the identity")
         # adapted basis: group coordinates by idempotent blocks
         idem_acts = [_combine(f, d, actions, e) for e in algebra.idempotents]
         diagonal = _diagonal_blocks(idem_acts, d)
@@ -102,14 +120,16 @@ class Module(Keyed):
             perm, blocks = diagonal
             if perm == list(range(d)):
                 self.actions = actions
-                self._from_raw = None
             else:
                 self.actions = [_permuted(f, a, perm) for a in actions]
+                self._perm = perm
                 self._from_raw = Matrix(f, d, d)
                 one = f.one()
                 for i, p in enumerate(perm):
                     self._from_raw.data[i][p] = one
         else:
+            if _combine(f, d, actions, algebra.unit) != Matrix.identity(f, d):
+                raise ModuleError("unit does not act as the identity")
             cols = []
             blocks = []
             off = 0
@@ -144,6 +164,8 @@ class Module(Keyed):
     def to_raw(self):
         if self._from_raw is None:
             return Matrix.identity(self.field, self.dim)
+        if self._perm is not None:  # a permutation matrix is orthogonal
+            return self._from_raw.transpose()
         return self._from_raw.inverse()
 
     def from_raw_matrix(self):
@@ -196,12 +218,14 @@ class Module(Keyed):
 def _combine(f, d, actions, vec):
     """sum_k vec[k] * actions[k], accumulated in place over nonzero terms.
     Over GF(p) it is reduced once at the end, unless it is one action
-    taken once (a structure constant that is a basis element)."""
+    taken once (a structure constant that is a basis element, or an
+    idempotent of a quiver algebra or of Gamma), which is a row copy."""
+    nonzero = [(c, m) for c, m in zip(vec, actions) if c]
+    if len(nonzero) == 1 and f.of(nonzero[0][0]) == 1:
+        return Matrix._adopt(f, d, d, [row[:] for row in nonzero[0][1].data])
     out = [[0] * d for _ in range(d)]
     terms = 0
-    for c, m in zip(vec, actions):
-        if not c:
-            continue
+    for c, m in nonzero:
         c = f.of(c)
         unit = c == 1
         terms += 1 if unit else 2  # a scaled term can leave [0, p)
@@ -285,7 +309,7 @@ class ModuleMap:
         return submodule(self.target, self.matrix.image_basis())
 
     def cokernel(self):
-        return quotient_module(self.target, self.matrix.image_basis())
+        return quotient_module(self.target, self.matrix)
 
     def is_zero(self):
         return self.matrix.is_zero()
@@ -313,7 +337,15 @@ def regular_module(algebra: Algebra) -> Module:
 
 
 def direct_sum(algebra: Algebra, mods):
-    """Direct sum with inclusion and projection maps."""
+    """Direct sum with inclusion and projection maps.
+
+    The actions are block diagonal, summand after summand.  Every summand
+    is adapted, so each idempotent acts on the sum as a diagonal 0/1
+    matrix and Module re-bases it by a permutation, which sends the
+    coordinate `off + r` of the block-diagonal sum (coordinate r of the
+    summand at offset off) to its position in _perm.  The inclusion of
+    that summand is the unit entry (position, r) for each r, and its
+    projection the unit entry (r, position)."""
     f = algebra.field
     total = sum(m.dim for m in mods)
     acts = []
@@ -325,19 +357,20 @@ def direct_sum(algebra: Algebra, mods):
             off += m.dim
         acts.append(big)
     M = Module(algebra, acts, validate=False)
-    fr = M.from_raw_matrix()
-    to = M.to_raw()
+    position = list(range(total))
+    for i, c in enumerate(M._perm or ()):
+        position[c] = i
+    one = f.one()
     incls, projs = [], []
     off = 0
     for m in mods:
         inc = Matrix(f, total, m.dim)
-        for r in range(m.dim):
-            inc.data[off + r][r] = f.one()
-        incls.append(ModuleMap(m, M, fr @ inc))
         prj = Matrix(f, m.dim, total)
         for r in range(m.dim):
-            prj.data[r][off + r] = f.one()
-        projs.append(ModuleMap(M, m, prj @ to))
+            inc.data[position[off + r]][r] = one
+            prj.data[r][position[off + r]] = one
+        incls.append(ModuleMap(m, M, inc))
+        projs.append(ModuleMap(M, m, prj))
         off += m.dim
     return M, incls, projs
 
@@ -372,27 +405,50 @@ def submodule(m: Module, basis: Matrix):
 
 
 def quotient_module(m: Module, basis: Matrix):
-    """(Q, projection) for the quotient by an invariant subspace."""
+    """(Q, projection) for the quotient by the invariant subspace W that
+    the columns of basis span (_quotient)."""
+    return _quotient(m, basis)[:2]
+
+
+def _quotient(m: Module, basis: Matrix):
+    """(Q, projection, comp): the quotient m/W by the span W of the
+    columns of basis, in the coordinates comp of m, in increasing order.
+
+    One RREF of the rows spanning W, coordinates reversed, puts the
+    pivots p_i on the last coordinates it can: coordinate c is a pivot
+    iff row c of the spanning columns lies outside the span of the rows
+    after it, iff e_c lies in the span of W and the e_c' with c' < c.
+    So comp, the non-pivot coordinates, is the greedy complement e_c
+    outside W + span(e_c', c' < c), and W + span(e_c, c in comp) is the
+    whole space.  Row i of the RREF is a vector of W with a 1 at p_i, 0
+    at every other pivot and R_i[c] at each c in comp, so the projection
+    along W onto span(e_c) sends e_c to itself and e_{p_i} to
+    -sum_c R_i[c] e_c: its row for c is e_c - sum_i R_i[c] e_{p_i}.  The
+    action of a on Q is proj a restricted to comp.  m is adapted and
+    comp increasing, so each idempotent acts on Q as the diagonal 0/1
+    projector of its block: Q is adapted with the identity permutation,
+    and proj is the projection map itself."""
     f = m.field
-    basis = basis.image_basis()
-    k = basis.cols
-    if k == m.dim:
+    d = m.dim
+    R, pivots = Matrix._adopt(f, basis.cols, d, [
+        [row[j] for row in reversed(basis.data)] for j in range(basis.cols)
+    ]).rref()
+    if len(pivots) == d:
         Q = zero_module(m.algebra)
-        return Q, ModuleMap(m, Q, Matrix(f, 0, m.dim))
-    full = basis.hstack(Matrix.identity(f, m.dim))
-    _, pivots = full.rref()
-    comp_cols = [p - k for p in pivots if p >= k]
-    C = Matrix.from_cols(f, [[f.one() if i == c else f.zero()
-                              for i in range(m.dim)] for c in comp_cols],
-                         nrows=m.dim)
-    BC = basis.hstack(C)
-    BCinv = BC.inverse()
-    proj_raw = Matrix.from_rows(f, BCinv.data[k:]) if m.dim - k else Matrix(
-        f, 0, m.dim
-    )
-    acts = [proj_raw @ a @ C for a in m.actions]
-    Q = Module(m.algebra, acts, validate=False)
-    return Q, ModuleMap(m, Q, Q.from_raw_matrix() @ proj_raw)
+        return Q, ModuleMap(m, Q, Matrix(f, 0, d)), []
+    rows = {d - 1 - q: R.data[i] for i, q in enumerate(pivots)}
+    comp = [c for c in range(d) if c not in rows]
+    p = f.p
+    proj = Matrix(f, len(comp), d)
+    for out, c in zip(proj.data, comp):
+        out[c] = 1
+        for at, row in rows.items():
+            x = row[d - 1 - c]
+            if x:
+                out[at] = (-x % p) if p else -x
+    Q = Module(m.algebra, [proj @ a.select_cols(comp) for a in m.actions],
+               validate=False)
+    return Q, ModuleMap(m, Q, proj), comp
 
 
 # -- quiver-presented conversion -----------------------------------------
@@ -1118,7 +1174,19 @@ def top_of(m: Module):
 
 @memo
 def simple_modules(algebra: Algebra):
-    return [top_of(p)[0] for p in projective_modules(algebra)]
+    """The simples S_i = top P_i, in closed form.  The algebra is basic,
+    so S_i is one-dimensional, and A = span(e_j) + rad A with the e_j
+    independent modulo rad A (Algebra.validate).  A basis element b =
+    sum_j c_j e_j + r, r in rad A, acts on S_i by c_i, since e_j acts by
+    [i == j] and rad A annihilates every simple.  One solve over
+    [idempotents | radical] gives every c_i of every b."""
+    f = algebra.field
+    coords = Matrix.from_cols(f, algebra.idempotents + algebra.radical,
+                              nrows=algebra.dim).solve_matrix(
+        Matrix.identity(f, algebra.dim))
+    return [Module(algebra, [Matrix._adopt(f, 1, 1, [[c]]) for c in row],
+                   validate=False)
+            for row in coords.data[:algebra.n_idempotents]]
 
 
 @memo

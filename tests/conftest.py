@@ -16,7 +16,7 @@ from gptau.algebra import (
 )
 from gptau.classify import enumerate_indecomposables
 from gptau.linalg import Matrix
-from gptau.module import Module, direct_sum
+from gptau.module import Module, ModuleMap, direct_sum
 
 
 @pytest.fixture(scope="session")
@@ -89,13 +89,41 @@ def _classes_and_sums(f):
             small = [m for m in mods if m.dim <= 4]
             for _ in range(3):
                 s = direct_sum(a, [rng.choice(small), rng.choice(small)])[0]
-                while True:
-                    P = Matrix(f, s.dim, s.dim,
-                               [[rng.randint(-2, 2) for _ in range(s.dim)]
-                                for _ in range(s.dim)])
-                    if P.is_invertible():
-                        break
-                Pinv = P.inverse()
-                mods.append(Module(a, [Pinv @ x @ P for x in s.actions]))
+                mods.append(_in_random_basis(s, rng))
             out.append((a, mods))
     return out
+
+
+def _in_random_basis(m, rng):
+    """m with its actions conjugated by a seeded random invertible
+    matrix, which the Module constructor re-bases."""
+    f = m.field
+    while True:
+        P = Matrix(f, m.dim, m.dim, [[rng.randint(-2, 2) for _ in range(m.dim)]
+                                     for _ in range(m.dim)])
+        if P.is_invertible():
+            break
+    Pinv = P.inverse()
+    return Module(m.algebra, [Pinv @ x @ P for x in m.actions])
+
+
+def _reference_quotient(m, basis):
+    """(Q, projection) by the [B | I] route that quotient_module took
+    before it read the projection off one reversed RREF: the pivots of
+    [B | I] past B pick the unit vectors C completing the column space B
+    of the subspace, the projection is the last rows of [B | C]^-1, and
+    Q acts by projection a C, re-based by the Module constructor."""
+    f = m.field
+    basis = basis.image_basis()
+    k = basis.cols
+    if k == m.dim:
+        Q = Module(m.algebra, [Matrix(f, 0, 0)] * m.algebra.dim,
+                   validate=False)
+        return Q, ModuleMap(m, Q, Matrix(f, 0, m.dim))
+    _, pivots = basis.hstack(Matrix.identity(f, m.dim)).rref()
+    C = Matrix.from_cols(f, [[int(i == p - k) for i in range(m.dim)]
+                             for p in pivots if p >= k], nrows=m.dim)
+    proj_raw = Matrix.from_rows(f, basis.hstack(C).inverse().data[k:])
+    Q = Module(m.algebra, [proj_raw @ a @ C for a in m.actions],
+               validate=False)
+    return Q, ModuleMap(m, Q, Q.from_raw_matrix() @ proj_raw)

@@ -173,6 +173,28 @@ def test_zero_module_accepted(tmp_path):
     assert z.dim == 0
 
 
+@pytest.mark.parametrize("dim, given", [
+    (1, {"e_1": "1", "e_2": "1"}),
+    (2, {"e_1": "1 0 ; 0 0"}),
+    (2, {"e_1": "1 1 ; 0 0"}),
+], ids=["diagonal-overlap", "diagonal-missing", "non-diagonal"])
+def test_unit_check_refuses_idempotents_not_summing_to_one(tmp_path, dim,
+                                                           given):
+    """Idempotent actions that are diagonal but overlap on a coordinate or
+    miss one partition nothing, so they fall to the unit check, as do
+    non-diagonal ones whose sum is not the identity: the parser refuses
+    each with a FormatError.  The other actions are 0."""
+    a3 = parse_algebra_file(fx("a3.alg"))
+    zero = " ; ".join([" ".join(["0"] * dim)] * dim)
+    p = tmp_path / "bad.mod"
+    p.write_text("kind module\ndim %d\n" % dim + "".join(
+        "action %s : %s\n" % (lbl, given.get(lbl, zero))
+        for lbl in a3.basis_labels))
+    with pytest.raises(FormatError) as exc:
+        parse_module_file(str(p), a3)
+    assert "unit does not act as the identity" in str(exc.value)
+
+
 def test_action_axiom_violation_reported(tmp_path):
     lf = parse_algebra_file(fx("loop_flag.alg"))
     p = tmp_path / "bad.mod"

@@ -12,11 +12,14 @@ its dimensions, its failure to split and its lifting property against
 the enumerated classes."""
 
 import itertools
+import random
 
 import pytest
 from conftest import (
     _battery_algebras,
     _classes_and_sums,
+    _in_random_basis,
+    _reference_quotient,
     _two_loops_radical_square_zero,
 )
 
@@ -30,7 +33,9 @@ from gptau.algebra import (
 from gptau.classify import enumerate_indecomposables
 from gptau.field import GF, QQ
 from gptau.gorenstein import gorenstein_algebra
+import gptau.homalg
 from gptau.homalg import (
+    _cover_kernel,
     _f1_onto,
     almost_split_sequence,
     _map_to_algebra_matrix,
@@ -54,6 +59,8 @@ from gptau.linalg import Matrix
 from gptau.module import (
     Module,
     ModuleError,
+    ModuleMap,
+    _quotient,
     _proj_embedding,
     direct_sum,
     hom,
@@ -67,6 +74,7 @@ from gptau.module import (
     simple_modules,
     split_indecomposables,
 )
+from gptau.memo import entries
 from gptau.tristate import no, unknown, yes
 
 
@@ -467,3 +475,77 @@ def test_almost_split_sequences_of_the_battery(field):
                     assert got == rad_dim, (m.dim_vector(), x.dim_vector())
                 checked += 1
     assert checked >= 20
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_almost_split_sequence_matches_the_solve_and_inverse_routes(
+        field, monkeypatch):
+    """On every non-projective class of the battery and its opposites,
+    and on a copy of it in a random basis: the middle term E and its
+    quotient map equal the [B | I] and inverse route
+    (conftest._reference_quotient) on the same relations, f is that
+    quotient map on tau m, and g, read off the complement coordinates,
+    equals the solve of proj^T g^T = (d0 pr)^T that it replaced."""
+    calls = []
+
+    def recording(s, basis):
+        out = _quotient(s, basis)
+        calls.append((s, basis, out))
+        return out
+
+    monkeypatch.setattr(gptau.homalg, "_quotient", recording)
+    rng = random.Random(2029)
+    checked = 0
+    for a, mods in _classes_and_sums(field):
+        for x in mods[:-3]:  # the classes; the last three are sums
+            if is_projective(x):
+                continue
+            for m in (x, _in_random_basis(x, rng)):
+                f, g = almost_split_sequence(m)
+                s, rel, (e, proj, _) = calls[-1]
+                ref_e, ref_proj = _reference_quotient(s, rel)
+                assert (e.actions, e.blocks) == (ref_e.actions, ref_e.blocks)
+                assert proj.matrix == ref_proj.matrix
+                (p0, d0), = minimal_projective_resolution(m, 0)
+                total, incls, projs = direct_sum(a, [tau(m), p0])
+                assert total.content_key() == s.content_key()
+                assert f.matrix == ref_proj.matrix @ incls[0].matrix
+                assert g.matrix == ref_proj.matrix.transpose().solve_matrix(
+                    (d0.matrix @ projs[1].matrix).transpose()).transpose()
+                checked += 1
+    assert checked >= 30
+
+
+def _reference_resolution(m, length):
+    """minimal_projective_resolution by the route that took the cover
+    and its kernel (_cover_kernel) at every step, the last one too."""
+    out, cur, inc = [], m, None
+    for _ in range(length + 1):
+        if cur.dim == 0:
+            break
+        p, f, _, ker, nxt = _cover_kernel(cur)
+        if inc is not None:
+            f = ModuleMap(p, inc.target, inc.matrix @ f.matrix)
+        out.append((p, f))
+        cur, inc = ker, nxt
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_resolution_builds_no_kernel_after_its_last_cover(field):
+    """minimal_projective_resolution(m, length) equals the route that
+    took the cover's kernel at every step, term for term (the same P_i,
+    equal d_i), on every class and random-basis sum for lengths 0 to 3;
+    and length 0 on a fresh copy of m leaves no _cover_kernel entry on
+    it."""
+    for a, mods in _classes_and_sums(field):
+        for m in mods:
+            fresh = Module(a, m.actions, validate=False)
+            minimal_projective_resolution(fresh, 0)
+            assert entries(fresh, _cover_kernel) == []
+            for length in range(4):
+                got = minimal_projective_resolution(m, length)
+                want = _reference_resolution(m, length)
+                assert len(got) == len(want)
+                for (p, d), (q, e) in zip(got, want):
+                    assert p is q and d.matrix == e.matrix

@@ -12,7 +12,11 @@ from collections import Counter
 from functools import reduce
 
 import pytest
-from conftest import _classes_and_sums, _two_loops_radical_square_zero
+from conftest import (
+    _classes_and_sums,
+    _reference_quotient,
+    _two_loops_radical_square_zero,
+)
 
 from gptau.algebra import (
     Algebra,
@@ -1078,6 +1082,100 @@ def test_submodule_solves_every_action_at_once_and_traps_a_non_invariant_span(
                     submodule(m, v)
                 trapped += 1
     assert trapped > 20
+
+
+def _fallback_modules(f):
+    """(the table-form A2, modules): its regular module, whose raw
+    idempotent actions are not diagonal (the constructor's fallback
+    path), with its projectives and simples."""
+    a = _table_a2(f)
+    return a, [regular_module(a)] + projective_modules(a) + simple_modules(a)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_quotient_matches_the_inverse_route(field):
+    """quotient_module, read off one reversed RREF, equals the [B | I]
+    and inverse route (conftest._reference_quotient) entry for entry:
+    the actions, blocks and re-basing of Q and the projection matrix.
+    The subspaces are rad m, the image of each End(m) basis element
+    (spanned by dependent columns in general), 0 and m, on the classes,
+    the random-basis sums and the fallback-path modules."""
+    checked = 0
+    for a, mods in _classes_and_sums(field) + [_fallback_modules(field)]:
+        for m in mods:
+            spans = [radical_submodule(m)[1].matrix, Matrix(field, m.dim, 0),
+                     Matrix.identity(field, m.dim)]
+            for w in spans + [h.matrix for h in hom(m, m)]:
+                q, proj = quotient_module(m, w)
+                ref_q, ref_proj = _reference_quotient(m, w)
+                assert q.actions == ref_q.actions
+                assert q.blocks == ref_q.blocks
+                assert q.from_raw_matrix() == ref_q.from_raw_matrix()
+                assert proj.matrix == ref_proj.matrix
+                proj.validate()
+                checked += 1
+    assert checked > 300
+
+
+def _reference_sum_maps(M, mods):
+    """The inclusion and projection matrices of direct_sum by the
+    products with from_raw_matrix() and its RREF inverse, the route
+    before the unit entries were placed through the permutation."""
+    f = M.field
+    fr = M.from_raw_matrix()
+    to = fr.inverse()
+    incls, projs = [], []
+    off = 0
+    for m in mods:
+        inc = Matrix(f, M.dim, m.dim)
+        prj = Matrix(f, m.dim, M.dim)
+        for r in range(m.dim):
+            inc.data[off + r][r] = 1
+            prj.data[r][off + r] = 1
+        incls.append(fr @ inc)
+        projs.append(prj @ to)
+        off += m.dim
+    return incls, projs
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_direct_sum_maps_match_the_product_route(field):
+    """The inclusions and projections of direct_sum, unit entries placed
+    through the permutation, equal the products with from_raw_matrix()
+    and its inverse, and to_raw (a transpose for a permutation) equals
+    that inverse; on seeded sums of two or three of the classes, the
+    random-basis sums and the fallback-path modules, most of them
+    re-based by a permutation that is not the identity."""
+    rng = random.Random(29)
+    permuted = 0
+    for a, mods in _classes_and_sums(field) + [_fallback_modules(field)]:
+        for _ in range(6):
+            parts = [rng.choice(mods) for _ in range(rng.randint(2, 3))]
+            M, incls, projs = direct_sum(a, parts)
+            ref_incls, ref_projs = _reference_sum_maps(M, parts)
+            assert [x.matrix for x in incls] == ref_incls
+            assert [x.matrix for x in projs] == ref_projs
+            assert M.to_raw() == M.from_raw_matrix().inverse()
+            permuted += M.from_raw_matrix() != Matrix.identity(field, M.dim)
+    assert permuted > 20
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_simples_in_closed_form_match_the_top_of_the_projectives(battery, p):
+    """simple_modules, read off one solve over [idempotents | radical],
+    equals top_of(P_i), the quotient by the radical, entry for entry
+    (actions, blocks, re-basing) on the battery, T2(A2), the table-form
+    A2 (whose regular module takes the fallback path), a tensor product
+    and their opposites."""
+    for a in _algebras_over(battery, p):
+        for b in (a, a.opposite()):
+            simples = simple_modules(b)
+            assert len(simples) == b.n_idempotents
+            for s, P in zip(simples, projective_modules(b)):
+                ref = top_of(P)[0]
+                assert s.actions == ref.actions
+                assert s.blocks == ref.blocks
+                assert s.from_raw_matrix() == ref.from_raw_matrix()
 
 
 def _radical_first_split(m):
